@@ -66,20 +66,18 @@ def _load_replay_inputs(args: argparse.Namespace) -> tuple:
         config = load_config(args.config)
     except ConfigError as exc:
         raise _CliError(EXIT_CONFIG, str(exc))
-    if args.backend:
-        try:
-            config = config.with_backend_kind(args.backend)
-        except ValueError as exc:
-            raise _CliError(EXIT_CONFIG, str(exc))
+    backend = {"kind": args.backend, "max_in_flight": getattr(args, "max_in_flight", None)}
     overrides = {}
     if getattr(args, "halt_on_stop", False):
         overrides["halt_on_stop"] = True
     if getattr(args, "health_scope", None):
         overrides["health_scope"] = args.health_scope
-    if overrides:
-        config = replace(config, **overrides)
-    if getattr(args, "max_in_flight", None):
-        config = replace(config, backend=replace(config.backend, max_in_flight=args.max_in_flight))
+    try:
+        backend = {k: v for k, v in backend.items() if v is not None}
+        config = replace(config, backend=replace(config.backend, **backend), **overrides)
+        config.prompt_template  # read and checked here, before the first epoch
+    except (ValueError, ConfigError) as exc:
+        raise _CliError(EXIT_CONFIG, str(exc))
     if config.backend.kind == "llm_http" and not os.environ.get(config.backend.api_key_env):
         raise _CliError(
             EXIT_CONFIG,

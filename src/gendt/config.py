@@ -8,11 +8,12 @@ environment; numeric parameters never are.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
-from .codec import DEFAULT_PROMPT_TEMPLATE, EncodingSpec
+from .codec import DEFAULT_PROMPT_TEMPLATE, EncodingSpec, MissingPlaceholder, build_prompt
 from .controller import ControlThresholds
 from .errors import GendtError
 from .forecast import BackendConfig
@@ -85,13 +86,17 @@ class RunConfig:
             return self.ensemble.temperature
         return default_temperature(self.backend.model_name)
 
+    @cached_property
     def prompt_template(self) -> str:
+        """The template text, read once and checked to hold the placeholder once."""
         if self.prompt_template_path is None:
             return DEFAULT_PROMPT_TEMPLATE
-        return Path(self.prompt_template_path).read_text()
-
-    def with_backend_kind(self, kind: str) -> "RunConfig":
-        return replace(self, backend=replace(self.backend, kind=kind))
+        try:
+            template = Path(self.prompt_template_path).read_text()
+            build_prompt("", template)  # raises MissingPlaceholder unless it occurs once
+        except (OSError, UnicodeDecodeError, MissingPlaceholder) as exc:
+            raise ConfigError(f"prompt template {self.prompt_template_path}: {exc}") from exc
+        return template
 
     def to_dict(self) -> dict:
         return {

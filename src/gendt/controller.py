@@ -9,7 +9,8 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -120,41 +121,46 @@ class EpochReport:
     abs_errors: Optional[list[float]] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "state": self.state,
-            "history_runs": list(self.history_runs),
-            "horizon": self.horizon,
-            "attempts_used": self.attempts_used,
-            "median": list(self.median),
-            "sd": list(self.sd),
-            "truth": None if self.truth is None else list(self.truth),
-            "q_rmse": self.q_rmse,
-            "err_avg": self.err_avg,
-            "err_std": self.err_std,
-            "attempt_rmse": None if self.attempt_rmse is None else list(self.attempt_rmse),
-            "decision": self.decision,
-            "cumulative_rmse": self.cumulative_rmse,
-            "health": self.health,
-            "flags": list(self.flags),
-            "timing": self.timing,
-            "downsample_factor": self.downsample_factor,
-        }
+        return {f.name: copy(getattr(self, f.name)) for f in fields(self) if f.name != "abs_errors"}
 
 
-def _preprocess_series(series: MeasurementSeries, config: "RunConfig") -> tuple[list[float], int]:
-    fspec = dsp.FilterSpec(
-        cutoff_hz=config.filter.cutoff_hz,
-        sample_rate_hz=series.sample_rate_hz,
-        order=config.filter.order,
-        zero_phase=config.filter.zero_phase,
-    )
-    factor = dsp.resolve_downsample_factor(
-        series.sample_rate_hz,
-        factor=config.downsample.factor,
-        target_rate_hz=config.downsample.target_rate_hz,
-    )
-    return dsp.preprocess(series, fspec, dsp.DownsampleSpec(factor)), factor
+@dataclass(frozen=True)
+class PreparedVertex:
+    """One vertex's series after filter and decimate, with its wire text."""
+
+    values: tuple[float, ...]
+    text: str
+    downsample_factor: int
+
+
+def _prepared(table: dict, series: MeasurementSeries, config: "RunConfig") -> PreparedVertex:
+    """The entry of `table` (keyed by (run, state)) for `series`, prepared on a miss."""
+    key = (series.run, series.state)
+    if key not in table:
+        fspec = dsp.FilterSpec(
+            cutoff_hz=config.filter.cutoff_hz,
+            sample_rate_hz=series.sample_rate_hz,
+            order=config.filter.order,
+            zero_phase=config.filter.zero_phase,
+        )
+        factor = dsp.resolve_downsample_factor(
+            series.sample_rate_hz,
+            factor=config.downsample.factor,
+            target_rate_hz=config.downsample.target_rate_hz,
+        )
+        values = tuple(dsp.preprocess(series, fspec, dsp.DownsampleSpec(factor)))
+        table[key] = PreparedVertex(values, codec.encode(values, config.encoding).text, factor)
+    return table[key]
+
+
+def _target_truth(
+    ptog: Ptog, epoch: EpochPoint, config: "RunConfig", table: dict
+) -> Optional[list[float]]:
+    series = ptog.get_series(epoch.run, epoch.state)
+    if series is None:
+        return None
+    # quantized at the wire precision so forecasts and truth compare like with like
+    return codec.quantize(_prepared(table, series, config).values, config.encoding)
 
 
 def run_epoch(
@@ -163,6 +169,7 @@ def run_epoch(
     config: "RunConfig",
     prior_cumulative: float = 0.0,
     reproducible: bool = False,
+    prepared: Optional[dict] = None,
 ) -> EpochReport:
     """Execute the full pipeline for one epoch.
 
@@ -172,23 +179,21 @@ def run_epoch(
     target run's own series is consulted only after the forecast is fixed
     (except for the oracle backend, which is defined to receive it).
 
+    `prepared` is the replay's table of prepared vertices, or None for a fresh one.
+
     Raises NoHistory and AllAttemptsFailed; the replay loop records those as
     failed epochs and continues.
     """
     start = time.perf_counter()
+    table = {} if prepared is None else prepared
     window = extract_window(ptog, epoch, config.history_depth)
     flags = ["short_history"] if window.short else []
 
-    processed = []
-    factor = 1
-    for series in window.history:
-        values, factor = _preprocess_series(series, config)
-        processed.append(values)
-    horizon = len(processed[-1])
-    concatenated = [v for series_values in processed for v in series_values]
-
-    sensor_string = codec.encode(concatenated, config.encoding)
-    prompt = codec.build_prompt(sensor_string, config.prompt_template())
+    history = [_prepared(table, series, config) for series in window.history]
+    horizon = len(history[-1].values)
+    # the join of per-vertex encodings is the encoding of the concatenation
+    sensor_text = config.encoding.separator.join(v.text for v in history)
+    prompt = codec.build_prompt(sensor_text, config.prompt_template)
     request = ForecastRequest(
         prompt=prompt,
         temperature=config.resolved_temperature(),
@@ -198,35 +203,21 @@ def run_epoch(
         encoding=config.encoding,
     )
 
-    truth_cache: dict[str, Optional[list[float]]] = {}
-
-    def preprocessed_truth() -> Optional[list[float]]:
-        if "truth" not in truth_cache:
-            series = ptog.get_series(epoch.run, epoch.state)
-            if series is None:
-                truth_cache["truth"] = None
-            else:
-                values, _ = _preprocess_series(series, config)
-                # quantized at the wire precision so forecasts and truth compare like with like
-                truth_cache["truth"] = codec.quantize(values, config.encoding)
-        return truth_cache["truth"]
-
-    oracle_truth = None
-    if config.backend.kind == "oracle":
-        t = preprocessed_truth()
-        oracle_truth = tuple(t) if t is not None else None
+    oracle = config.backend.kind == "oracle"
+    truth = _target_truth(ptog, epoch, config, table) if oracle else None
     inputs = EnsembleInputs(
-        last_history=tuple(processed[-1]),
+        last_history=history[-1].values,
         epoch_key=(epoch.run.index, epoch.state.index),
-        truth=oracle_truth,
+        truth=None if truth is None else tuple(truth),
     )
     attempts = forecast_ensemble(config.backend, request, inputs)
-    rows = tuple(a.values for a in attempts if a.ok)
-    estimate = aggregate(PredictionMatrix(rows, epoch))
-    if len(rows) < len(attempts):
+    matrix = PredictionMatrix([a.values for a in attempts if a.ok], epoch)
+    estimate = aggregate(matrix)
+    if matrix.attempts_used < len(attempts):
         flags.append("failed_attempts")
 
-    truth = preprocessed_truth()
+    if not oracle:
+        truth = _target_truth(ptog, epoch, config, table)
     if truth is not None:
         n = min(len(truth), len(estimate.median))
         if len(truth) != len(estimate.median):
@@ -237,7 +228,7 @@ def run_epoch(
         err_avg, err_std = error_stats(median_cmp, truth_cmp)
         decision = decide(q, config.thresholds).label
         verdict = accumulate_health(prior_cumulative, q, config.thresholds)
-        attempt_rmse = [rmse(truth_cmp, list(r[:n])) for r in rows]
+        attempt_rmse = rmse(truth_cmp, matrix.rows[:, :n])
         abs_errors = np.abs(np.asarray(truth_cmp) - np.asarray(median_cmp)).tolist()
     else:
         flags.append("no_ground_truth")
@@ -254,7 +245,7 @@ def run_epoch(
         state=epoch.state.label,
         history_runs=[s.run.index for s in window.history],
         horizon=horizon,
-        attempts_used=len(rows),
+        attempts_used=matrix.attempts_used,
         median=list(estimate.median),
         sd=list(estimate.sd),
         truth=truth_cmp,
@@ -267,7 +258,7 @@ def run_epoch(
         health=verdict.value,
         flags=flags,
         timing=elapsed_ms,
-        downsample_factor=factor,
+        downsample_factor=history[-1].downsample_factor,
         abs_errors=abs_errors,
     )
 
@@ -316,6 +307,7 @@ def run_replay(
     from .windowing import enumerate_epochs
 
     epochs = enumerate_epochs(ptog, config.min_history)
+    prepared: dict = {}  # one table of prepared vertices per replay
     reports: list[EpochReport] = []
     cumulative = 0.0
     current_run = None
@@ -326,7 +318,7 @@ def run_replay(
             current_run = epoch.run.index
         try:
             report = run_epoch(
-                ptog, epoch, config, prior_cumulative=cumulative, reproducible=reproducible
+                ptog, epoch, config, cumulative, reproducible=reproducible, prepared=prepared
             )
         except (NoHistory, AllAttemptsFailed) as exc:
             health = "Fail" if cumulative > config.thresholds.t_health else "Pass"

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import GendtError
-from .ptog import MissingSeriesFile, canonical_json
+from .ptog import canonical_json, read_samples_csv
 
 STATE_LABELS = ("P1", "P2", "P3")
 SENSOR_NAME = "spindle_current"
@@ -196,7 +196,7 @@ def segmentation_from_meta(meta: Mapping) -> SegmentationSpec:
     if "boundaries" in meta:
         return SegmentationSpec(
             mode="explicit",
-            boundaries={int(k): tuple(v) for k, v in meta["boundaries"].items()},
+            boundaries={int(k): tuple(int(b) for b in v) for k, v in meta["boundaries"].items()},
         )
     return SegmentationSpec(
         mode="threshold",
@@ -226,11 +226,14 @@ def ingest_fixture(
     """
     fixture_dir = Path(fixture_dir)
     meta = load_fixture_meta(fixture_dir)
-    sample_rate_hz = float(meta["sample_rate_hz"])
-    if seg is None:
-        seg = segmentation_from_meta(meta)
-    if wear is None:
-        wear = [(int(r), float(w)) for r, w in meta.get("wear_points", [])]
+    try:
+        sample_rate_hz = float(meta["sample_rate_hz"])
+        if seg is None:
+            seg = segmentation_from_meta(meta)
+        if wear is None:
+            wear = [(int(r), float(w)) for r, w in meta.get("wear_points", [])]
+    except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"{FIXTURE_META_NAME}: missing or ill-typed field ({exc!r})") from exc
 
     if isinstance(seg.boundaries, Mapping):
         runs = sorted(seg.boundaries)
@@ -251,10 +254,7 @@ def ingest_fixture(
 
     entries = []
     for run in runs:
-        csv_path = fixture_dir / f"run_{run}.csv"
-        if not csv_path.exists():
-            raise MissingSeriesFile(str(csv_path))
-        samples = [float(line) for line in csv_path.read_text().splitlines() if line.strip()]
+        samples = read_samples_csv(fixture_dir / f"run_{run}.csv")
         metadata = {}
         record = wear_records.get(run)
         if record is not None:

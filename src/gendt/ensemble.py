@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import EmptyInput, GendtError
 from .windowing import EpochPoint
@@ -25,28 +26,27 @@ class LengthMismatch(EnsembleError):
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    """Successful forecast attempts, one row per attempt, equal row lengths."""
+    """Successful forecast attempts as one (attempts, horizon) float array."""
 
-    rows: tuple[tuple[float, ...], ...]
+    rows: np.ndarray
     epoch: Optional[EpochPoint] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(float(v) for v in r) for r in self.rows))
-        if not self.rows:
+        if len(self.rows) == 0:
             raise EmptyMatrix("prediction matrix needs at least one row")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
+        if len({len(r) for r in self.rows}) != 1:
             raise LengthMismatch("prediction matrix rows have unequal lengths")
-        if width == 0:
+        if len(self.rows[0]) == 0:
             raise EmptyInput("prediction matrix rows are empty")
+        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
 
     @property
     def attempts_used(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[0]
 
     @property
     def horizon(self) -> int:
-        return len(self.rows[0])
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def aggregate(matrix: PredictionMatrix) -> PointEstimate:
     Columns are sorted first so the result is bit-identical under any row
     permutation (floating-point sums are order sensitive otherwise).
     """
-    arr = np.sort(np.asarray(matrix.rows, dtype=float), axis=0)
+    arr = np.sort(matrix.rows, axis=0)
     med = np.median(arr, axis=0)
     sd = np.std(arr, axis=0)  # ddof=0: the attempts are the whole population
     return PointEstimate(
@@ -90,11 +90,12 @@ def error_stats(
     return float(e.mean()), float(e.std())
 
 
-def rmse(truth: Sequence[float], estimate: Sequence[float]) -> float:
-    """Root mean squared elementwise difference."""
-    if len(truth) != len(estimate):
-        raise LengthMismatch(f"truth length {len(truth)} != estimate length {len(estimate)}")
+def rmse(truth: Sequence[float], estimate: ArrayLike) -> Union[float, list[float]]:
+    """Root mean squared elementwise difference; a 2-D `estimate` gives one value per row."""
+    if np.shape(estimate)[-1:] != (len(truth),):
+        raise LengthMismatch(f"truth length {len(truth)} != estimate shape {np.shape(estimate)}")
     if len(truth) == 0:
         raise EmptyInput("rmse requires at least one element")
     d = np.asarray(truth, dtype=float) - np.asarray(estimate, dtype=float)
-    return float(np.sqrt(np.mean(d * d)))
+    r = np.sqrt(np.mean(d * d, axis=-1))
+    return r.tolist() if r.ndim else float(r)

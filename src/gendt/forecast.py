@@ -14,7 +14,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 import requests
@@ -129,12 +129,6 @@ class ForecastAttempt:
         return self.values is not None
 
 
-def length_adjust(values: Sequence[float], horizon: int) -> list[float]:
-    """Truncate to the forecast horizon; shorter inputs pass through unchanged
-    (shortness is an attempt-level failure decided by the caller)."""
-    return [float(v) for v in values[:horizon]]
-
-
 def llm_http_call(
     config: BackendConfig, prompt: str, temperature: float, top_p: float
 ) -> str:
@@ -200,20 +194,18 @@ def _extract_content(resp: requests.Response) -> str:
 def _persistence_values(
     request: ForecastRequest, inputs: EnsembleInputs
 ) -> Union[tuple[float, ...], DecodeFailure]:
-    values = length_adjust(inputs.last_history, request.horizon)
+    values = inputs.last_history[: request.horizon]
     if len(values) < request.horizon:
         return DecodeFailure("short", len(values), "history series shorter than horizon")
-    return tuple(values)
+    return values
 
 
 def _oracle_values(request: ForecastRequest, inputs: EnsembleInputs) -> tuple[float, ...]:
     if inputs.truth is None:
         raise AllAttemptsFailed("oracle backend needs the target series, which is absent")
-    values = length_adjust(inputs.truth, request.horizon)
-    if len(values) < request.horizon:
-        # pad with the final value; the comparison path truncates it away
-        values = values + [values[-1]] * (request.horizon - len(values))
-    return tuple(values)
+    values = inputs.truth[: request.horizon]
+    # pad with the final value; the comparison path truncates it away
+    return values + values[-1:] * (request.horizon - len(values))
 
 
 def _local_attempts(

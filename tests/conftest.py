@@ -151,7 +151,10 @@ class StubLlm:
         self.requests: list[dict] = []
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self._server.stub = self
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll lets shutdown() return promptly at teardown
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @staticmethod
     def completion(content: str) -> dict:

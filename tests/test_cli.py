@@ -223,3 +223,90 @@ def test_report_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
     assert main(["report", "--report", str(bad), "--out-dir", str(tmp_path)]) == EXIT_INPUT
+
+
+def _error_lines(err: str) -> list[str]:
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_replay_bad_max_in_flight_exits_config(cli_env, tmp_path, capsys, value):
+    code = main(
+        ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
+         "--max-in-flight", value, "--out", str(tmp_path / "x.json")]
+    )
+    assert code == EXIT_CONFIG
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "template",
+    [None, "no placeholder here", "<ENCODED TOKENIZED STRING> twice <ENCODED TOKENIZED STRING>"],
+)
+@pytest.mark.parametrize("command", ["replay", "forecast"])
+def test_bad_prompt_template_exits_config(cli_env, tmp_path, capsys, template, command):
+    path = tmp_path / "template.txt"
+    if template is not None:
+        path.write_text(template)
+    config_path = tmp_path / "cfg.json"
+    save_config(make_config("persistence", prompt_template_path=str(path)), config_path)
+    args = ["--run", "7", "--state", "P1"] if command == "forecast" else ["--out", str(tmp_path / "x.json")]
+    code = main([command, "--ptog", str(cli_env["ptog"]), "--config", str(config_path), *args])
+    assert code == EXIT_CONFIG
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+
+
+def test_replay_reads_prompt_template_once(cli_env, tmp_path, monkeypatch):
+    from pathlib import Path
+
+    path = tmp_path / "template.txt"
+    path.write_text("Continue: <ENCODED TOKENIZED STRING>")
+    config_path = tmp_path / "cfg.json"
+    save_config(make_config("persistence", prompt_template_path=str(path)), config_path)
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        if self == path:
+            reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    code = main(
+        ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == EXIT_OK
+    assert len(reads) == 1
+
+
+def _broken_fixture(cli_env, tmp_path):
+    import shutil
+
+    return shutil.copytree(cli_env["fixture"], tmp_path / "fixture")
+
+
+def test_ingest_non_numeric_sample_exits_input(cli_env, tmp_path, capsys):
+    fixture = _broken_fixture(cli_env, tmp_path)
+    csv_path = fixture / "run_2.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[9] = "n/a"
+    csv_path.write_text("\n".join(lines) + "\n")
+    code = main(["ingest", "--fixture", str(fixture), "--out", str(tmp_path / "g.json")])
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "run_2.csv:10:" in line
+
+
+def test_ingest_meta_without_sample_rate_exits_input(cli_env, tmp_path, capsys):
+    fixture = _broken_fixture(cli_env, tmp_path)
+    meta_path = fixture / "fixture.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["sample_rate_hz"]
+    meta_path.write_text(json.dumps(meta))
+    code = main(["ingest", "--fixture", str(fixture), "--out", str(tmp_path / "g.json")])
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "sample_rate_hz" in line

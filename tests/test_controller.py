@@ -256,3 +256,33 @@ def test_decision_labels():
     assert ControlDecision.WARNING.label == "Warning"
     assert ControlDecision.STOP.label == "Stop"
     assert ControlDecision.CONTINUE < ControlDecision.WARNING < ControlDecision.STOP
+
+
+def test_replay_prepares_each_vertex_once(milling_ptog, mock_config, monkeypatch):
+    """One replay preprocesses every vertex it touches exactly once, and sharing
+    the prepared table across epochs changes no epoch record."""
+    from gendt import dsp
+
+    calls = []
+    preprocess = dsp.preprocess
+
+    def counting_preprocess(series, *args):
+        calls.append((series.run, series.state))
+        return preprocess(series, *args)
+
+    monkeypatch.setattr(dsp, "preprocess", counting_preprocess)
+    result = run_replay(milling_ptog, mock_config, reproducible=True)
+    assert len(calls) == len(set(calls)) == milling_ptog.n_series
+
+    calls.clear()
+    fresh = [
+        run_epoch(milling_ptog, EpochPoint(RunId(r.run), milling_ptog.state_by_label(r.state)),
+                  mock_config, prior_cumulative=0.0, reproducible=True).to_dict()
+        for r in result.reports
+    ]
+    for shared, alone in zip(result.reports, fresh):
+        shared = shared.to_dict()
+        for key in ("cumulative_rmse", "health"):  # folded across epochs in the replay
+            shared.pop(key), alone.pop(key)
+        assert shared == alone
+    assert len(calls) > len(set(calls))  # fresh tables prepare overlapping windows again

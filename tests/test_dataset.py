@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gendt.dataset import (
     segment,
     write_synthetic_fixture,
 )
-from gendt.ptog import MissingSeriesFile, build_ptog
+from gendt.ptog import MissingSeriesFile, NonFiniteSample, build_ptog
 from gendt.windowing import enumerate_epochs
 
 
@@ -216,3 +217,51 @@ def test_segmentation_spec_validation():
         SegmentationSpec(mode="threshold", entry_threshold=0.0, exit_threshold=1.0)
     with pytest.raises(DatasetError):
         SegmentationSpec(mode="nonsense")
+
+
+def _copy_fixture(fixture_dir, tmp_path):
+    import shutil
+
+    return Path(shutil.copytree(fixture_dir, tmp_path / "copy"))
+
+
+def test_ingest_rejects_non_numeric_sample(fixture_dir, tmp_path):
+    broken = _copy_fixture(fixture_dir, tmp_path)
+    lines = (broken / "run_3.csv").read_text().splitlines()
+    lines[4] = "1.5e"
+    (broken / "run_3.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(NonFiniteSample, match=r"run_3\.csv:5: "):
+        ingest_fixture(broken, out_dir=tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda meta: meta.pop("sample_rate_hz"), id="no-sample-rate"),
+        pytest.param(lambda meta: meta.update(sample_rate_hz="fast"), id="text-sample-rate"),
+        pytest.param(lambda meta: meta.update(boundaries=[[0, 1, 2, 3]]), id="boundaries-list"),
+        pytest.param(
+            lambda meta: meta["boundaries"].update({"2": [0, "x", 200, 300]}), id="text-boundary"
+        ),
+        pytest.param(lambda meta: meta["boundaries"].update({"2": 7}), id="scalar-boundaries"),
+        pytest.param(
+            lambda meta: meta.update(wear_points=[[1, "worn"], [2, 0.1]]), id="text-wear"
+        ),
+        pytest.param(
+            lambda meta: (
+                meta.pop("boundaries"),
+                meta.update(entry_threshold=[1.0], exit_threshold=0.5),
+            ),
+            id="list-threshold",
+        ),
+        pytest.param(lambda meta: meta.pop("boundaries"), id="no-thresholds"),
+    ],
+)
+def test_ingest_rejects_bad_fixture_meta(fixture_dir, tmp_path, edit):
+    broken = _copy_fixture(fixture_dir, tmp_path)
+    meta_path = broken / "fixture.json"
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(DatasetError, match="fixture.json"):
+        ingest_fixture(broken, out_dir=tmp_path / "out")

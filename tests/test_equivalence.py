@@ -1,0 +1,49 @@
+"""Byte identity of `--reproducible` replay reports.
+
+The digests below are SHA-256 sums of the report files written by
+`gendt replay --reproducible` for the 14-run synthetic fixture (seed 7), with
+the persistence test config and a `--backend` override. They were recorded
+before each graph vertex was prepared once per replay, and every change that
+only restructures the engine must keep them. A change that alters a report on
+purpose records new digests and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from conftest import make_config
+from gendt.cli import EXIT_OK, main
+from gendt.config import save_config
+from gendt.dataset import write_synthetic_fixture
+
+REPORT_SHA256 = {
+    "persistence": "659680d6d8087e9a78b9490807ffda5f15382644ac8be42fca7e9836fc033e68",
+    "mock_noise": "996a5d40feacf3a3fe414837acb0ec2fea3a4ad2e60bfbb8b6f7d3af81223b41",
+    "oracle": "931d5c9c1e2c1f9fa01ffeee9abfb4081024d2b6b6334e066dbce96cd85e4bbc",
+}
+
+
+@pytest.fixture(scope="module")
+def replay_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("equivalence")
+    fixture = write_synthetic_fixture(root / "fixture")
+    graph = root / "ptog.json"
+    assert main(["ingest", "--fixture", str(fixture), "--out", str(graph)]) == EXIT_OK
+    config = root / "cfg.json"
+    save_config(make_config("persistence"), config)
+    return root, graph, config
+
+
+@pytest.mark.parametrize("backend", sorted(REPORT_SHA256))
+def test_reproducible_report_digest(replay_inputs, backend):
+    root, graph, config = replay_inputs
+    out = root / f"{backend}.json"
+    code = main(
+        ["replay", "--ptog", str(graph), "--config", str(config), "--backend", backend,
+         "--reproducible", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[backend]

@@ -18,7 +18,6 @@ from gendt.forecast import (
     ForecastRequest,
     MalformedResponse,
     forecast_ensemble,
-    length_adjust,
     llm_http_call,
 )
 
@@ -127,12 +126,6 @@ def test_permuting_attempts_leaves_median_unchanged():
     perm = rng.permutation(len(rows))
     est_perm = aggregate(PredictionMatrix(tuple(rows[i] for i in perm)))
     assert est == est_perm
-
-
-def test_length_adjust():
-    assert length_adjust(list(range(120)), 100) == [float(v) for v in range(100)]
-    assert length_adjust([1.0, 2.0], 2) == [1.0, 2.0]
-    assert length_adjust([1.0], 3) == [1.0]  # shortness is the caller's call
 
 
 # ---------------------------------------------------------------- HTTP client
