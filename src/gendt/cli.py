@@ -67,13 +67,13 @@ def _load_replay_inputs(args: argparse.Namespace) -> tuple:
     except ConfigError as exc:
         raise _CliError(EXIT_CONFIG, str(exc))
     backend = {"kind": args.backend, "max_in_flight": getattr(args, "max_in_flight", None)}
+    backend = {k: v for k, v in backend.items() if v is not None}
     overrides = {}
     if getattr(args, "halt_on_stop", False):
         overrides["halt_on_stop"] = True
     if getattr(args, "health_scope", None):
         overrides["health_scope"] = args.health_scope
     try:
-        backend = {k: v for k, v in backend.items() if v is not None}
         config = replace(config, backend=replace(config.backend, **backend), **overrides)
         config.prompt_template  # read and checked here, before the first epoch
     except (ValueError, ConfigError) as exc:
