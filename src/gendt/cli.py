@@ -10,7 +10,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,7 +21,7 @@ from .controller import run_epoch, run_replay
 from .dataset import ingest_fixture
 from .errors import GendtError
 from .forecast import BACKEND_KINDS, AuthError
-from .ptog import build_ptog, load_ptog, save_ptog
+from .ptog import load_ptog, save_manifest, save_ptog
 from .windowing import EpochPoint
 
 EXIT_OK = 0
@@ -43,21 +42,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not fixture.is_dir():
         return _fail(EXIT_INPUT, f"fixture directory {fixture} does not exist")
     try:
+        ptog = ingest_fixture(fixture)
+        counts = f"{ptog.n_vertices} vertices, {ptog.n_series} series"
         if args.dry_run:
-            with tempfile.TemporaryDirectory() as tmp:
-                manifest = ingest_fixture(fixture, out_dir=Path(tmp) / "work")
-                ptog = build_ptog(manifest)
-            print(f"dry run ok: {ptog.n_vertices} vertices, {ptog.n_series} series")
+            print(f"dry run ok: {counts}")
             return EXIT_OK
+        if args.workdir:
+            counts += f", manifest {save_manifest(ptog, args.workdir)}"
         out = Path(args.out)
-        workdir = Path(args.workdir) if args.workdir else out.parent / f"{out.stem}_work"
-        manifest = ingest_fixture(fixture, out_dir=workdir)
-        ptog = build_ptog(manifest)
         out.parent.mkdir(parents=True, exist_ok=True)
         save_ptog(ptog, out)
     except (GendtError, OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_INPUT, f"ingestion failed: {exc}")
-    print(f"wrote {out}: {ptog.n_vertices} vertices, {ptog.n_series} series, manifest {manifest}")
+    print(f"wrote {out}: {counts}")
     return EXIT_OK
 
 
@@ -193,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="segment a fixture and build the graph file")
     p_ingest.add_argument("--fixture", required=True, help="fixture directory (run_<k>.csv + fixture.json)")
     p_ingest.add_argument("--out", default="ptog.json", help="graph output path")
-    p_ingest.add_argument("--workdir", default=None, help="where segment CSVs and the manifest go")
+    p_ingest.add_argument("--workdir", default=None, help="also dump segment CSVs and a manifest here")
     p_ingest.add_argument("--dry-run", action="store_true", help="validate without writing")
     p_ingest.set_defaults(func=cmd_ingest)
 
@@ -241,3 +238,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -31,6 +31,13 @@ class FilterParams:
     order: int = 4
     zero_phase: bool = False
 
+    def __post_init__(self) -> None:
+        # the cutoff-vs-Nyquist check needs the graph's sample rate; dsp makes it
+        if not self.cutoff_hz > 0:
+            raise ConfigError(f"filter cutoff_hz must be > 0, got {self.cutoff_hz}")
+        if not self.order >= 1:
+            raise ConfigError(f"filter order must be >= 1, got {self.order}")
+
 
 @dataclass(frozen=True)
 class DownsampleParams:
@@ -43,6 +50,10 @@ class DownsampleParams:
     def __post_init__(self) -> None:
         if (self.factor is None) == (self.target_rate_hz is None):
             raise ConfigError("downsample needs exactly one of factor or target_rate_hz")
+        if self.factor is not None and not self.factor >= 1:
+            raise ConfigError(f"downsample factor must be >= 1, got {self.factor}")
+        if self.target_rate_hz is not None and not self.target_rate_hz > 0:
+            raise ConfigError(f"downsample target_rate_hz must be > 0, got {self.target_rate_hz}")
 
 
 @dataclass(frozen=True)

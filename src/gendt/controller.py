@@ -159,8 +159,9 @@ def _target_truth(
     series = ptog.get_series(epoch.run, epoch.state)
     if series is None:
         return None
-    # quantized at the wire precision so forecasts and truth compare like with like
-    return codec.quantize(_prepared(table, series, config).values, config.encoding)
+    # the decoded wire text, so truth and forecast compare like with like
+    text = _prepared(table, series, config).text
+    return [float(t) * config.encoding.scale for t in text.split(config.encoding.separator)]
 
 
 def run_epoch(

@@ -1,5 +1,5 @@
 """Milling-style fixture ingestion: per-run current CSVs, three-state
-segmentation, and flank-wear metadata, producing the graph manifest.
+segmentation, and flank-wear metadata, producing the observation graph.
 
 The reference path uses explicit per-run boundaries shipped with the fixture;
 the threshold heuristic exists for new data where boundaries are unknown. A
@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import GendtError
-from .ptog import canonical_json, read_samples_csv
+from .ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId, read_samples_csv
 
 STATE_LABELS = ("P1", "P2", "P3")
 SENSOR_NAME = "spindle_current"
@@ -206,23 +206,23 @@ def segmentation_from_meta(meta: Mapping) -> SegmentationSpec:
     )
 
 
-def _format_sample(v: float) -> str:
-    return repr(float(v))
+def _run_index(path: Path) -> int:
+    k = path.stem[len("run_"):]
+    if not (k.isascii() and k.isdigit()):
+        raise DatasetError(f"{path}: run files must be named run_<k>.csv with an integer k")
+    return int(k)
 
 
 def ingest_fixture(
     fixture_dir: Union[str, Path],
     seg: Optional[SegmentationSpec] = None,
     wear: Optional[Sequence[tuple[int, float]]] = None,
-    out_dir: Optional[Union[str, Path]] = None,
-) -> Path:
-    """Segment per-run CSVs into state series and emit the graph manifest.
+) -> Ptog:
+    """Segment per-run CSVs into state series and build the observation graph.
 
     `seg` and `wear` default to what the fixture's metadata file declares.
-    Segment CSVs land under <out_dir>/segments; the manifest references them
-    relative to its own location, so the output directory is relocatable.
-    Returns the manifest path. Ingestion is deterministic: same fixture, same
-    bytes.
+    Each run CSV is read once and nothing is written (`ptog.save_manifest`
+    dumps the graph). Ingestion is deterministic: same fixture, same graph.
     """
     fixture_dir = Path(fixture_dir)
     meta = load_fixture_meta(fixture_dir)
@@ -238,50 +238,22 @@ def ingest_fixture(
     if isinstance(seg.boundaries, Mapping):
         runs = sorted(seg.boundaries)
     else:
-        runs = sorted(
-            int(p.stem.split("_", 1)[1]) for p in fixture_dir.glob("run_*.csv")
-        )
+        runs = sorted(_run_index(p) for p in fixture_dir.glob("run_*.csv"))
     if not runs:
         raise DatasetError(f"no runs found in {fixture_dir}")
 
-    out_dir = Path(out_dir) if out_dir is not None else fixture_dir / "ingested"
-    segments_dir = out_dir / "segments"
-    segments_dir.mkdir(parents=True, exist_ok=True)
-
-    wear_records = (
-        {r.run: r for r in interpolate_wear(wear, runs)} if len(wear) >= 2 else {}
-    )
-
-    entries = []
+    metadata = {
+        r.run: {"flank_wear_mm": r.flank_wear_mm, "flank_wear_interpolated": float(r.interpolated)}
+        for r in (interpolate_wear(wear, runs) if len(wear) >= 2 else ())
+    }
+    states = [StateId(i, label) for i, label in enumerate(STATE_LABELS, start=1)]
+    sensor = SensorId(SENSOR_NAME, SENSOR_UNIT)
+    series = []
     for run in runs:
         samples = read_samples_csv(fixture_dir / f"run_{run}.csv")
-        metadata = {}
-        record = wear_records.get(run)
-        if record is not None:
-            metadata = {
-                "flank_wear_mm": record.flank_wear_mm,
-                "flank_wear_interpolated": 1.0 if record.interpolated else 0.0,
-            }
-        for label, values in zip(STATE_LABELS, segment(samples, seg, run=run)):
-            seg_name = f"run_{run}_{label}.csv"
-            (segments_dir / seg_name).write_text(
-                "\n".join(_format_sample(v) for v in values) + "\n"
-            )
-            entries.append(
-                {
-                    "run": run,
-                    "state_label": label,
-                    "sensor": SENSOR_NAME,
-                    "unit": SENSOR_UNIT,
-                    "sample_rate_hz": sample_rate_hz,
-                    "csv_path": f"segments/{seg_name}",
-                    "metadata": metadata,
-                }
-            )
-
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(canonical_json({"entries": entries}) + "\n")
-    return manifest_path
+        for state, values in zip(states, segment(samples, seg, run=run)):
+            series.append(MeasurementSeries(RunId(run), state, sensor, sample_rate_hz, values))
+    return Ptog.from_series(series, run_metadata=metadata)
 
 
 # Wear measurements for the synthetic fixture, matching the milling campaign's

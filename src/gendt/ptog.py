@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -399,6 +399,27 @@ def build_ptog(
             metadata.setdefault(e.run, {}).update(e.metadata)
 
     return Ptog.from_series(series, run_metadata=metadata, empty_vertices=empty_vertices)
+
+
+def save_manifest(ptog: Ptog, out_dir: Union[str, Path]) -> Path:
+    """Dump the graph as segments/run_<k>_<label>.csv (one `repr` float a line)
+    plus the manifest `build_ptog` reads. The manifest's paths are relative to
+    its own directory, so the dump is relocatable. Returns the manifest path."""
+    if ptog.n_vertices != ptog.n_series:
+        raise PtogError("a manifest dump holds stored series only; the graph has empty vertices")
+    out_dir = Path(out_dir)
+    (out_dir / "segments").mkdir(parents=True, exist_ok=True)
+    entries = []
+    for (run, state), s in sorted(ptog.series.items(), key=lambda kv: (kv[0][0], kv[0][1].index)):
+        csv_path = f"segments/run_{run.index}_{state.label}.csv"
+        (out_dir / csv_path).write_text("\n".join(map(repr, s.samples)) + "\n")
+        meta = ptog.run_metadata.get(run, {})
+        entry = ManifestEntry(run.index, state.label, s.sensor.name, s.sensor.unit,
+                              s.sample_rate_hz, csv_path, meta)
+        entries.append(asdict(entry))
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.write_text(canonical_json({"entries": entries}) + "\n")
+    return manifest_path
 
 
 def canonical_json(doc) -> str:

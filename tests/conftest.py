@@ -22,7 +22,6 @@ from gendt.ptog import (
     RunId,
     SensorId,
     StateId,
-    build_ptog,
 )
 
 
@@ -32,13 +31,8 @@ def fixture_dir(tmp_path_factory) -> Path:
 
 
 @pytest.fixture(scope="session")
-def milling_manifest(fixture_dir, tmp_path_factory) -> Path:
-    return ingest_fixture(fixture_dir, out_dir=tmp_path_factory.mktemp("ingest") / "work")
-
-
-@pytest.fixture(scope="session")
-def milling_ptog(milling_manifest) -> Ptog:
-    return build_ptog(milling_manifest)
+def milling_ptog(fixture_dir) -> Ptog:
+    return ingest_fixture(fixture_dir)
 
 
 def make_config(backend_kind: str = "persistence", **overrides) -> RunConfig:

@@ -214,11 +214,11 @@ def test_end_to_end_zero_error_and_persistence(milling_ptog):
 # --------------------------------------------------------------- criterion 8
 
 
-def test_reproducible_replays_byte_identical(tmp_path, milling_manifest):
-    from gendt.ptog import build_ptog, save_ptog
+def test_reproducible_replays_byte_identical(tmp_path, milling_ptog):
+    from gendt.ptog import save_ptog
 
     ptog_path = tmp_path / "ptog.json"
-    save_ptog(build_ptog(milling_manifest), ptog_path)
+    save_ptog(milling_ptog, ptog_path)
     config_path = tmp_path / "cfg.json"
     save_config(make_config("mock_noise"), config_path)
     outputs = []

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +314,66 @@ def test_ingest_meta_without_sample_rate_exits_input(cli_env, tmp_path, capsys):
     assert code == EXIT_INPUT
     (line,) = _error_lines(capsys.readouterr().err)
     assert "sample_rate_hz" in line
+
+
+def test_ingest_without_workdir_writes_only_the_graph(cli_env, tmp_path, capsys):
+    out = tmp_path / "out" / "g.json"
+    assert main(["ingest", "--fixture", str(cli_env["fixture"]), "--out", str(out)]) == EXIT_OK
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "out", "out/g.json"
+    ]
+    assert "manifest" not in capsys.readouterr().out
+
+
+def test_ingest_stray_run_file_exits_input(cli_env, tmp_path, capsys):
+    fixture = _broken_fixture(cli_env, tmp_path)
+    meta_path = fixture / "fixture.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["boundaries"]
+    meta.update(entry_threshold=1.0, exit_threshold=0.5)
+    meta_path.write_text(json.dumps(meta))
+    (fixture / "run_old.csv").write_text("1.0\n")
+    code = main(["ingest", "--fixture", str(fixture), "--out", str(tmp_path / "g.json")])
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "run_old.csv" in line
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize(
+    "section, params",
+    [("filter", {"order": 0}), ("downsample", {"factor": 0})],
+)
+def test_replay_out_of_range_dsp_config_exits_config(cli_env, tmp_path, capsys, section, params):
+    doc = make_config("persistence").to_dict()
+    doc[section] = params
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    code = main(
+        ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == EXIT_CONFIG
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m gendt.cli ARGS` in a fresh interpreter, with src/ on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gendt.cli", *args],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_module_entry_point(tmp_path):
+    version = _run_module("--version")
+    assert version.returncode == EXIT_OK
+    assert version.stdout.startswith("gendt ")
+    absent = tmp_path / "absent"
+    ingest = _run_module("ingest", "--fixture", str(absent), "--out", str(tmp_path / "g.json"))
+    assert ingest.returncode == EXIT_INPUT
+    assert _error_lines(ingest.stderr) == [f"error: fixture directory {absent} does not exist"]
+    assert not (tmp_path / "g.json").exists()

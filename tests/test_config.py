@@ -65,6 +65,23 @@ def test_downsample_exactly_one_source():
     DownsampleParams(target_rate_hz=20.0)
 
 
+@pytest.mark.parametrize(
+    "section, params",
+    [
+        ("filter", {"order": 0}),
+        ("filter", {"cutoff_hz": 0.0}),
+        ("filter", {"cutoff_hz": float("nan")}),
+        ("downsample", {"factor": 0}),
+        ("downsample", {"target_rate_hz": -20.0}),
+    ],
+)
+def test_out_of_range_dsp_params_raise_config_error(section, params):
+    doc = make_config("persistence").to_dict()
+    doc[section] = params
+    with pytest.raises(ConfigError, match=next(iter(params))):
+        RunConfig.from_dict(doc)
+
+
 def test_invalid_documents_raise_config_error():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({})

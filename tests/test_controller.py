@@ -13,6 +13,7 @@ from gendt.controller import (
     ControlError,
     ControlThresholds,
     NonFiniteQ,
+    _target_truth,
     accumulate_health,
     decide,
     run_epoch,
@@ -286,3 +287,18 @@ def test_replay_prepares_each_vertex_once(milling_ptog, mock_config, monkeypatch
             shared.pop(key), alone.pop(key)
         assert shared == alone
     assert len(calls) > len(set(calls))  # fresh tables prepare overlapping windows again
+
+
+@pytest.mark.parametrize(
+    "spec", [{}, {"decimals": 3, "separator": ";", "scale": 0.5}, {"decimals": 0, "scale": 4.0}]
+)
+def test_truth_equals_quantized_target(milling_ptog, persistence_config, spec):
+    """The truth read back from the target's wire text is `codec.quantize` of
+    its prepared values."""
+    from gendt import codec
+
+    config = replace(persistence_config, encoding=codec.EncodingSpec(**spec))
+    series = milling_ptog.get_series(7, "P2")
+    table = {}
+    truth = _target_truth(milling_ptog, EpochPoint(series.run, series.state), config, table)
+    assert truth == codec.quantize(table[(series.run, series.state)].values, config.encoding)

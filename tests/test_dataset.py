@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,14 @@ from gendt.dataset import (
     segment,
     write_synthetic_fixture,
 )
-from gendt.ptog import MissingSeriesFile, NonFiniteSample, build_ptog
+from gendt.ptog import (
+    MissingSeriesFile,
+    NonFiniteSample,
+    RunId,
+    SensorId,
+    build_ptog,
+    save_manifest,
+)
 from gendt.windowing import enumerate_epochs
 
 
@@ -158,14 +166,25 @@ def test_wear_record_validation():
 # ---------------------------------------------------------------- ingestion
 
 
-def test_ingest_writes_42_entries(milling_manifest):
-    entries = json.loads(milling_manifest.read_text())["entries"]
+def test_ingest_writes_42_entries(milling_ptog):
+    assert milling_ptog.n_series == 42
+    assert [(s.index, s.label) for s in milling_ptog.states] == [(1, "P1"), (2, "P2"), (3, "P3")]
+    assert set(milling_ptog.sensors.values()) == {SensorId("spindle_current", "A")}
+    assert {s.sample_rate_hz for s in milling_ptog.series.values()} == {250.0}
+    run5 = milling_ptog.run_metadata[RunId(5)]
+    assert run5["flank_wear_mm"] == pytest.approx(0.155, abs=1e-9)
+    assert run5["flank_wear_interpolated"] == 1.0
+    assert milling_ptog.run_metadata[RunId(4)]["flank_wear_interpolated"] == 0.0
+
+
+def test_ingest_round_trips_through_manifest(milling_ptog, tmp_path):
+    manifest = save_manifest(milling_ptog, tmp_path / "work")
+    assert build_ptog(manifest) == milling_ptog
+    entries = json.loads(manifest.read_text())["entries"]
     assert len(entries) == 42
-    assert {e["state_label"] for e in entries} == {"P1", "P2", "P3"}
-    assert all(e["sensor"] == "spindle_current" and e["unit"] == "A" for e in entries)
-    run5 = [e for e in entries if e["run"] == 5][0]
-    assert run5["metadata"]["flank_wear_mm"] == pytest.approx(0.155, abs=1e-9)
-    assert run5["metadata"]["flank_wear_interpolated"] == 1.0
+    assert entries[0]["csv_path"] == "segments/run_1_P1.csv"
+    assert sorted(p.name for p in (tmp_path / "work").iterdir()) == ["manifest.json", "segments"]
+    assert len(list((tmp_path / "work" / "segments").iterdir())) == 42
 
 
 def test_ingest_missing_run_csv(fixture_dir, tmp_path):
@@ -175,21 +194,23 @@ def test_ingest_missing_run_csv(fixture_dir, tmp_path):
     shutil.copytree(fixture_dir, broken)
     (broken / "run_7.csv").unlink()
     with pytest.raises(MissingSeriesFile):
-        ingest_fixture(broken, out_dir=tmp_path / "out")
+        ingest_fixture(broken)
 
 
 def test_ingest_idempotent(fixture_dir, tmp_path):
-    m1 = ingest_fixture(fixture_dir, out_dir=tmp_path / "w1")
-    m2 = ingest_fixture(fixture_dir, out_dir=tmp_path / "w2")
+    g1 = ingest_fixture(fixture_dir)
+    g2 = ingest_fixture(fixture_dir)
+    assert g1 == g2
+    m1 = save_manifest(g1, tmp_path / "w1")
+    m2 = save_manifest(g2, tmp_path / "w2")
     assert m1.read_bytes() == m2.read_bytes()
-    m3 = ingest_fixture(fixture_dir, out_dir=tmp_path / "w1")  # rerun in place
+    m3 = save_manifest(g1, tmp_path / "w1")  # rerun in place
     assert m3.read_bytes() == m1.read_bytes()
 
 
 def test_single_run_fixture_yields_no_epochs(tmp_path):
     fixture = write_synthetic_fixture(tmp_path / "one", runs=1)
-    manifest = ingest_fixture(fixture, out_dir=tmp_path / "work")
-    ptog = build_ptog(manifest)
+    ptog = ingest_fixture(fixture)
     assert ptog.n_vertices == 3
     assert enumerate_epochs(ptog, min_history=1) == []
 
@@ -231,7 +252,7 @@ def test_ingest_rejects_non_numeric_sample(fixture_dir, tmp_path):
     lines[4] = "1.5e"
     (broken / "run_3.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(NonFiniteSample, match=r"run_3\.csv:5: "):
-        ingest_fixture(broken, out_dir=tmp_path / "out")
+        ingest_fixture(broken)
 
 
 @pytest.mark.parametrize(
@@ -264,4 +285,17 @@ def test_ingest_rejects_bad_fixture_meta(fixture_dir, tmp_path, edit):
     edit(meta)
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(DatasetError, match="fixture.json"):
-        ingest_fixture(broken, out_dir=tmp_path / "out")
+        ingest_fixture(broken)
+
+
+@pytest.mark.parametrize("name", ["run_old.csv", "run_1_0.csv", "run_.csv"])
+def test_threshold_ingest_rejects_stray_run_file(fixture_dir, tmp_path, name):
+    fixture = _copy_fixture(fixture_dir, tmp_path)
+    meta_path = fixture / "fixture.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["boundaries"]
+    meta.update(entry_threshold=1.0, exit_threshold=0.5)
+    meta_path.write_text(json.dumps(meta))
+    (fixture / name).write_text("1.0\n")
+    with pytest.raises(DatasetError, match=re.escape(name)):
+        ingest_fixture(fixture)

@@ -1,11 +1,14 @@
-"""Byte identity of `--reproducible` replay reports.
+"""Byte identity of `--reproducible` replay reports and of ingest output.
 
-The digests below are SHA-256 sums of the report files written by
+The report digests below are SHA-256 sums of the report files written by
 `gendt replay --reproducible` for the 14-run synthetic fixture (seed 7), with
 the persistence test config and a `--backend` override. They were recorded
-before each graph vertex was prepared once per replay, and every change that
-only restructures the engine must keep them. A change that alters a report on
-purpose records new digests and says why.
+before each graph vertex was prepared once per replay. The ingest digests are
+SHA-256 sums of the graph file written by `gendt ingest` for the same fixture
+and of the `--workdir` dump (manifest and one segment CSV); they were recorded
+while ingest still re-read its segment dump to build the graph. Every change
+that only restructures the engine must keep them. A change that alters an
+output on purpose records new digests and says why.
 """
 
 from __future__ import annotations
@@ -24,6 +27,16 @@ REPORT_SHA256 = {
     "mock_noise": "996a5d40feacf3a3fe414837acb0ec2fea3a4ad2e60bfbb8b6f7d3af81223b41",
     "oracle": "931d5c9c1e2c1f9fa01ffeee9abfb4081024d2b6b6334e066dbce96cd85e4bbc",
 }
+
+INGEST_SHA256 = {
+    "ptog.json": "053d789313871f4589e5c069e22ee5fb99811e8a5d13ea39243b0c5c9e2e1906",
+    "work/manifest.json": "f3c6f1925af5497ced15ff6f071e9d0b500151b1a6560b75d51459579b4ad644",
+    "work/segments/run_1_P2.csv": "5844c52515da5e62fbddf39cf29db38e64eba6b589818d845ea67cceee25d534",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -46,4 +59,17 @@ def test_reproducible_report_digest(replay_inputs, backend):
          "--reproducible", "--out", str(out)]
     )
     assert code == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[backend]
+    assert _sha256(out) == REPORT_SHA256[backend]
+
+
+def test_ingest_digests(replay_inputs):
+    root, graph, _ = replay_inputs
+    dumped = root / "dump" / "ptog.json"
+    code = main(
+        ["ingest", "--fixture", str(root / "fixture"), "--out", str(dumped),
+         "--workdir", str(root / "dump" / "work")]
+    )
+    assert code == EXIT_OK
+    assert _sha256(graph) == _sha256(dumped) == INGEST_SHA256["ptog.json"]
+    for name, digest in INGEST_SHA256.items():
+        assert _sha256(root / "dump" / name) == digest

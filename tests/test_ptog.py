@@ -23,6 +23,7 @@ from gendt.ptog import (
     StateId,
     build_ptog,
     load_ptog,
+    save_manifest,
     save_ptog,
 )
 
@@ -103,6 +104,13 @@ def test_vertex_without_series(tmp_path):
     assert ptog.n_series == 1
     assert ptog.has_vertex(2, "P1")
     assert ptog.get_series(2, "P1") is None
+
+
+def test_manifest_dump_rejects_series_less_vertex(tmp_path):
+    (tmp_path / "s.csv").write_text("1.0\n2.0\n")
+    ptog = build_ptog([entry(1), entry(2, csv=None)], base_dir=tmp_path)
+    with pytest.raises(PtogError, match="empty vertices"):
+        save_manifest(ptog, tmp_path / "dump")
 
 
 def test_runs_sorted_chronologically(tmp_path):

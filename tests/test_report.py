@@ -29,11 +29,9 @@ def percentile_oracle(values: list[float], q: float) -> float:
 @pytest.fixture(scope="module")
 def mock_report(tmp_path_factory):
     from gendt.dataset import ingest_fixture, write_synthetic_fixture
-    from gendt.ptog import build_ptog
 
     root = tmp_path_factory.mktemp("report")
-    fixture = write_synthetic_fixture(root / "fixture")
-    ptog = build_ptog(ingest_fixture(fixture, out_dir=root / "work"))
+    ptog = ingest_fixture(write_synthetic_fixture(root / "fixture"))
     result = run_replay(ptog, make_config("mock_noise"), reproducible=True)
     return {
         "schema_version": 1,
