@@ -8,13 +8,14 @@ environment; numeric parameters never are.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Union
+from typing import Mapping, Optional, Union, get_args, get_type_hints
 
 from .codec import DEFAULT_PROMPT_TEMPLATE, EncodingSpec, MissingPlaceholder, build_prompt
 from .controller import ControlThresholds
+from .dsp import DownsampleSpec, FilterSpec
 from .errors import GendtError
 from .forecast import BackendConfig
 
@@ -26,41 +27,18 @@ class ConfigError(GendtError):
 
 
 @dataclass(frozen=True)
-class FilterParams:
-    cutoff_hz: float = 8.0
-    order: int = 4
-    zero_phase: bool = False
-
-    def __post_init__(self) -> None:
-        # the cutoff-vs-Nyquist check needs the graph's sample rate; dsp makes it
-        if not self.cutoff_hz > 0:
-            raise ConfigError(f"filter cutoff_hz must be > 0, got {self.cutoff_hz}")
-        if not self.order >= 1:
-            raise ConfigError(f"filter order must be >= 1, got {self.order}")
-
-
-@dataclass(frozen=True)
-class DownsampleParams:
-    """Exactly one of factor / target_rate_hz; a target rate resolves to
-    round(sample_rate / target_rate) with a floor of 1."""
-
-    factor: Optional[int] = None
-    target_rate_hz: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if (self.factor is None) == (self.target_rate_hz is None):
-            raise ConfigError("downsample needs exactly one of factor or target_rate_hz")
-        if self.factor is not None and not self.factor >= 1:
-            raise ConfigError(f"downsample factor must be >= 1, got {self.factor}")
-        if self.target_rate_hz is not None and not self.target_rate_hz > 0:
-            raise ConfigError(f"downsample target_rate_hz must be > 0, got {self.target_rate_hz}")
-
-
-@dataclass(frozen=True)
 class EnsembleParams:
     attempts: int = 10
     temperature: Optional[float] = None  # None: resolved from the model profile
     top_p: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.attempts >= 1:
+            raise ConfigError(f"ensemble attempts must be >= 1, got {self.attempts}")
+        if not 0 < self.top_p <= 1:
+            raise ConfigError(f"ensemble top_p must be in (0, 1], got {self.top_p}")
+        if self.temperature is not None and not self.temperature >= 0:
+            raise ConfigError(f"ensemble temperature must be >= 0, got {self.temperature}")
 
 
 def default_temperature(model_name: str) -> float:
@@ -73,8 +51,8 @@ def default_temperature(model_name: str) -> float:
 class RunConfig:
     backend: BackendConfig
     thresholds: ControlThresholds
-    filter: FilterParams = field(default_factory=FilterParams)
-    downsample: DownsampleParams = field(default_factory=lambda: DownsampleParams(target_rate_hz=20.0))
+    filter: FilterSpec = field(default_factory=FilterSpec)
+    downsample: DownsampleSpec = field(default_factory=lambda: DownsampleSpec(target_rate_hz=20.0))
     encoding: EncodingSpec = field(default_factory=EncodingSpec)
     ensemble: EnsembleParams = field(default_factory=EnsembleParams)
     history_depth: int = 4
@@ -130,22 +108,50 @@ class RunConfig:
         try:
             backend_doc = dict(doc["backend"])
             backend_doc.setdefault("rng_seed", doc.get("rng_seed", 42))
+            # unknown top-level keys are ignored; a section rejects its unknown keys
+            scalars = {
+                f.name: doc[f.name] for f in fields(cls) if f.name in doc and f.name not in _SECTIONS
+            }
+            _check_types("config", cls, scalars)
             return cls(
-                backend=BackendConfig(**backend_doc),
-                thresholds=ControlThresholds(**doc["thresholds"]),
-                filter=FilterParams(**doc.get("filter", {})),
-                downsample=DownsampleParams(**doc.get("downsample", {"target_rate_hz": 20.0})),
-                encoding=EncodingSpec(**doc.get("encoding", {})),
-                ensemble=EnsembleParams(**doc.get("ensemble", {})),
-                history_depth=int(doc.get("history_depth", 4)),
-                min_history=int(doc.get("min_history", 4)),
-                prompt_template_path=doc.get("prompt_template_path"),
-                rng_seed=int(doc.get("rng_seed", 42)),
-                halt_on_stop=bool(doc.get("halt_on_stop", False)),
-                health_scope=doc.get("health_scope", "session"),
+                backend=_section("backend", BackendConfig, backend_doc),
+                thresholds=_section("thresholds", ControlThresholds, doc["thresholds"]),
+                filter=_section("filter", FilterSpec, doc.get("filter", {})),
+                downsample=_section(
+                    "downsample", DownsampleSpec, doc.get("downsample", {"target_rate_hz": 20.0})
+                ),
+                encoding=_section("encoding", EncodingSpec, doc.get("encoding", {})),
+                ensemble=_section("ensemble", EnsembleParams, doc.get("ensemble", {})),
+                **scalars,
             )
         except (KeyError, TypeError, ValueError, GendtError) as exc:
             raise ConfigError(f"invalid run configuration: {exc}") from exc
+
+
+_SECTIONS = ("backend", "thresholds", "filter", "downsample", "encoding", "ensemble")
+
+
+def _check_types(where: str, cls: type, doc: Mapping) -> None:
+    """Each value of `doc` has the JSON type of its field of `cls`: an integer
+    is a valid float, a boolean is not a number. Unknown keys are left to `cls`."""
+    hints = get_type_hints(cls)
+    for key, value in doc.items():
+        if key not in hints:
+            continue
+        allowed = get_args(hints[key]) or (hints[key],)
+        if float in allowed:
+            allowed += (int,)
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ConfigError(f"{where}.{key} must be {names}, got {value!r}")
+
+
+def _section(name: str, cls: type, doc):
+    """The config section `name` as a `cls`, once its value types hold."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be an object, got {doc!r}")
+    _check_types(name, cls, doc)
+    return cls(**doc)
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:

@@ -66,7 +66,7 @@ class ControlThresholds:
             raise ControlError(
                 f"thresholds must satisfy 0 < t_low <= t_high, got ({self.t_low}, {self.t_high})"
             )
-        if self.t_health <= 0:
+        if not self.t_health > 0:
             raise ControlError(f"t_health must be > 0, got {self.t_health}")
 
 
@@ -137,18 +137,8 @@ def _prepared(table: dict, series: MeasurementSeries, config: "RunConfig") -> Pr
     """The entry of `table` (keyed by (run, state)) for `series`, prepared on a miss."""
     key = (series.run, series.state)
     if key not in table:
-        fspec = dsp.FilterSpec(
-            cutoff_hz=config.filter.cutoff_hz,
-            sample_rate_hz=series.sample_rate_hz,
-            order=config.filter.order,
-            zero_phase=config.filter.zero_phase,
-        )
-        factor = dsp.resolve_downsample_factor(
-            series.sample_rate_hz,
-            factor=config.downsample.factor,
-            target_rate_hz=config.downsample.target_rate_hz,
-        )
-        values = tuple(dsp.preprocess(series, fspec, dsp.DownsampleSpec(factor)))
+        values = tuple(dsp.preprocess(series, config.filter, config.downsample))
+        factor = config.downsample.factor_for(series.sample_rate_hz)
         table[key] = PreparedVertex(values, codec.encode(values, config.encoding).text, factor)
     return table[key]
 
@@ -322,7 +312,7 @@ def run_replay(
                 ptog, epoch, config, cumulative, reproducible=reproducible, prepared=prepared
             )
         except (NoHistory, AllAttemptsFailed) as exc:
-            health = "Fail" if cumulative > config.thresholds.t_health else "Pass"
+            health = accumulate_health(cumulative, 0.0, config.thresholds).value
             report = _failed_report(epoch, type(exc).__name__, cumulative, health)
         if report.q_rmse is not None:
             cumulative = report.cumulative_rmse

@@ -19,44 +19,70 @@ class DspError(GendtError):
 
 
 class InvalidCutoff(DspError):
-    """Cutoff at or above the Nyquist frequency."""
+    """Cutoff not above zero, or at or above the series' Nyquist frequency."""
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    cutoff_hz: float
-    sample_rate_hz: float
+    """Butterworth low-pass; the sample rate is the filtered series' own."""
+
+    cutoff_hz: float = 8.0
     order: int = 4
     zero_phase: bool = False
 
     def __post_init__(self) -> None:
-        if self.order < 1:
+        # the cutoff-vs-Nyquist check needs the sample rate; butter_sections makes it
+        if not self.cutoff_hz > 0:
+            raise InvalidCutoff(f"filter cutoff_hz must be > 0, got {self.cutoff_hz}")
+        if not self.order >= 1:
             raise DspError(f"filter order must be >= 1, got {self.order}")
-        if self.sample_rate_hz <= 0:
-            raise DspError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        if not 0 < self.cutoff_hz < self.sample_rate_hz / 2:
-            raise InvalidCutoff(
-                f"cutoff {self.cutoff_hz} Hz must lie in (0, {self.sample_rate_hz / 2}) Hz"
-            )
 
 
 @dataclass(frozen=True)
 class DownsampleSpec:
-    factor: int = 1
+    """Exactly one of factor / target_rate_hz; a target rate resolves to
+    round(sample_rate / target_rate) with a floor of 1."""
+
+    factor: Optional[int] = None
+    target_rate_hz: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.factor < 1:
+        if (self.factor is None) == (self.target_rate_hz is None):
+            raise DspError("downsample needs exactly one of factor or target_rate_hz")
+        if self.factor is not None and not self.factor >= 1:
             raise DspError(f"downsample factor must be >= 1, got {self.factor}")
+        if self.target_rate_hz is not None and not self.target_rate_hz > 0:
+            raise DspError(f"downsample target_rate_hz must be > 0, got {self.target_rate_hz}")
+
+    def factor_for(self, sample_rate_hz: float) -> int:
+        """The integer stride for a series sampled at `sample_rate_hz`."""
+        if self.factor is not None:
+            return self.factor
+        ratio = sample_rate_hz / self.target_rate_hz
+        if not math.isfinite(ratio):
+            raise DspError(
+                f"downsample target_rate_hz {self.target_rate_hz} is too low for a "
+                f"{sample_rate_hz} Hz series"
+            )
+        return max(1, round(ratio))
 
 
-def butter_sections(spec: FilterSpec) -> list[tuple[float, float, float, float, float]]:
+def butter_sections(
+    spec: FilterSpec, sample_rate_hz: float
+) -> list[tuple[float, float, float, float, float]]:
     """Second-order sections (b0, b1, b2, a1, a2) for a unity-DC-gain low-pass.
 
     Conjugate analog pole pairs map to biquads; an odd order contributes one
     extra first-order section (b2 = a2 = 0).
     """
+    nyquist = sample_rate_hz / 2
+    if not spec.cutoff_hz < nyquist:
+        raise InvalidCutoff(
+            f"filter cutoff_hz {spec.cutoff_hz} Hz must lie below the Nyquist frequency "
+            f"{nyquist} Hz of a {sample_rate_hz} Hz series"
+        )
     n = spec.order
-    k = math.tan(math.pi * spec.cutoff_hz / spec.sample_rate_hz)
+    k = math.tan(math.pi * spec.cutoff_hz / sample_rate_hz)
     k2 = k * k
     sections = []
     for i in range(n // 2):
@@ -87,7 +113,7 @@ def _run_cascade(x: list[float], sections) -> list[float]:
     return y
 
 
-def lowpass(x: Sequence[float], spec: FilterSpec) -> list[float]:
+def lowpass(x: Sequence[float], spec: FilterSpec, sample_rate_hz: float) -> list[float]:
     """Apply the Butterworth cascade; output length equals input length.
 
     Causal single pass by default. With spec.zero_phase the cascade runs
@@ -96,7 +122,7 @@ def lowpass(x: Sequence[float], spec: FilterSpec) -> list[float]:
     """
     if len(x) == 0:
         raise EmptyInput("lowpass requires at least one sample")
-    sections = butter_sections(spec)
+    sections = butter_sections(spec, sample_rate_hz)
     y = _run_cascade([float(v) for v in x], sections)
     if spec.zero_phase:
         y.reverse()
@@ -105,38 +131,15 @@ def lowpass(x: Sequence[float], spec: FilterSpec) -> list[float]:
     return y
 
 
-def downsample(x: Sequence[float], spec: DownsampleSpec) -> list[float]:
-    """Keep every spec.factor-th sample starting at index 0."""
+def downsample(x: Sequence[float], factor: int) -> list[float]:
+    """Keep every factor-th sample starting at index 0."""
     if len(x) == 0:
         raise EmptyInput("downsample requires at least one sample")
-    return [float(v) for v in x[:: spec.factor]]
+    return [float(v) for v in x[::factor]]
 
 
 def preprocess(series: MeasurementSeries, f: FilterSpec, dspec: DownsampleSpec) -> list[float]:
-    """Low-pass then decimate one measurement series (order is fixed)."""
-    if f.sample_rate_hz != series.sample_rate_hz:
-        raise DspError(
-            f"filter designed for {f.sample_rate_hz} Hz but series is {series.sample_rate_hz} Hz"
-        )
-    return downsample(lowpass(series.samples, f), dspec)
-
-
-def resolve_downsample_factor(
-    sample_rate_hz: float,
-    factor: Optional[int] = None,
-    target_rate_hz: Optional[float] = None,
-) -> int:
-    """Resolve a decimation factor from either an explicit factor or a target rate.
-
-    Exactly one of the two must be given; a target rate maps to
-    max(1, round(sample_rate / target_rate)).
-    """
-    if (factor is None) == (target_rate_hz is None):
-        raise DspError("specify exactly one of factor or target_rate_hz")
-    if factor is not None:
-        if factor < 1:
-            raise DspError(f"downsample factor must be >= 1, got {factor}")
-        return int(factor)
-    if target_rate_hz <= 0:
-        raise DspError(f"target_rate_hz must be > 0, got {target_rate_hz}")
-    return max(1, round(sample_rate_hz / target_rate_hz))
+    """Low-pass then decimate one measurement series at its own sample rate
+    (order is fixed)."""
+    rate = series.sample_rate_hz
+    return downsample(lowpass(series.samples, f, rate), dspec.factor_for(rate))

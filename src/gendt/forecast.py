@@ -72,6 +72,14 @@ class BackendConfig:
             raise ValueError("llm_http backend requires an endpoint URL")
         if self.kind == "mock_noise" and self.rng_seed is None:
             raise ValueError("mock_noise backend requires rng_seed")
+        if self.rng_seed is not None and self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if not self.timeout_s > 0:
+            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
+        if not self.retry_base_delay_s >= 0:
+            raise ValueError(f"retry_base_delay_s must be >= 0, got {self.retry_base_delay_s}")
+        if not 0 <= self.noise_sigma < float("inf"):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:
@@ -88,14 +96,9 @@ class ForecastRequest:
     encoding: EncodingSpec
 
     def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
+        # attempts, temperature and top_p come from a validated EnsembleParams
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
 
 
 @dataclass(frozen=True)

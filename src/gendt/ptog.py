@@ -117,20 +117,24 @@ class Ptog:
         cls,
         series: Iterable[MeasurementSeries],
         run_metadata: Optional[Mapping[int, Mapping[str, float]]] = None,
-        empty_vertices: Iterable[tuple[RunId, StateId]] = (),
+        empty_vertices: Iterable[tuple[RunId, StateId, SensorId]] = (),
     ) -> "Ptog":
         """Assemble and validate a graph from measurement series.
 
-        `empty_vertices` declares (run, state) pairs that exist in the process
-        timeline but carry no measurement yet; absence stays explicit instead
-        of being modeled as an empty series.
+        `empty_vertices` declares (run, state, sensor) triples that exist in the
+        process timeline but carry no measurement yet; absence stays explicit
+        instead of being modeled as an empty series. Every vertex, with or
+        without a series, is checked for duplicates and for its state's sensor.
         """
         series_map: dict[tuple[RunId, StateId], MeasurementSeries] = {}
+        vertices: set[tuple[RunId, StateId]] = set()
         sensors: dict[StateId, SensorId] = {}
         labels: dict[str, StateId] = {}
         indices: dict[int, StateId] = {}
 
-        def register_state(state: StateId) -> None:
+        def add_vertex(run: RunId, state: StateId, sensor: SensorId) -> None:
+            if (run, state) in vertices:
+                raise DuplicateVertex(f"duplicate vertex for run {run.index} {state.label}")
             known = labels.get(state.label)
             if known is not None and known != state:
                 raise PtogError(f"state label {state.label!r} bound to two different indices")
@@ -139,26 +143,18 @@ class Ptog:
                 raise PtogError(f"state index {state.index} bound to two different labels")
             labels[state.label] = state
             indices[state.index] = state
+            assigned = sensors.setdefault(state, sensor)
+            if assigned != sensor:
+                raise SensorMismatch(
+                    f"state {state.label} mapped to sensors {assigned.name!r} and {sensor.name!r}"
+                )
+            vertices.add((run, state))
 
         for s in series:
-            key = (s.run, s.state)
-            if key in series_map:
-                raise DuplicateVertex(f"duplicate series for run {s.run.index} {s.state.label}")
-            register_state(s.state)
-            assigned = sensors.get(s.state)
-            if assigned is None:
-                sensors[s.state] = s.sensor
-            elif assigned != s.sensor:
-                raise SensorMismatch(
-                    f"state {s.state.label} mapped to sensors {assigned.name!r} and {s.sensor.name!r}"
-                )
-            series_map[key] = s
-
-        vertices = set(series_map)
-        for run, state in empty_vertices:
-            register_state(state)
-            sensors.setdefault(state, SensorId("unassigned", ""))
-            vertices.add((run, state))
+            add_vertex(s.run, s.state, s.sensor)
+            series_map[(s.run, s.state)] = s
+        for run, state, sensor in empty_vertices:
+            add_vertex(run, state, sensor)
 
         run_set = {r for r, _ in vertices}
         metadata: dict[RunId, dict[str, float]] = {}
@@ -260,6 +256,8 @@ class Ptog:
             sensors = {}
             for s in doc["states"]:
                 sid = StateId(int(s["index"]), str(s["label"]))
+                if sid.index in states:
+                    raise PtogError(f"state index {sid.index} declared twice")
                 states[sid.index] = sid
                 sensors[sid] = SensorId(str(s["sensor"]["name"]), str(s["sensor"]["unit"]))
             metadata = {
@@ -276,7 +274,10 @@ class Ptog:
                 )
                 for e in doc["series"]
             ]
-            extra = [(RunId(int(r)), states[int(s)]) for r, s in doc.get("extra_vertices", [])]
+            extra = [
+                (RunId(int(r)), states[int(s)], sensors[states[int(s)]])
+                for r, s in doc.get("extra_vertices", [])
+            ]
         except (KeyError, TypeError, ValueError) as exc:
             raise PtogError(f"malformed graph document: {exc}") from exc
         return cls.from_series(series, run_metadata=metadata, empty_vertices=extra)
@@ -344,7 +345,7 @@ def build_ptog(
     manifest: Union[str, Path, Sequence[Union[ManifestEntry, Mapping]]],
     base_dir: Optional[Union[str, Path]] = None,
 ) -> Ptog:
-    """Build a validated graph from a dataset manifest.
+    """Parse a dataset manifest into a graph; `Ptog.from_series` validates it.
 
     `manifest` is a JSON file path or an in-memory entry list. Relative
     csv_path values resolve against the manifest's directory (or `base_dir`).
@@ -359,42 +360,19 @@ def build_ptog(
     base = Path(base_dir) if base_dir is not None else Path(".")
 
     state_ids: dict[str, StateId] = {}
+    series: list[MeasurementSeries] = []
+    empty_vertices: list[tuple[RunId, StateId, SensorId]] = []
+    metadata: dict[int, dict[str, float]] = {}
     for e in entries:
         if e.state_label not in state_ids:
             state_ids[e.state_label] = StateId(len(state_ids) + 1, e.state_label)
-
-    seen: set[tuple[int, str]] = set()
-    series: list[MeasurementSeries] = []
-    empty_vertices: list[tuple[RunId, StateId]] = []
-    metadata: dict[int, dict[str, float]] = {}
-    sensor_by_state: dict[str, SensorId] = {}
-    for e in entries:
-        key = (e.run, e.state_label)
-        if key in seen:
-            raise DuplicateVertex(f"duplicate manifest entry for run {e.run} state {e.state_label}")
-        seen.add(key)
-        sensor = SensorId(e.sensor, e.unit)
-        assigned = sensor_by_state.setdefault(e.state_label, sensor)
-        if assigned != sensor:
-            raise SensorMismatch(
-                f"state {e.state_label} mapped to sensors {assigned.name!r} and {sensor.name!r}"
-            )
-        state = state_ids[e.state_label]
+        run, state, sensor = RunId(e.run), state_ids[e.state_label], SensorId(e.sensor, e.unit)
         if e.csv_path is None:
-            empty_vertices.append((RunId(e.run), state))
+            empty_vertices.append((run, state, sensor))
         else:
-            csv_path = Path(e.csv_path)
-            if not csv_path.is_absolute():
-                csv_path = base / csv_path
-            series.append(
-                MeasurementSeries(
-                    run=RunId(e.run),
-                    state=state,
-                    sensor=sensor,
-                    sample_rate_hz=e.sample_rate_hz,
-                    samples=read_samples_csv(csv_path),
-                )
-            )
+            # an absolute csv_path replaces the base
+            samples = read_samples_csv(base / e.csv_path)
+            series.append(MeasurementSeries(run, state, sensor, e.sample_rate_hz, samples))
         if e.metadata:
             metadata.setdefault(e.run, {}).update(e.metadata)
 

@@ -342,7 +342,13 @@ def test_ingest_stray_run_file_exits_input(cli_env, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, params",
-    [("filter", {"order": 0}), ("downsample", {"factor": 0})],
+    [
+        ("filter", {"order": 0}),
+        ("downsample", {"factor": 0}),
+        ("ensemble", {"attempts": 0}),
+        ("ensemble", {"top_p": 0}),
+        ("ensemble", {"temperature": -1}),
+    ],
 )
 def test_replay_out_of_range_dsp_config_exits_config(cli_env, tmp_path, capsys, section, params):
     doc = make_config("persistence").to_dict()
@@ -356,6 +362,37 @@ def test_replay_out_of_range_dsp_config_exits_config(cli_env, tmp_path, capsys, 
     assert code == EXIT_CONFIG
     assert len(_error_lines(capsys.readouterr().err)) == 1
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("cutoff_hz", [125.0, 400.0])
+def test_replay_cutoff_at_or_above_nyquist_exits_input(cli_env, tmp_path, capsys, cutoff_hz):
+    # the synthetic fixture is sampled at 250 Hz; the config alone cannot know that
+    doc = make_config("persistence").to_dict()
+    doc["filter"]["cutoff_hz"] = cutoff_hz
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    code = main(
+        ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "cutoff_hz" in line and "125.0 Hz" in line
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_replay_graph_with_duplicated_state_index_exits_input(cli_env, tmp_path, capsys):
+    doc = json.loads(cli_env["ptog"].read_text())
+    doc["states"].append(dict(doc["states"][0], label="P9"))
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(doc))
+    code = main(
+        ["replay", "--ptog", str(graph_path), "--config", str(cli_env["config"]),
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "state index 1" in line
 
 
 def _run_module(*args: str) -> subprocess.CompletedProcess:
@@ -377,3 +414,63 @@ def test_module_entry_point(tmp_path):
     assert ingest.returncode == EXIT_INPUT
     assert _error_lines(ingest.stderr) == [f"error: fixture directory {absent} does not exist"]
     assert not (tmp_path / "g.json").exists()
+
+
+def _config_leaves(doc: dict) -> list[tuple[str, ...]]:
+    """Every key path of a config document: sections, and the fields inside them."""
+    paths = []
+    for key, value in doc.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, sub) for sub in value)
+    return paths
+
+
+def test_replay_contract_under_config_mutations(cli_env, monkeypatch):
+    """Whatever a config file holds, replay exits 0, 2, 3 or 4, never raises,
+    and a failing exit prints exactly one `error:` line."""
+    hypothesis = pytest.importorskip("hypothesis")
+    import contextlib
+    import io
+
+    from hypothesis import strategies as st
+
+    monkeypatch.delenv("GENDT_API_KEY", raising=False)  # llm_http must stop at exit 3
+    root = cli_env["root"] / "contract"
+    root.mkdir(exist_ok=True)
+    base = make_config("persistence").to_dict()
+    edges = [None, True, False, -1, 0, 0.5, float("nan"), float("inf"), 5e-324, 1e308, "", [], {}]
+    values = st.one_of(
+        st.sampled_from(edges), st.integers(-2, 40), st.floats(), st.text(max_size=3)
+    )
+    mutation = st.tuples(st.sampled_from(_config_leaves(base)), st.booleans(), values)
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(
+        kind=st.sampled_from(["persistence", "mock_noise", "oracle"]),
+        mutations=st.lists(mutation, min_size=1, max_size=3),
+    )
+    def check(kind, mutations):
+        doc = json.loads(json.dumps(base))
+        doc["backend"]["kind"] = kind
+        for path, delete, value in mutations:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent.get(key) if isinstance(parent.get(key), dict) else {}
+            if delete:
+                parent.pop(path[-1], None)
+            else:
+                parent[path[-1]] = value
+        config_path = root / "cfg.json"
+        config_path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(
+                ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                 "--reproducible", "--out", str(root / "report.json")]
+            )
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG, EXIT_HALTED)
+        if code in (EXIT_INPUT, EXIT_CONFIG):
+            assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
+
+    check()

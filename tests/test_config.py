@@ -9,12 +9,12 @@ import pytest
 from conftest import make_config
 from gendt.config import (
     ConfigError,
-    DownsampleParams,
     RunConfig,
     default_temperature,
     load_config,
     save_config,
 )
+from gendt.dsp import DownsampleSpec, DspError
 from gendt.forecast import BackendConfig
 
 
@@ -57,12 +57,16 @@ def test_temperature_resolution_prefers_explicit():
 
 
 def test_downsample_exactly_one_source():
-    with pytest.raises(ConfigError):
-        DownsampleParams()
-    with pytest.raises(ConfigError):
-        DownsampleParams(factor=2, target_rate_hz=20.0)
-    DownsampleParams(factor=2)
-    DownsampleParams(target_rate_hz=20.0)
+    with pytest.raises(DspError):
+        DownsampleSpec()
+    with pytest.raises(DspError):
+        DownsampleSpec(factor=2, target_rate_hz=20.0)
+    DownsampleSpec(factor=2)
+    DownsampleSpec(target_rate_hz=20.0)
+    doc = make_config("persistence").to_dict()
+    doc["downsample"] = {"factor": 2, "target_rate_hz": 20.0}
+    with pytest.raises(ConfigError, match="exactly one"):
+        RunConfig.from_dict(doc)
 
 
 @pytest.mark.parametrize(
@@ -80,6 +84,35 @@ def test_out_of_range_dsp_params_raise_config_error(section, params):
     doc[section] = params
     with pytest.raises(ConfigError, match=next(iter(params))):
         RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("backend", "model_name"), None),
+        (("filter", "order"), 2.5),
+        (("downsample", "factor"), True),
+        (("ensemble", "attempts"), "10"),
+        (("history_depth",), "4"),
+        (("halt_on_stop",), 1),
+        (("prompt_template_path",), True),
+        (("encoding",), [2]),
+    ],
+)
+def test_field_of_wrong_json_type_raises_config_error(path, value):
+    doc = make_config("persistence").to_dict()
+    parent = doc[path[0]] if len(path) == 2 else doc
+    parent[path[-1]] = value
+    with pytest.raises(ConfigError, match=path[-1]):
+        RunConfig.from_dict(doc)
+
+
+def test_integer_is_a_valid_float():
+    doc = make_config("persistence").to_dict()
+    doc["filter"]["cutoff_hz"] = 8
+    doc["thresholds"] = {"t_low": 1, "t_high": 2, "t_health": 15}
+    config = RunConfig.from_dict(doc)
+    assert config.filter.cutoff_hz == 8 and config.thresholds.t_high == 2
 
 
 def test_invalid_documents_raise_config_error():

@@ -83,6 +83,8 @@ def test_thresholds_validation():
         ControlThresholds(2.0, 1.0, 1.0)
     with pytest.raises(ControlError):
         ControlThresholds(0.5, 1.5, 0.0)
+    with pytest.raises(ControlError):
+        ControlThresholds(0.5, 1.5, float("nan"))
     ControlThresholds(1.0, 1.0, 1.0)  # t_low == t_high is allowed
 
 

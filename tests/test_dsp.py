@@ -13,10 +13,10 @@ from gendt.dsp import (
     DspError,
     FilterSpec,
     InvalidCutoff,
+    butter_sections,
     downsample,
     lowpass,
     preprocess,
-    resolve_downsample_factor,
 )
 from gendt.errors import EmptyInput
 from gendt.ptog import MeasurementSeries, RunId, SensorId, StateId
@@ -30,27 +30,27 @@ def analytic_gain_db(f: float, fc: float, order: int) -> float:
 
 
 def steady_state_gain_db(freq: float, spec: FilterSpec, cycles_settle: int = 40) -> float:
-    """Drive a sine, measure the tail amplitude via rms over whole periods."""
-    period = spec.sample_rate_hz / freq
+    """Drive a sine at FS, measure the tail amplitude via rms over whole periods."""
+    period = FS / freq
     n_settle = int(cycles_settle * period)
     n_measure = int(32 * period)
     n = n_settle + n_measure
-    t = np.arange(n) / spec.sample_rate_hz
+    t = np.arange(n) / FS
     x = np.sin(2 * np.pi * freq * t)
-    y = np.asarray(lowpass(x.tolist(), spec))
+    y = np.asarray(lowpass(x.tolist(), spec, FS))
     tail = y[n_settle : n_settle + n_measure]
     amplitude = math.sqrt(2.0) * float(np.sqrt(np.mean(tail**2)))
     return 20.0 * math.log10(amplitude)
 
 
 def test_constant_signal_passes_at_dc_gain_one():
-    spec = FilterSpec(FC, FS, order=4)
-    y = lowpass([3.25] * 4000, spec)
+    spec = FilterSpec(FC, order=4)
+    y = lowpass([3.25] * 4000, spec, FS)
     assert abs(y[-1] - 3.25) < 1e-6 * 3.25
 
 
 def test_gain_at_twice_cutoff_matches_analytic():
-    spec = FilterSpec(FC, FS, order=4)
+    spec = FilterSpec(FC, order=4)
     measured = steady_state_gain_db(2 * FC, spec)
     expected = analytic_gain_db(2 * FC, FC, 4)  # about -24.1 dB
     assert expected == pytest.approx(-24.1, abs=0.05)
@@ -58,13 +58,13 @@ def test_gain_at_twice_cutoff_matches_analytic():
 
 
 def test_gain_at_cutoff_is_minus_3db():
-    spec = FilterSpec(FC, FS, order=4)
+    spec = FilterSpec(FC, order=4)
     measured = steady_state_gain_db(FC, spec)
     assert measured == pytest.approx(-3.01, abs=0.3)
 
 
 def test_odd_order_matches_analytic():
-    spec = FilterSpec(FC, FS, order=3)
+    spec = FilterSpec(FC, order=3)
     for freq in (FC, 2 * FC):
         assert steady_state_gain_db(freq, spec) == pytest.approx(
             analytic_gain_db(freq, FC, 3), abs=0.4
@@ -73,61 +73,63 @@ def test_odd_order_matches_analytic():
 
 def test_invalid_cutoff_rejected():
     with pytest.raises(InvalidCutoff):
-        FilterSpec(cutoff_hz=125.0, sample_rate_hz=250.0)
+        butter_sections(FilterSpec(cutoff_hz=125.0), 250.0)
     with pytest.raises(InvalidCutoff):
-        FilterSpec(cutoff_hz=0.0, sample_rate_hz=250.0)
+        lowpass([1.0], FilterSpec(cutoff_hz=125.0), 250.0)
+    with pytest.raises(InvalidCutoff):
+        FilterSpec(cutoff_hz=0.0)
 
 
 def test_empty_input_rejected():
-    spec = FilterSpec(FC, FS)
+    spec = FilterSpec(FC)
     with pytest.raises(EmptyInput):
-        lowpass([], spec)
+        lowpass([], spec, FS)
     with pytest.raises(EmptyInput):
-        downsample([], DownsampleSpec(2))
+        downsample([], 2)
 
 
 def test_lowpass_preserves_length():
-    spec = FilterSpec(FC, FS)
+    spec = FilterSpec(FC)
     for n in (1, 2, 17, 400):
-        assert len(lowpass([1.0] * n, spec)) == n
+        assert len(lowpass([1.0] * n, spec, FS)) == n
 
 
 def test_linearity():
-    spec = FilterSpec(FC, FS, order=4)
+    spec = FilterSpec(FC, order=4)
     rng = np.random.default_rng(5)
     x = rng.normal(0, 1, 600).tolist()
     y = rng.normal(0, 1, 600).tolist()
     a, b = 2.5, -1.25
-    combined = lowpass([a * xi + b * yi for xi, yi in zip(x, y)], spec)
+    combined = lowpass([a * xi + b * yi for xi, yi in zip(x, y)], spec, FS)
     separate = [
-        a * fx + b * fy for fx, fy in zip(lowpass(x, spec), lowpass(y, spec))
+        a * fx + b * fy for fx, fy in zip(lowpass(x, spec, FS), lowpass(y, spec, FS))
     ]
     for c, s in zip(combined, separate):
         assert c == pytest.approx(s, rel=1e-9, abs=1e-12)
 
 
 def test_bounded_output_for_bounded_input():
-    spec = FilterSpec(FC, FS, order=4)
+    spec = FilterSpec(FC, order=4)
     rng = np.random.default_rng(11)
     for _ in range(10):
         x = rng.uniform(-1, 1, 2000)
-        y = np.asarray(lowpass(x.tolist(), spec))
+        y = np.asarray(lowpass(x.tolist(), spec, FS))
         assert np.max(np.abs(y)) <= 2.0
 
 
 def test_downsample_definitional():
-    assert downsample([1, 2, 3, 4, 5], DownsampleSpec(2)) == [1.0, 3.0, 5.0]
+    assert downsample([1, 2, 3, 4, 5], 2) == [1.0, 3.0, 5.0]
 
 
 def test_downsample_identity():
     x = [0.5, 1.5, 2.5]
-    assert downsample(x, DownsampleSpec(1)) == x
+    assert downsample(x, 1) == x
 
 
 def test_downsample_stride_oracle():
     rng = np.random.default_rng(3)
     x = rng.normal(0, 1, 1000).tolist()
-    out = downsample(x, DownsampleSpec(20))
+    out = downsample(x, 20)
     assert len(out) == 50
     assert out == [x[i] for i in range(0, 1000, 20)]
 
@@ -148,13 +150,13 @@ def make_series(samples, rate=FS):
 def test_preprocess_length_contract():
     n = 777
     series = make_series([1.0] * n)
-    out = preprocess(series, FilterSpec(FC, FS), DownsampleSpec(20))
+    out = preprocess(series, FilterSpec(FC), DownsampleSpec(20))
     assert len(out) == math.ceil(n / 20)
 
 
 def test_preprocess_constant_stays_constant():
     series = make_series([2.0] * 3000)
-    out = preprocess(series, FilterSpec(FC, FS), DownsampleSpec(10))
+    out = preprocess(series, FilterSpec(FC), DownsampleSpec(10))
     assert out[-1] == pytest.approx(2.0, abs=1e-6)
 
 
@@ -165,7 +167,7 @@ def test_preprocess_suppresses_high_band():
     n = 32768
     x = rng.normal(0, 1, n)
     series = make_series(x.tolist())
-    y = np.asarray(preprocess(series, FilterSpec(FC, FS, order=4), DownsampleSpec(1)))
+    y = np.asarray(preprocess(series, FilterSpec(FC, order=4), DownsampleSpec(1)))
 
     freqs = np.fft.rfftfreq(n, d=1 / FS)
     px = np.abs(np.fft.rfft(x)) ** 2
@@ -185,29 +187,33 @@ def test_filter_before_decimation_is_observable():
     n = 5000
     t = np.arange(n) / FS
     x = np.sin(2 * np.pi * tone * t)
-    spec = FilterSpec(FC, FS, order=4)
+    spec = FilterSpec(FC, order=4)
     correct = np.asarray(preprocess(make_series(x.tolist()), spec, DownsampleSpec(d)))
-    spec_after = FilterSpec(FC, FS / d, order=4)  # same cutoff at the decimated rate
-    wrong_order = np.asarray(lowpass(downsample(x.tolist(), DownsampleSpec(d)), spec_after))
+    # the same cutoff at the decimated rate
+    wrong_order = np.asarray(lowpass(downsample(x.tolist(), d), spec, FS / d))
     # the decimate-first path folds the tone near 10 Hz where the filter
     # cannot remove it; filtered-first output carries far less energy
     assert np.sqrt(np.mean(correct[200:] ** 2)) < 0.1 * np.sqrt(np.mean(wrong_order[200:] ** 2))
 
 
-def test_preprocess_rejects_rate_mismatch():
-    series = make_series([1.0] * 100, rate=100.0)
-    with pytest.raises(DspError):
-        preprocess(series, FilterSpec(FC, FS), DownsampleSpec(2))
+def test_preprocess_uses_the_series_rate():
+    """One spec serves series of any rate: the stride and the Nyquist check
+    both follow the series' own sample rate."""
+    spec = DownsampleSpec(target_rate_hz=20.0)
+    assert len(preprocess(make_series([1.0] * 100, rate=100.0), FilterSpec(FC), spec)) == 20
+    assert len(preprocess(make_series([1.0] * 100, rate=FS), FilterSpec(FC), spec)) == 9
+    with pytest.raises(InvalidCutoff):
+        preprocess(make_series([1.0] * 100, rate=2 * FC), FilterSpec(FC), spec)
 
 
 def test_zero_phase_flag_removes_lag():
-    spec = FilterSpec(FC, FS, order=4)
-    zp = FilterSpec(FC, FS, order=4, zero_phase=True)
+    spec = FilterSpec(FC, order=4)
+    zp = FilterSpec(FC, order=4, zero_phase=True)
     n = 2000
     t = np.arange(n) / FS
     x = np.sin(2 * np.pi * 2.0 * t)  # well inside the passband
-    causal = np.asarray(lowpass(x.tolist(), spec))
-    sym = np.asarray(lowpass(x.tolist(), zp))
+    causal = np.asarray(lowpass(x.tolist(), spec, FS))
+    sym = np.asarray(lowpass(x.tolist(), zp, FS))
     mid = slice(500, 1500)
 
     def lag(y):
@@ -219,10 +225,10 @@ def test_zero_phase_flag_removes_lag():
 
 
 def test_resolve_downsample_factor():
-    assert resolve_downsample_factor(250.0, target_rate_hz=20.0) == 12
-    assert resolve_downsample_factor(250.0, factor=20) == 20
-    assert resolve_downsample_factor(10.0, target_rate_hz=100.0) == 1
+    assert DownsampleSpec(target_rate_hz=20.0).factor_for(250.0) == 12
+    assert DownsampleSpec(factor=20).factor_for(250.0) == 20
+    assert DownsampleSpec(target_rate_hz=100.0).factor_for(10.0) == 1
     with pytest.raises(DspError):
-        resolve_downsample_factor(250.0)
+        DownsampleSpec()
     with pytest.raises(DspError):
-        resolve_downsample_factor(250.0, factor=3, target_rate_hz=20.0)
+        DownsampleSpec(factor=3, target_rate_hz=20.0)

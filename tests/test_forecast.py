@@ -257,6 +257,22 @@ def test_backend_config_validation():
         BackendConfig(kind="llm_http")  # endpoint required
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rng_seed", -1),
+        ("timeout_s", 0.0),
+        ("retry_base_delay_s", -0.5),
+        ("noise_sigma", -0.1),
+        ("noise_sigma", float("inf")),
+        ("noise_sigma", float("nan")),
+    ],
+)
+def test_backend_config_ranges(field, value):
+    with pytest.raises(ValueError, match=field):
+        BackendConfig(kind="mock_noise", **{"rng_seed": 1, field: value})
+
+
 def test_attempt_invariant():
     with pytest.raises(ValueError):
         ForecastAttempt(1, (1.0,), DecodeFailure("short", 0))

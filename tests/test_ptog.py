@@ -185,3 +185,44 @@ def test_two_states_may_share_one_sensor(tmp_path):
     entries = [entry(1, state="P1"), entry(1, state="P2")]
     ptog = build_ptog(entries, base_dir=tmp_path)
     assert ptog.sensors[ptog.state_by_label("P1")] == ptog.sensors[ptog.state_by_label("P2")]
+
+
+def test_series_less_entry_keeps_its_sensor(tmp_path):
+    ptog = build_ptog([entry(1, state="P4", csv=None, sensor="vib", unit="g")], base_dir=tmp_path)
+    assert ptog.sensors[ptog.state_by_label("P4")] == SensorId("vib", "g")
+    path = tmp_path / "g.json"
+    save_ptog(ptog, path)
+    assert load_ptog(path) == ptog
+
+
+def test_series_less_entry_sensor_mismatch(tmp_path):
+    (tmp_path / "s.csv").write_text("1.0\n")
+    with pytest.raises(SensorMismatch):
+        build_ptog([entry(1), entry(2, csv=None, sensor="acoustic_emission")], base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("first_csv", [None, "s.csv"])
+def test_duplicate_empty_vertex_rejected_by_manifest(tmp_path, first_csv):
+    (tmp_path / "s.csv").write_text("1.0\n")
+    with pytest.raises(DuplicateVertex):
+        build_ptog([entry(2, csv=first_csv), entry(2, csv=None)], base_dir=tmp_path)
+
+
+def _graph_doc_with_empty_vertex():
+    return Ptog.from_series([series(1)], empty_vertices=[(RunId(2), S1, SENSOR)]).to_dict()
+
+
+@pytest.mark.parametrize("repeated", [[2, 1], [1, 1]], ids=["empty", "series"])
+def test_duplicate_extra_vertex_rejected_by_graph_file(repeated):
+    doc = _graph_doc_with_empty_vertex()
+    assert doc["extra_vertices"] == [[2, 1]]
+    doc["extra_vertices"].append(repeated)
+    with pytest.raises(DuplicateVertex):
+        Ptog.from_dict(doc)
+
+
+def test_duplicated_state_index_rejected_by_graph_file():
+    doc = _graph_doc_with_empty_vertex()
+    doc["states"].append({"index": 1, "label": "P9", "sensor": {"name": "other", "unit": "V"}})
+    with pytest.raises(PtogError, match="state index 1"):
+        Ptog.from_dict(doc)
