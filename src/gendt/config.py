@@ -88,47 +88,35 @@ class RunConfig:
         return template
 
     def to_dict(self) -> dict:
-        return {
-            "backend": asdict(self.backend),
-            "thresholds": asdict(self.thresholds),
-            "filter": asdict(self.filter),
-            "downsample": asdict(self.downsample),
-            "encoding": asdict(self.encoding),
-            "ensemble": asdict(self.ensemble),
-            "history_depth": self.history_depth,
-            "min_history": self.min_history,
-            "prompt_template_path": self.prompt_template_path,
-            "rng_seed": self.rng_seed,
-            "halt_on_stop": self.halt_on_stop,
-            "health_scope": self.health_scope,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         try:
-            backend_doc = dict(doc["backend"])
-            backend_doc.setdefault("rng_seed", doc.get("rng_seed", 42))
+            sections = {name: doc[name] for name in _SECTIONS if name in doc}
+            if isinstance(sections.get("backend"), dict):
+                # the backend's attempts take the top-level seed unless it names its own
+                seed = doc.get("rng_seed", cls.rng_seed)
+                sections["backend"] = {"rng_seed": seed, **sections["backend"]}
             # unknown top-level keys are ignored; a section rejects its unknown keys
             scalars = {
                 f.name: doc[f.name] for f in fields(cls) if f.name in doc and f.name not in _SECTIONS
             }
             _check_types("config", cls, scalars)
-            return cls(
-                backend=_section("backend", BackendConfig, backend_doc),
-                thresholds=_section("thresholds", ControlThresholds, doc["thresholds"]),
-                filter=_section("filter", FilterSpec, doc.get("filter", {})),
-                downsample=_section(
-                    "downsample", DownsampleSpec, doc.get("downsample", {"target_rate_hz": 20.0})
-                ),
-                encoding=_section("encoding", EncodingSpec, doc.get("encoding", {})),
-                ensemble=_section("ensemble", EnsembleParams, doc.get("ensemble", {})),
-                **scalars,
-            )
+            built = {name: _section(name, _SECTIONS[name], value) for name, value in sections.items()}
+            return cls(**built, **scalars)
         except (KeyError, TypeError, ValueError, GendtError) as exc:
             raise ConfigError(f"invalid run configuration: {exc}") from exc
 
 
-_SECTIONS = ("backend", "thresholds", "filter", "downsample", "encoding", "ensemble")
+_SECTIONS = {
+    "backend": BackendConfig,
+    "thresholds": ControlThresholds,
+    "filter": FilterSpec,
+    "downsample": DownsampleSpec,
+    "encoding": EncodingSpec,
+    "ensemble": EnsembleParams,
+}
 
 
 def _check_types(where: str, cls: type, doc: Mapping) -> None:

@@ -20,7 +20,7 @@ from .ensemble import PredictionMatrix, aggregate, error_stats, rmse
 from .errors import GendtError
 from .forecast import AllAttemptsFailed, EnsembleInputs, ForecastRequest, forecast_ensemble
 from .ptog import MeasurementSeries, Ptog
-from .windowing import EpochPoint, NoHistory, extract_window
+from .windowing import EpochPoint, NoHistory, enumerate_epochs, extract_window
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -97,26 +97,30 @@ def accumulate_health(prior: float, q: float, th: ControlThresholds) -> HealthVe
 
 @dataclass
 class EpochReport:
-    """Per-epoch record; to_dict() is the JSON schema used in replay reports."""
+    """Per-epoch record; to_dict() is the JSON schema used in replay reports.
+
+    The defaults are a failed epoch's record. `cumulative_rmse` and `health`
+    are set by the replay loop's health fold; a bare `run_epoch` leaves them None.
+    """
 
     run: int
     state: str
-    history_runs: list[int]
-    horizon: int
-    attempts_used: int
-    median: list[float]
-    sd: list[float]
-    truth: Optional[list[float]]
-    q_rmse: Optional[float]
-    err_avg: Optional[float]
-    err_std: Optional[float]
-    attempt_rmse: Optional[list[float]]
-    decision: str
-    cumulative_rmse: Optional[float]
-    health: Optional[str]
-    flags: list[str]
-    timing: float
-    downsample_factor: int
+    history_runs: list[int] = field(default_factory=list)
+    horizon: int = 0
+    attempts_used: int = 0
+    median: list[float] = field(default_factory=list)
+    sd: list[float] = field(default_factory=list)
+    truth: Optional[list[float]] = None
+    q_rmse: Optional[float] = None
+    err_avg: Optional[float] = None
+    err_std: Optional[float] = None
+    attempt_rmse: Optional[list[float]] = None
+    decision: str = NO_ACTION
+    cumulative_rmse: Optional[float] = None
+    health: Optional[str] = None
+    flags: list[str] = field(default_factory=list)
+    timing: float = 0.0
+    downsample_factor: int = 0
     # per-sample absolute errors; feeds pooled summaries, not serialized
     abs_errors: Optional[list[float]] = field(default=None, repr=False)
 
@@ -158,7 +162,6 @@ def run_epoch(
     ptog: Ptog,
     epoch: EpochPoint,
     config: "RunConfig",
-    prior_cumulative: float = 0.0,
     reproducible: bool = False,
     prepared: Optional[dict] = None,
 ) -> EpochReport:
@@ -168,7 +171,8 @@ def run_epoch(
     first, encode, run the forecast ensemble, aggregate, then score against
     the identically preprocessed ground truth when the graph carries it. The
     target run's own series is consulted only after the forecast is fixed
-    (except for the oracle backend, which is defined to receive it).
+    (except for the oracle backend, which is defined to receive it). Health is
+    not computed here: it is a fold over epochs, owned by `run_replay`.
 
     `prepared` is the replay's table of prepared vertices, or None for a fresh one.
 
@@ -178,9 +182,9 @@ def run_epoch(
     start = time.perf_counter()
     table = {} if prepared is None else prepared
     window = extract_window(ptog, epoch, config.history_depth)
-    flags = ["short_history"] if window.short else []
+    flags = ["short_history"] if len(window) < config.history_depth else []
 
-    history = [_prepared(table, series, config) for series in window.history]
+    history = [_prepared(table, series, config) for series in window]
     horizon = len(history[-1].values)
     # the join of per-vertex encodings is the encoding of the concatenation
     sensor_text = config.encoding.separator.join(v.text for v in history)
@@ -202,7 +206,7 @@ def run_epoch(
         truth=None if truth is None else tuple(truth),
     )
     attempts = forecast_ensemble(config.backend, request, inputs)
-    matrix = PredictionMatrix([a.values for a in attempts if a.ok], epoch)
+    matrix = PredictionMatrix([a.values for a in attempts if a.ok])
     estimate = aggregate(matrix)
     if matrix.attempts_used < len(attempts):
         flags.append("failed_attempts")
@@ -218,7 +222,6 @@ def run_epoch(
         q = rmse(truth_cmp, median_cmp)
         err_avg, err_std = error_stats(median_cmp, truth_cmp)
         decision = decide(q, config.thresholds).label
-        verdict = accumulate_health(prior_cumulative, q, config.thresholds)
         attempt_rmse = rmse(truth_cmp, matrix.rows[:, :n])
         abs_errors = np.abs(np.asarray(truth_cmp) - np.asarray(median_cmp)).tolist()
     else:
@@ -228,13 +231,12 @@ def run_epoch(
         attempt_rmse = None
         abs_errors = None
         decision = NO_ACTION
-        verdict = accumulate_health(prior_cumulative, 0.0, config.thresholds)
 
     elapsed_ms = 0.0 if reproducible else (time.perf_counter() - start) * 1000.0
     return EpochReport(
         run=epoch.run.index,
         state=epoch.state.label,
-        history_runs=[s.run.index for s in window.history],
+        history_runs=[s.run.index for s in window],
         horizon=horizon,
         attempts_used=matrix.attempts_used,
         median=list(estimate.median),
@@ -245,35 +247,10 @@ def run_epoch(
         err_std=err_std,
         attempt_rmse=attempt_rmse,
         decision=decision,
-        cumulative_rmse=verdict.cumulative,
-        health=verdict.value,
         flags=flags,
         timing=elapsed_ms,
         downsample_factor=history[-1].downsample_factor,
         abs_errors=abs_errors,
-    )
-
-
-def _failed_report(epoch: EpochPoint, reason: str, cumulative: float, health: str) -> EpochReport:
-    return EpochReport(
-        run=epoch.run.index,
-        state=epoch.state.label,
-        history_runs=[],
-        horizon=0,
-        attempts_used=0,
-        median=[],
-        sd=[],
-        truth=None,
-        q_rmse=None,
-        err_avg=None,
-        err_std=None,
-        attempt_rmse=None,
-        decision=NO_ACTION,
-        cumulative_rmse=cumulative,
-        health=health,
-        flags=["epoch_failed", reason],
-        timing=0.0,
-        downsample_factor=0,
     )
 
 
@@ -292,11 +269,10 @@ def run_replay(
     """Run every epoch in chronological order and fold health sequentially.
 
     Failed epochs (no history, or every attempt failed) are recorded and the
-    loop continues. With config.halt_on_stop the loop stops at the first Stop
-    decision, emulating a live control loop.
+    loop continues; they, and epochs without ground truth, add 0 to the fold.
+    With config.halt_on_stop the loop stops at the first Stop decision,
+    emulating a live control loop.
     """
-    from .windowing import enumerate_epochs
-
     epochs = enumerate_epochs(ptog, config.min_history)
     prepared: dict = {}  # one table of prepared vertices per replay
     reports: list[EpochReport] = []
@@ -308,14 +284,13 @@ def run_replay(
             cumulative = 0.0
             current_run = epoch.run.index
         try:
-            report = run_epoch(
-                ptog, epoch, config, cumulative, reproducible=reproducible, prepared=prepared
-            )
+            report = run_epoch(ptog, epoch, config, reproducible=reproducible, prepared=prepared)
         except (NoHistory, AllAttemptsFailed) as exc:
-            health = accumulate_health(cumulative, 0.0, config.thresholds).value
-            report = _failed_report(epoch, type(exc).__name__, cumulative, health)
-        if report.q_rmse is not None:
-            cumulative = report.cumulative_rmse
+            report = EpochReport(epoch.run.index, epoch.state.label,
+                                 flags=["epoch_failed", type(exc).__name__])
+        verdict = accumulate_health(cumulative, report.q_rmse or 0.0, config.thresholds)
+        cumulative = report.cumulative_rmse = verdict.cumulative
+        report.health = verdict.value
         reports.append(report)
         if config.halt_on_stop and report.decision == ControlDecision.STOP.label:
             halted = True

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import EmptyInput, GendtError
-from .windowing import EpochPoint
 
 
 class EnsembleError(GendtError):
@@ -29,7 +28,6 @@ class PredictionMatrix:
     """Successful forecast attempts as one (attempts, horizon) float array."""
 
     rows: np.ndarray
-    epoch: Optional[EpochPoint] = None
 
     def __post_init__(self) -> None:
         if len(self.rows) == 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -202,9 +203,13 @@ class Ptog:
         sid = self._coerce_state(state)
         return sid is not None and (self._coerce_run(run), sid) in self.vertices
 
-    def runs_with_series(self, state: StateId) -> tuple[RunId, ...]:
-        """Runs that carry a measurement for `state`, in chronological order."""
-        return tuple(r for r in self.runs if (r, state) in self.series)
+    @cached_property
+    def runs_by_state(self) -> Mapping[StateId, tuple[RunId, ...]]:
+        """Each state's run timeline: the runs that carry a series for it, in
+        chronological order. Built on first use, not at load."""
+        return {
+            state: tuple(r for r in self.runs if (r, state) in self.series) for state in self.states
+        }
 
     @property
     def n_vertices(self) -> int:
@@ -258,6 +263,8 @@ class Ptog:
                 sid = StateId(int(s["index"]), str(s["label"]))
                 if sid.index in states:
                     raise PtogError(f"state index {sid.index} declared twice")
+                if any(known.label == sid.label for known in states.values()):
+                    raise PtogError(f"state label {sid.label!r} declared twice")
                 states[sid.index] = sid
                 sensors[sid] = SensorId(str(s["sensor"]["name"]), str(s["sensor"]["unit"]))
             metadata = {

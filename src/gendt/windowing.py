@@ -1,14 +1,17 @@
 """Epoch enumeration and cross-run observation window extraction.
 
-Pure functions over an immutable graph; safe for concurrent extraction.
+Both rules read a state's run timeline (`Ptog.runs_by_state`): the runs before
+a target are the timeline up to the target's bisect position. Pure functions
+over an immutable graph; safe for concurrent extraction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import GendtError
-from .ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId
+from .ptog import MeasurementSeries, Ptog, RunId, StateId
 
 
 class NoHistory(GendtError):
@@ -23,36 +26,10 @@ class EpochPoint:
     state: StateId
 
 
-@dataclass(frozen=True)
-class ObservationWindow:
-    """Cross-run history of one state's series, oldest first.
-
-    `history_depth` is the requested number of prior runs; fewer may be
-    present when the timeline is shorter than the request (see `short`).
-    """
-
-    state: StateId
-    sensor: SensorId
-    history: tuple[MeasurementSeries, ...]
-    history_depth: int
-
-    def __post_init__(self) -> None:
-        if self.history_depth < 1:
-            raise ValueError("history_depth must be >= 1")
-        if not self.history:
-            raise NoHistory(f"window for state {self.state.label} has no history")
-        if len(self.history) > self.history_depth:
-            raise ValueError("history longer than requested depth")
-        for s in self.history:
-            if s.state != self.state or s.sensor != self.sensor:
-                raise ValueError("history entries must share the window's state and sensor")
-        indices = [s.run.index for s in self.history]
-        if indices != sorted(set(indices)):
-            raise ValueError("history run indices must be strictly increasing")
-
-    @property
-    def short(self) -> bool:
-        return len(self.history) < self.history_depth
+def _prior_runs(ptog: Ptog, run: RunId, state: StateId) -> tuple[RunId, ...]:
+    """The runs before `run` that carry a series for `state`, oldest first."""
+    timeline = ptog.runs_by_state[state]
+    return timeline[: bisect_left(timeline, run)]
 
 
 def enumerate_epochs(ptog: Ptog, min_history: int) -> list[EpochPoint]:
@@ -63,46 +40,28 @@ def enumerate_epochs(ptog: Ptog, min_history: int) -> list[EpochPoint]:
     """
     if min_history < 1:
         raise ValueError("min_history must be >= 1")
-    runs_for_state = {state: ptog.runs_with_series(state) for state in ptog.states}
-    epochs = []
-    for run in ptog.runs:
-        for state in ptog.states:
-            if (run, state) not in ptog.vertices:
-                continue
-            prior = sum(1 for r in runs_for_state[state] if r < run)
-            if prior >= min_history:
-                epochs.append(EpochPoint(run, state))
-    return epochs
+    return [
+        EpochPoint(run, state)
+        for run in ptog.runs
+        for state in ptog.states
+        if (run, state) in ptog.vertices and len(_prior_runs(ptog, run, state)) >= min_history
+    ]
 
 
-def extract_window(ptog: Ptog, epoch: EpochPoint, depth: int) -> ObservationWindow:
-    """Walk backward from the run before the epoch, collecting the epoch state's
-    series until `depth` are found or the timeline is exhausted.
+def extract_window(ptog: Ptog, epoch: EpochPoint, depth: int) -> tuple[MeasurementSeries, ...]:
+    """The epoch state's series from the last `depth` runs before the epoch's
+    run that carry it, oldest first; fewer when the timeline is shorter.
 
-    The target run's own measurement is never included; the result is ordered
-    oldest first. Raises NoHistory when zero prior runs carry the state.
+    The target run's own measurement is never included. Raises NoHistory when
+    zero prior runs carry the state.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if (epoch.run, epoch.state) not in ptog.vertices:
         raise ValueError(f"epoch ({epoch.run.index}, {epoch.state.label}) is not a graph vertex")
-    collected: list[MeasurementSeries] = []
-    for run in reversed(ptog.runs):
-        if run >= epoch.run:
-            continue
-        series = ptog.series.get((run, epoch.state))
-        if series is not None:
-            collected.append(series)
-            if len(collected) == depth:
-                break
-    if not collected:
+    prior = _prior_runs(ptog, epoch.run, epoch.state)
+    if not prior:
         raise NoHistory(
             f"no run before {epoch.run.index} carries state {epoch.state.label}"
         )
-    collected.reverse()
-    return ObservationWindow(
-        state=epoch.state,
-        sensor=ptog.sensors[epoch.state],
-        history=tuple(collected),
-        history_depth=depth,
-    )
+    return tuple(ptog.series[(run, epoch.state)] for run in prior[-depth:])

@@ -57,7 +57,7 @@ def test_window_extraction_oracle_equivalence():
                         extract_window(ptog, epoch, depth)
                 else:
                     window = extract_window(ptog, epoch, depth)
-                    assert [s.run.index for s in window.history] == expected
+                    assert [s.run.index for s in window] == expected
                 checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"

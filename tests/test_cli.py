@@ -395,6 +395,20 @@ def test_replay_graph_with_duplicated_state_index_exits_input(cli_env, tmp_path,
     assert "state index 1" in line
 
 
+def test_replay_graph_with_duplicated_state_label_exits_input(cli_env, tmp_path, capsys):
+    doc = json.loads(cli_env["ptog"].read_text())
+    doc["states"].append(dict(doc["states"][0], index=9))
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(doc))
+    code = main(
+        ["replay", "--ptog", str(graph_path), "--config", str(cli_env["config"]),
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "state label 'P1'" in line
+
+
 def _run_module(*args: str) -> subprocess.CompletedProcess:
     """`python -m gendt.cli ARGS` in a fresh interpreter, with src/ on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -221,6 +221,13 @@ def test_duplicate_extra_vertex_rejected_by_graph_file(repeated):
         Ptog.from_dict(doc)
 
 
+def test_duplicated_state_label_rejected_by_graph_file():
+    doc = Ptog.from_series([series(1)]).to_dict()
+    doc["states"].append({"index": 2, "label": "P1", "sensor": {"name": "other", "unit": "V"}})
+    with pytest.raises(PtogError, match="state label 'P1'"):
+        Ptog.from_dict(doc)
+
+
 def test_duplicated_state_index_rejected_by_graph_file():
     doc = _graph_doc_with_empty_vertex()
     doc["states"].append({"index": 1, "label": "P9", "sensor": {"name": "other", "unit": "V"}})

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_random_ptog
 from gendt.ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId
-from gendt.windowing import EpochPoint, NoHistory, ObservationWindow, enumerate_epochs, extract_window
+from gendt.windowing import EpochPoint, NoHistory, enumerate_epochs, extract_window
 
 SENSOR = SensorId("spindle_current", "A")
 
@@ -55,16 +55,15 @@ def test_state_present_only_in_first_run_yields_no_epochs():
 def test_extract_runs_3_to_6_for_run7(milling_ptog):
     epoch = EpochPoint(RunId(7), milling_ptog.state_by_label("P1"))
     window = extract_window(milling_ptog, epoch, depth=4)
-    assert [s.run.index for s in window.history] == [3, 4, 5, 6]
-    assert not window.short
-    assert window.sensor.name == "spindle_current"
+    assert [s.run.index for s in window] == [3, 4, 5, 6]
+    assert all(s.state == epoch.state for s in window)
+    assert all(s.sensor.name == "spindle_current" for s in window)
 
 
 def test_short_history_allowed(milling_ptog):
     epoch = EpochPoint(RunId(2), milling_ptog.state_by_label("P1"))
     window = extract_window(milling_ptog, epoch, depth=4)
-    assert [s.run.index for s in window.history] == [1]
-    assert window.short
+    assert [s.run.index for s in window] == [1]  # shorter than the depth asked for
 
 
 def test_no_history_raises(milling_ptog):
@@ -78,13 +77,13 @@ def test_window_never_contains_target_run():
     state = ptog.state_by_label("P1")
     for target in (2, 3, 4, 5):
         window = extract_window(ptog, EpochPoint(RunId(target), state), depth=10)
-        assert all(s.run.index < target for s in window.history)
+        assert all(s.run.index < target for s in window)
 
 
 def test_window_ordering_strictly_increasing():
     ptog = sparse_graph({"P1": [1, 3, 4, 7, 9, 10]})
     window = extract_window(ptog, EpochPoint(RunId(10), ptog.state_by_label("P1")), depth=4)
-    indices = [s.run.index for s in window.history]
+    indices = [s.run.index for s in window]
     assert indices == sorted(indices)
     assert len(set(indices)) == len(indices)
 
@@ -105,7 +104,37 @@ def test_oracle_equivalence_on_random_graphs():
                         extract_window(ptog, epoch, depth)
                     continue
                 window = extract_window(ptog, epoch, depth)
-                assert [s.run.index for s in window.history] == expected
+                assert [s.run.index for s in window] == expected
+
+
+def brute_force_epochs(ptog: Ptog, min_history: int) -> list[tuple[int, str]]:
+    return [
+        (run.index, state.label)
+        for run in ptog.runs
+        for state in ptog.states
+        if (run, state) in ptog.vertices
+        and sum(1 for r in ptog.runs if r < run and (r, state) in ptog.series) >= min_history
+    ]
+
+
+def hollowed(ptog: Ptog, rng: np.random.Generator) -> Ptog:
+    """`ptog` with about a third of its series turned into series-less vertices."""
+    drop = {key for key in sorted(ptog.series, key=lambda k: (k[0], k[1].index))
+            if rng.random() < 0.3}
+    return Ptog.from_series(
+        [s for key, s in ptog.series.items() if key not in drop],
+        empty_vertices=[(run, state, ptog.sensors[state]) for run, state in drop],
+    )
+
+
+def test_enumerate_oracle_equivalence_on_random_graphs():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        ptog = make_random_ptog(rng)
+        for graph in (ptog, hollowed(ptog, rng)):
+            for h in range(1, 6):
+                epochs = [(e.run.index, e.state.label) for e in enumerate_epochs(graph, h)]
+                assert epochs == brute_force_epochs(graph, h)
 
 
 def test_enumerate_monotone_in_min_history():
@@ -126,13 +155,3 @@ def test_epochs_only_at_vertices():
     ptog = sparse_graph({"P1": [1, 2, 3, 5], "P2": [1, 2, 3, 4, 5]})
     epochs = enumerate_epochs(ptog, min_history=1)
     assert (4, "P1") not in [(e.run.index, e.state.label) for e in epochs]
-
-
-def test_window_rejects_bad_construction(milling_ptog):
-    state = milling_ptog.state_by_label("P1")
-    s1 = milling_ptog.get_series(1, state)
-    s2 = milling_ptog.get_series(2, state)
-    with pytest.raises(ValueError):
-        ObservationWindow(state, SENSOR, (s2, s1), 4)  # not increasing
-    with pytest.raises(ValueError):
-        ObservationWindow(state, SENSOR, (s1, s2), 1)  # longer than depth
