@@ -169,7 +169,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not path.exists():
         return _fail(EXIT_INPUT, f"report file {path} does not exist")
     try:
-        doc = json.loads(path.read_text())
+        doc = report_mod.check_document(json.loads(path.read_text()))
         written = report_mod.write_report_artifacts(doc, args.out_dir)
     except (GendtError, json.JSONDecodeError) as exc:
         return _fail(EXIT_INPUT, f"malformed report: {exc}")

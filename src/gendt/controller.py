@@ -11,7 +11,8 @@ import math
 import time
 from copy import copy
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .ensemble import PredictionMatrix, aggregate, error_stats, rmse
 from .errors import GendtError
 from .forecast import AllAttemptsFailed, EnsembleInputs, ForecastRequest, forecast_ensemble
 from .ptog import MeasurementSeries, Ptog
-from .windowing import EpochPoint, NoHistory, enumerate_epochs, extract_window
+from .windowing import EpochPoint, enumerate_epochs, extract_window
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -121,41 +122,40 @@ class EpochReport:
     flags: list[str] = field(default_factory=list)
     timing: float = 0.0
     downsample_factor: int = 0
-    # per-sample absolute errors; feeds pooled summaries, not serialized
-    abs_errors: Optional[list[float]] = field(default=None, repr=False)
+    # the median's per-sample error (truth - median); feeds pooled summaries, not serialized
+    errors: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {f.name: copy(getattr(self, f.name)) for f in fields(self) if f.name != "abs_errors"}
+        return {f.name: copy(getattr(self, f.name)) for f in fields(self) if f.name != "errors"}
 
 
 @dataclass(frozen=True)
 class PreparedVertex:
-    """One vertex's series after filter and decimate, with its wire text."""
+    """One vertex's series after filter and decimate; its wire text is encoded
+    on first use, so an encode error surfaces at the first epoch that reads it."""
 
-    values: tuple[float, ...]
-    text: str
-    downsample_factor: int
+    values: np.ndarray
+    encoding: codec.EncodingSpec
 
-
-def _prepared(table: dict, series: MeasurementSeries, config: "RunConfig") -> PreparedVertex:
-    """The entry of `table` (keyed by (run, state)) for `series`, prepared on a miss."""
-    key = (series.run, series.state)
-    if key not in table:
-        values = tuple(dsp.preprocess(series, config.filter, config.downsample))
-        factor = config.downsample.factor_for(series.sample_rate_hz)
-        table[key] = PreparedVertex(values, codec.encode(values, config.encoding).text, factor)
-    return table[key]
+    @cached_property
+    def text(self) -> str:
+        return codec.encode(self.values.tolist(), self.encoding).text
 
 
-def _target_truth(
-    ptog: Ptog, epoch: EpochPoint, config: "RunConfig", table: dict
-) -> Optional[list[float]]:
-    series = ptog.get_series(epoch.run, epoch.state)
-    if series is None:
+def _prepare(series: Iterable[Optional[MeasurementSeries]], config: "RunConfig") -> dict:
+    """A table of prepared vertices keyed by (run, state): the given series
+    (None entries skipped), filtered and decimated in one batch per sample rate."""
+    todo = {(s.run, s.state): s for s in series if s is not None}
+    values = dsp.preprocess_many(list(todo.values()), config.filter, config.downsample)
+    return {key: PreparedVertex(v, config.encoding) for key, v in zip(todo, values)}
+
+
+def _truth(table: dict, target: Optional[MeasurementSeries], spec: codec.EncodingSpec):
+    """The target's decoded wire text, so truth and forecast compare like with like."""
+    if target is None:
         return None
-    # the decoded wire text, so truth and forecast compare like with like
-    text = _prepared(table, series, config).text
-    return [float(t) * config.encoding.scale for t in text.split(config.encoding.separator)]
+    text = table[(target.run, target.state)].text
+    return np.array([float(t) for t in text.split(spec.separator)]) * spec.scale
 
 
 def run_epoch(
@@ -164,6 +164,7 @@ def run_epoch(
     config: "RunConfig",
     reproducible: bool = False,
     prepared: Optional[dict] = None,
+    window: Optional[tuple[MeasurementSeries, ...]] = None,
 ) -> EpochReport:
     """Execute the full pipeline for one epoch.
 
@@ -174,17 +175,20 @@ def run_epoch(
     (except for the oracle backend, which is defined to receive it). Health is
     not computed here: it is a fold over epochs, owned by `run_replay`.
 
-    `prepared` is the replay's table of prepared vertices, or None for a fresh one.
+    `prepared` (every series the epoch reads, prepared) and `window` come
+    from `run_replay`; a bare call makes its own.
 
-    Raises NoHistory and AllAttemptsFailed; the replay loop records those as
-    failed epochs and continues.
+    Raises NoHistory and AllAttemptsFailed; the replay loop records the latter
+    as a failed epoch and continues.
     """
     start = time.perf_counter()
-    table = {} if prepared is None else prepared
-    window = extract_window(ptog, epoch, config.history_depth)
+    if window is None:
+        window = extract_window(ptog, epoch, config.history_depth)
+    target = ptog.get_series(epoch.run, epoch.state)
+    table = _prepare((*window, target), config) if prepared is None else prepared
     flags = ["short_history"] if len(window) < config.history_depth else []
 
-    history = [_prepared(table, series, config) for series in window]
+    history = [table[(s.run, s.state)] for s in window]
     horizon = len(history[-1].values)
     # the join of per-vertex encodings is the encoding of the concatenation
     sensor_text = config.encoding.separator.join(v.text for v in history)
@@ -199,37 +203,35 @@ def run_epoch(
     )
 
     oracle = config.backend.kind == "oracle"
-    truth = _target_truth(ptog, epoch, config, table) if oracle else None
+    truth = _truth(table, target, config.encoding) if oracle else None
     inputs = EnsembleInputs(
         last_history=history[-1].values,
         epoch_key=(epoch.run.index, epoch.state.index),
-        truth=None if truth is None else tuple(truth),
+        truth=truth,
     )
-    attempts = forecast_ensemble(config.backend, request, inputs)
-    matrix = PredictionMatrix([a.values for a in attempts if a.ok])
+    attempts, rows = forecast_ensemble(config.backend, request, inputs)
+    matrix = PredictionMatrix(rows)
     estimate = aggregate(matrix)
     if matrix.attempts_used < len(attempts):
         flags.append("failed_attempts")
 
     if not oracle:
-        truth = _target_truth(ptog, epoch, config, table)
+        truth = _truth(table, target, config.encoding)
     if truth is not None:
-        n = min(len(truth), len(estimate.median))
-        if len(truth) != len(estimate.median):
+        n = min(len(truth), matrix.horizon)
+        if len(truth) != matrix.horizon:
             flags.append("length_truncated")
-        truth_cmp = truth[:n]
-        median_cmp = list(estimate.median[:n])
-        q = rmse(truth_cmp, median_cmp)
-        err_avg, err_std = error_stats(median_cmp, truth_cmp)
+        truth = truth[:n]
+        # one difference array: row 0 is the median's error, then one row per attempt
+        diff = truth - np.vstack((estimate.median[:n], matrix.rows[:, :n]))
+        q, *attempt_rmse = rmse(diff).tolist()
+        errors = diff[0].copy()  # the report keeps it; a view would keep all of diff
+        err_avg, err_std = error_stats(errors)
         decision = decide(q, config.thresholds).label
-        attempt_rmse = rmse(truth_cmp, matrix.rows[:, :n])
-        abs_errors = np.abs(np.asarray(truth_cmp) - np.asarray(median_cmp)).tolist()
+        truth = truth.tolist()
     else:
         flags.append("no_ground_truth")
-        truth_cmp = None
-        q = err_avg = err_std = None
-        attempt_rmse = None
-        abs_errors = None
+        q = err_avg = err_std = attempt_rmse = errors = None
         decision = NO_ACTION
 
     elapsed_ms = 0.0 if reproducible else (time.perf_counter() - start) * 1000.0
@@ -239,9 +241,9 @@ def run_epoch(
         history_runs=[s.run.index for s in window],
         horizon=horizon,
         attempts_used=matrix.attempts_used,
-        median=list(estimate.median),
-        sd=list(estimate.sd),
-        truth=truth_cmp,
+        median=estimate.median.tolist(),
+        sd=estimate.sd.tolist(),
+        truth=truth,
         q_rmse=q,
         err_avg=err_avg,
         err_std=err_std,
@@ -249,8 +251,8 @@ def run_epoch(
         decision=decision,
         flags=flags,
         timing=elapsed_ms,
-        downsample_factor=history[-1].downsample_factor,
-        abs_errors=abs_errors,
+        downsample_factor=config.downsample.factor_for(window[-1].sample_rate_hz),
+        errors=errors,
     )
 
 
@@ -268,24 +270,29 @@ def run_replay(
 ) -> ReplayResult:
     """Run every epoch in chronological order and fold health sequentially.
 
-    Failed epochs (no history, or every attempt failed) are recorded and the
-    loop continues; they, and epochs without ground truth, add 0 to the fold.
+    Before the first epoch, every series the epochs read is filtered and
+    decimated in one batch per sample rate; each vertex is encoded at its
+    first use. Failed epochs (every attempt failed) are recorded and the loop
+    continues; they, and epochs without ground truth, add 0 to the fold.
     With config.halt_on_stop the loop stops at the first Stop decision,
     emulating a live control loop.
     """
     epochs = enumerate_epochs(ptog, config.min_history)
-    prepared: dict = {}  # one table of prepared vertices per replay
+    # enumerate_epochs keeps only epochs with history, so no window is empty
+    windows = [extract_window(ptog, e, config.history_depth) for e in epochs]
+    targets = (ptog.get_series(e.run, e.state) for e in epochs)
+    prepared = _prepare((s for w, t in zip(windows, targets) for s in (*w, t)), config)
     reports: list[EpochReport] = []
     cumulative = 0.0
     current_run = None
     halted = False
-    for epoch in epochs:
+    for epoch, window in zip(epochs, windows):
         if config.health_scope == "run" and epoch.run.index != current_run:
             cumulative = 0.0
             current_run = epoch.run.index
         try:
-            report = run_epoch(ptog, epoch, config, reproducible=reproducible, prepared=prepared)
-        except (NoHistory, AllAttemptsFailed) as exc:
+            report = run_epoch(ptog, epoch, config, reproducible, prepared, window)
+        except AllAttemptsFailed as exc:
             report = EpochReport(epoch.run.index, epoch.state.label,
                                  flags=["epoch_failed", type(exc).__name__])
         verdict = accumulate_health(cumulative, report.q_rmse or 0.0, config.thresholds)
@@ -298,19 +305,14 @@ def run_replay(
     return ReplayResult(reports, _build_summary(ptog, reports, halted), halted)
 
 
-def _population_stats(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std())
-
-
 def _build_summary(ptog: Ptog, reports: list[EpochReport], halted: bool) -> dict:
     per_run = []
     for run in ptog.runs:
         run_reports = [r for r in reports if r.run == run.index]
         if not run_reports:
             continue
-        pooled = [e for r in run_reports if r.abs_errors for e in r.abs_errors]
-        err_avg, err_std = _population_stats(pooled) if pooled else (None, None)
+        pooled = [r.errors for r in run_reports if r.errors is not None]
+        err_avg, err_std = error_stats(np.concatenate(pooled)) if pooled else (None, None)
         q_values = [r.q_rmse for r in run_reports if r.q_rmse is not None]
         per_run.append(
             {

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import EmptyInput, GendtError
 from .ptog import MeasurementSeries
 
@@ -98,48 +100,55 @@ def butter_sections(
     return sections
 
 
-def _run_cascade(x: list[float], sections) -> list[float]:
-    y = x
+def _cascade(x: np.ndarray, sections) -> None:
+    """Run the cascade in place down axis 0 of `x`, one column per series,
+    each from zero initial state. Each step is the scalar biquad's arithmetic
+    on a row, so every column is bit-identical to filtering its series alone."""
     for b0, b1, b2, a1, a2 in sections:
-        z1 = 0.0
-        z2 = 0.0
-        out = [0.0] * len(y)
-        for i, v in enumerate(y):
+        z1 = z2 = np.zeros(x.shape[1])
+        for i, v in enumerate(x):
             w = b0 * v + z1
             z1 = b1 * v - a1 * w + z2
             z2 = b2 * v - a2 * w
-            out[i] = w
-        y = out
-    return y
+            x[i] = w
 
 
-def lowpass(x: Sequence[float], spec: FilterSpec, sample_rate_hz: float) -> list[float]:
-    """Apply the Butterworth cascade; output length equals input length.
-
-    Causal single pass by default. With spec.zero_phase the cascade runs
-    forward and backward (offline replay only), doubling the effective order
-    and cancelling phase lag.
-    """
-    if len(x) == 0:
-        raise EmptyInput("lowpass requires at least one sample")
-    sections = butter_sections(spec, sample_rate_hz)
-    y = _run_cascade([float(v) for v in x], sections)
-    if spec.zero_phase:
-        y.reverse()
-        y = _run_cascade(y, sections)
-        y.reverse()
-    return y
-
-
-def downsample(x: Sequence[float], factor: int) -> list[float]:
+def downsample(x: Sequence[float], factor: int) -> np.ndarray:
     """Keep every factor-th sample starting at index 0."""
     if len(x) == 0:
         raise EmptyInput("downsample requires at least one sample")
-    return [float(v) for v in x[::factor]]
+    return np.array(x[::factor], dtype=np.float64)
 
 
-def preprocess(series: MeasurementSeries, f: FilterSpec, dspec: DownsampleSpec) -> list[float]:
+def preprocess(series: MeasurementSeries, f: FilterSpec, dspec: DownsampleSpec) -> np.ndarray:
     """Low-pass then decimate one measurement series at its own sample rate
     (order is fixed)."""
-    rate = series.sample_rate_hz
-    return downsample(lowpass(series.samples, f, rate), dspec.factor_for(rate))
+    return preprocess_many([series], f, dspec)[0]
+
+
+def preprocess_many(
+    series: Sequence[MeasurementSeries], f: FilterSpec, dspec: DownsampleSpec
+) -> list[np.ndarray]:
+    """`preprocess` of every series, in one causal cascade per sample rate over
+    a zero-padded (samples, series) array; trailing zeros cannot change the
+    outputs before them. With f.zero_phase (offline replay only) the cascade
+    runs forward and then backward over the flipped array, doubling the
+    effective order and cancelling phase lag; there each series' padding leads,
+    and zero input from zero state leaves the state at zero."""
+    out: list = [None] * len(series)
+    for rate in dict.fromkeys(s.sample_rate_hz for s in series):
+        group = [i for i, s in enumerate(series) if s.sample_rate_hz == rate]
+        sections = butter_sections(f, rate)
+        lengths = np.array([len(series[i].samples) for i in group])
+        x = np.zeros((lengths.max(), len(group)))
+        for j, i in enumerate(group):
+            x[: lengths[j], j] = series[i].samples
+        # extreme samples may overflow to inf or nan, as Python floats do; encode rejects them
+        with np.errstate(over="ignore", invalid="ignore"):
+            _cascade(x, sections)
+            if f.zero_phase:
+                x[np.arange(len(x))[:, None] >= lengths] = 0.0  # the forward pass rang past each end
+                _cascade(x[::-1], sections)
+        for j, i in enumerate(group):
+            out[i] = downsample(x[: lengths[j], j], dspec.factor_for(rate))
+    return out

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -25,18 +25,23 @@ class LengthMismatch(EnsembleError):
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    """Successful forecast attempts as one (attempts, horizon) float array."""
+    """Successful forecast attempts as one (attempts, horizon) float array;
+    a float64 array is taken as is, without a copy."""
 
     rows: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.rows) == 0:
             raise EmptyMatrix("prediction matrix needs at least one row")
-        if len({len(r) for r in self.rows}) != 1:
-            raise LengthMismatch("prediction matrix rows have unequal lengths")
-        if len(self.rows[0]) == 0:
+        try:
+            rows = np.asarray(self.rows, dtype=float)
+        except ValueError as exc:
+            raise LengthMismatch("prediction matrix rows have unequal lengths") from exc
+        if rows.ndim != 2:
+            raise LengthMismatch(f"prediction matrix must be 2-D, got shape {rows.shape}")
+        if rows.shape[1] == 0:
             raise EmptyInput("prediction matrix rows are empty")
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
+        object.__setattr__(self, "rows", rows)
 
     @property
     def attempts_used(self) -> int:
@@ -47,11 +52,10 @@ class PredictionMatrix:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointEstimate:
-    median: tuple[float, ...]
-    sd: tuple[float, ...]
-    attempts_used: int
+    median: np.ndarray
+    sd: np.ndarray
 
 
 def aggregate(matrix: PredictionMatrix) -> PointEstimate:
@@ -62,38 +66,24 @@ def aggregate(matrix: PredictionMatrix) -> PointEstimate:
     permutation (floating-point sums are order sensitive otherwise).
     """
     arr = np.sort(matrix.rows, axis=0)
-    med = np.median(arr, axis=0)
-    sd = np.std(arr, axis=0)  # ddof=0: the attempts are the whole population
-    return PointEstimate(
-        median=tuple(med.tolist()),
-        sd=tuple(sd.tolist()),
-        attempts_used=matrix.attempts_used,
-    )
+    k = len(arr) // 2
+    med = arr[k] if len(arr) % 2 else (arr[k - 1] + arr[k]) / 2
+    return PointEstimate(med, np.std(arr, axis=0))  # ddof=0: the attempts are the population
 
 
-def _median_of(estimate: Union[PointEstimate, Sequence[float]]) -> Sequence[float]:
-    return estimate.median if isinstance(estimate, PointEstimate) else estimate
-
-
-def error_stats(
-    estimate: Union[PointEstimate, Sequence[float]], truth: Sequence[float]
-) -> tuple[float, float]:
-    """Mean and population std of the elementwise absolute error."""
-    med = _median_of(estimate)
-    if len(med) != len(truth):
-        raise LengthMismatch(f"estimate length {len(med)} != truth length {len(truth)}")
-    if len(truth) == 0:
+def error_stats(errors: ArrayLike) -> tuple[float, float]:
+    """Mean and population std of the absolute values of a 1-D difference array."""
+    e = np.abs(np.asarray(errors, dtype=float))
+    if e.size == 0:
         raise EmptyInput("error_stats requires at least one element")
-    e = np.abs(np.asarray(truth, dtype=float) - np.asarray(med, dtype=float))
     return float(e.mean()), float(e.std())
 
 
-def rmse(truth: Sequence[float], estimate: ArrayLike) -> Union[float, list[float]]:
-    """Root mean squared elementwise difference; a 2-D `estimate` gives one value per row."""
-    if np.shape(estimate)[-1:] != (len(truth),):
-        raise LengthMismatch(f"truth length {len(truth)} != estimate shape {np.shape(estimate)}")
-    if len(truth) == 0:
+def rmse(errors: ArrayLike) -> Union[float, np.ndarray]:
+    """Root mean square of a difference array along its last axis; a 2-D array
+    gives one value per row."""
+    e = np.asarray(errors, dtype=float)
+    if e.shape[-1:] in ((), (0,)):
         raise EmptyInput("rmse requires at least one element")
-    d = np.asarray(truth, dtype=float) - np.asarray(estimate, dtype=float)
-    r = np.sqrt(np.mean(d * d, axis=-1))
-    return r.tolist() if r.ndim else float(r)
+    r = np.sqrt(np.mean(e * e, axis=-1))
+    return r if r.ndim else float(r)

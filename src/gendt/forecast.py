@@ -14,7 +14,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import requests
@@ -110,15 +110,15 @@ class EnsembleInputs:
     the oracle backend. `epoch_key` seeds per-attempt RNG streams.
     """
 
-    last_history: tuple[float, ...]
+    last_history: np.ndarray
     epoch_key: tuple[int, int] = (0, 0)
-    truth: Optional[tuple[float, ...]] = None
+    truth: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
 class ForecastAttempt:
     index: int
-    values: Optional[tuple[float, ...]]
+    values: Optional[np.ndarray]
     failure: Optional[DecodeFailure]
     raw_text: str = ""
     latency_ms: float = 0.0
@@ -194,41 +194,28 @@ def _extract_content(resp: requests.Response) -> str:
     return content
 
 
-def _persistence_values(
-    request: ForecastRequest, inputs: EnsembleInputs
-) -> Union[tuple[float, ...], DecodeFailure]:
-    values = inputs.last_history[: request.horizon]
-    if len(values) < request.horizon:
-        return DecodeFailure("short", len(values), "history series shorter than horizon")
-    return values
-
-
-def _oracle_values(request: ForecastRequest, inputs: EnsembleInputs) -> tuple[float, ...]:
-    if inputs.truth is None:
-        raise AllAttemptsFailed("oracle backend needs the target series, which is absent")
-    values = inputs.truth[: request.horizon]
-    # pad with the final value; the comparison path truncates it away
-    return values + values[-1:] * (request.horizon - len(values))
-
-
 def _local_attempts(
     config: BackendConfig, request: ForecastRequest, inputs: EnsembleInputs
-) -> list[ForecastAttempt]:
-    attempts = []
-    base = _oracle_values(request, inputs) if config.kind == "oracle" else _persistence_values(request, inputs)
-    for i in range(1, request.attempts + 1):
-        if isinstance(base, DecodeFailure):
-            attempts.append(ForecastAttempt(i, None, base))
-            continue
-        if config.kind == "mock_noise":
+) -> tuple[list[ForecastAttempt], np.ndarray]:
+    """Every attempt of a local baseline, its values written straight into one
+    (attempts, horizon) matrix."""
+    indices = range(1, request.attempts + 1)
+    oracle = config.kind == "oracle"
+    source = inputs.truth if oracle else inputs.last_history
+    if source is None:
+        raise AllAttemptsFailed("oracle backend needs the target series, which is absent")
+    if not oracle and len(source) < request.horizon:
+        failure = DecodeFailure("short", len(source), "history series shorter than horizon")
+        return [ForecastAttempt(i, None, failure) for i in indices], np.empty((0, request.horizon))
+    n = min(len(source), request.horizon)
+    rows = np.empty((request.attempts, request.horizon))
+    rows[:, :n] = source[:n]
+    rows[:, n:] = source[n - 1]  # the oracle pads with its final value; scoring truncates it away
+    if config.kind == "mock_noise":
+        for i, row in zip(indices, rows):
             rng = np.random.default_rng([config.rng_seed, *inputs.epoch_key, i])
-            values = tuple(
-                (np.asarray(base) + rng.normal(0.0, config.noise_sigma, request.horizon)).tolist()
-            )
-        else:
-            values = base
-        attempts.append(ForecastAttempt(i, values, None))
-    return attempts
+            row += rng.normal(0.0, config.noise_sigma, request.horizon)
+    return [ForecastAttempt(i, row, None) for i, row in zip(indices, rows)], rows
 
 
 def _llm_attempt(config: BackendConfig, request: ForecastRequest, index: int) -> ForecastAttempt:
@@ -242,7 +229,7 @@ def _llm_attempt(config: BackendConfig, request: ForecastRequest, index: int) ->
     decoded = decode(text, request.encoding, request.horizon)
     if isinstance(decoded, DecodeFailure):
         return ForecastAttempt(index, None, decoded, text, latency)
-    return ForecastAttempt(index, tuple(decoded), None, text, latency)
+    return ForecastAttempt(index, np.array(decoded), None, text, latency)
 
 
 def _llm_attempts(config: BackendConfig, request: ForecastRequest) -> list[ForecastAttempt]:
@@ -256,20 +243,22 @@ def _llm_attempts(config: BackendConfig, request: ForecastRequest) -> list[Forec
 
 def forecast_ensemble(
     config: BackendConfig, request: ForecastRequest, inputs: EnsembleInputs
-) -> list[ForecastAttempt]:
+) -> tuple[list[ForecastAttempt], np.ndarray]:
     """Run exactly `request.attempts` independent attempts.
 
-    Returns all attempts in index order, failures included. Raises
-    AllAttemptsFailed when no attempt succeeded, and AuthError immediately on
-    a rejected or missing credential (retrying cannot help).
+    Returns all attempts in index order, failures included, and the successful
+    attempts' values as one (successes, horizon) matrix in the same order.
+    Raises AllAttemptsFailed when no attempt succeeded, and AuthError
+    immediately on a rejected or missing credential (retrying cannot help).
     """
     if config.kind == "llm_http":
         attempts = _llm_attempts(config, request)
+        rows = np.array([a.values for a in attempts if a.ok])
     else:
-        attempts = _local_attempts(config, request, inputs)
-    if not any(a.ok for a in attempts):
+        attempts, rows = _local_attempts(config, request, inputs)
+    if not len(rows):
         first = next(a.failure for a in attempts)
         raise AllAttemptsFailed(
             f"all {request.attempts} attempts failed ({first.reason}: {first.message})"
         )
-    return attempts
+    return attempts, rows

@@ -15,6 +15,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import GendtError
 
 SCHEMA_VERSION = 1
@@ -75,31 +77,41 @@ class SensorId:
     unit: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSeries:
-    """One sensor trace for a single (run, state) vertex."""
+    """One sensor trace for a single (run, state) vertex; `samples` is
+    checked once, here, and stored as a read-only 1-D float64 array."""
 
     run: RunId
     state: StateId
     sensor: SensorId
     sample_rate_hz: float
-    samples: tuple[float, ...]
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(float(v) for v in self.samples))
+        where = f"run {self.run.index} {self.state.label}"
+        samples = np.array(self.samples, dtype=np.float64)
+        if samples.ndim != 1:
+            raise PtogError(f"samples of {where} must be a flat list, got {samples.ndim} dimensions")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if self.sample_rate_hz <= 0:
             raise PtogError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        if not self.samples:
-            raise PtogError(f"series for run {self.run.index} {self.state.label} has no samples")
-        for i, v in enumerate(self.samples):
-            if not math.isfinite(v):
-                raise NonFiniteSample(
-                    f"non-finite sample at position {i} in run {self.run.index} {self.state.label}"
-                )
+        if not samples.size:
+            raise PtogError(f"series for {where} has no samples")
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise NonFiniteSample(f"non-finite sample at position {bad[0]} in {where}")
 
-    @property
-    def length(self) -> int:
-        return len(self.samples)
+    def _key(self) -> tuple:
+        return (self.run, self.state, self.sensor, self.sample_rate_hz)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MeasurementSeries) and self._key() == other._key()
+                and np.array_equal(self.samples, other.samples))
+
+    def __hash__(self) -> int:  # without the samples: 0.0 == -0.0, but their bytes differ
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -236,7 +248,7 @@ class Ptog:
                 "run": key[0].index,
                 "state": key[1].index,
                 "sample_rate_hz": s.sample_rate_hz,
-                "samples": list(s.samples),
+                "samples": s.samples.tolist(),
             }
             for key, s in sorted(self.series.items(), key=lambda kv: (kv[0][0], kv[0][1].index))
         ]
@@ -253,6 +265,8 @@ class Ptog:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Ptog":
+        if not isinstance(doc, Mapping):
+            raise PtogError(f"graph document must be a JSON object, got {type(doc).__name__}")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaVersionMismatch(f"expected schema_version {SCHEMA_VERSION}, got {version!r}")
@@ -277,7 +291,7 @@ class Ptog:
                     state=states[int(e["state"])],
                     sensor=sensors[states[int(e["state"])]],
                     sample_rate_hz=float(e["sample_rate_hz"]),
-                    samples=tuple(e["samples"]),
+                    samples=e["samples"],
                 )
                 for e in doc["series"]
             ]
@@ -285,7 +299,8 @@ class Ptog:
                 (RunId(int(r)), states[int(s)], sensors[states[int(s)]])
                 for r, s in doc.get("extra_vertices", [])
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            # AttributeError: a list or a scalar where the document needs an object
             raise PtogError(f"malformed graph document: {exc}") from exc
         return cls.from_series(series, run_metadata=metadata, empty_vertices=extra)
 
@@ -397,7 +412,7 @@ def save_manifest(ptog: Ptog, out_dir: Union[str, Path]) -> Path:
     entries = []
     for (run, state), s in sorted(ptog.series.items(), key=lambda kv: (kv[0][0], kv[0][1].index)):
         csv_path = f"segments/run_{run.index}_{state.label}.csv"
-        (out_dir / csv_path).write_text("\n".join(map(repr, s.samples)) + "\n")
+        (out_dir / csv_path).write_text("\n".join(map(repr, s.samples.tolist())) + "\n")
         meta = ptog.run_metadata.get(run, {})
         entry = ManifestEntry(run.index, state.label, s.sensor.name, s.sensor.unit,
                               s.sample_rate_hz, csv_path, meta)

@@ -24,16 +24,58 @@ WIDTH, HEIGHT = 640, 360
 MARGIN = 46
 
 
-def _require(report: dict, key: str):
-    try:
-        return report[key]
-    except (KeyError, TypeError) as exc:
-        raise ReportError(f"report document lacks {key!r}") from exc
+def _int(v) -> bool:
+    return type(v) is int
+
+
+def _number(v) -> bool:  # a finite float, or an int that fits one; NaN fails the comparison
+    return type(v) in (int, float) and -1e308 < v < 1e308
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
+def _label(v) -> bool:  # it names an overlay file
+    return isinstance(v, str) and not set(v) & {"/", "\\"}
+
+
+def _optional(ok):
+    return lambda v: v is None or ok(v)
+
+
+_PER_RUN_FIELDS = {"run": _int, "flank_wear_mm": _optional(_number),
+                   "err_avg": _optional(_number), "err_std": _optional(_number)}
+_EPOCH_FIELDS = {"run": _int, "state": _label, "median": _numbers, "sd": _numbers,
+                 "truth": _optional(_numbers), "attempt_rmse": _optional(_numbers)}
+
+
+def _check_rows(rows, where: str, fields: dict) -> None:
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ReportError(f"report field {where} must be a list of objects")
+    for i, row in enumerate(rows):
+        bad = [key for key, ok in fields.items() if key not in row or not ok(row[key])]
+        if bad:
+            raise ReportError(f"report field {where}[{i}].{bad[0]} is missing or ill-typed")
+
+
+def check_document(report) -> dict:
+    """The one check of a report document read from a file: every field the
+    views read is present and typed. Returns the document."""
+    summary = report.get("summary") if isinstance(report, dict) else None
+    if not isinstance(summary, dict):
+        raise ReportError("report document must be an object with a 'summary' object")
+    _check_rows(summary.get("per_run"), "summary.per_run", _PER_RUN_FIELDS)
+    _check_rows(report.get("epochs"), "epochs", _EPOCH_FIELDS)
+    for i, ep in enumerate(report["epochs"]):
+        if len(ep["median"]) != len(ep["sd"]):
+            raise ReportError(f"report field epochs[{i}] has median and sd of unequal length")
+    return report
 
 
 def write_run_table_csv(report: dict, path: Union[str, Path]) -> Path:
     """Per-run pooled error table: run, flank wear, err_avg, err_std."""
-    per_run = _require(_require(report, "summary"), "per_run")
+    per_run = report["summary"]["per_run"]
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -129,7 +171,7 @@ def write_overlay_svg(epoch: dict, path: Union[str, Path]) -> Path:
 
 def run_box_stats(report: dict) -> list[dict]:
     """Per run: quartiles and extremes of the attempt-level RMSE pool."""
-    epochs = _require(report, "epochs")
+    epochs = report["epochs"]
     pools: dict[int, list[float]] = {}
     for ep in epochs:
         if ep.get("attempt_rmse"):
@@ -208,7 +250,7 @@ def write_report_artifacts(report: dict, out_dir: Union[str, Path]) -> list[Path
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [write_run_table_csv(report, out_dir / "per_run_errors.csv")]
-    for ep in _require(report, "epochs"):
+    for ep in report["epochs"]:
         if not ep.get("median"):
             continue
         written.append(

@@ -15,6 +15,7 @@ import pytest
 from gendt.config import RunConfig
 from gendt.controller import ControlThresholds
 from gendt.dataset import ingest_fixture, write_synthetic_fixture
+from gendt.dsp import DownsampleSpec, FilterSpec, preprocess
 from gendt.forecast import BackendConfig
 from gendt.ptog import (
     MeasurementSeries,
@@ -33,6 +34,12 @@ def fixture_dir(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def milling_ptog(fixture_dir) -> Ptog:
     return ingest_fixture(fixture_dir)
+
+
+def lowpass(x, spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
+    """The filter stage alone: `dsp.preprocess` of a one-off series, decimation factor 1."""
+    series = MeasurementSeries(RunId(1), StateId(1, "P1"), SENSORS[0], sample_rate_hz, x)
+    return preprocess(series, spec, DownsampleSpec(factor=1))
 
 
 def make_config(backend_kind: str = "persistence", **overrides) -> RunConfig:

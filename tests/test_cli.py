@@ -229,6 +229,78 @@ def test_report_malformed(tmp_path):
     assert main(["report", "--report", str(bad), "--out-dir", str(tmp_path)]) == EXIT_INPUT
 
 
+def _replay_report_doc(cli_env) -> dict:
+    report = cli_env["root"] / "report.json"
+    if not report.exists():
+        main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
+              "--out", str(report)])
+    return json.loads(report.read_text())
+
+
+def _break_per_run_row(doc):
+    del doc["summary"]["per_run"][0]["run"]
+
+
+def _break_median(doc):
+    doc["epochs"][0]["median"] = "1.0,2.0"
+
+
+def _break_run(doc):
+    doc["epochs"][0]["run"] = "5"
+
+
+def _break_sd(doc):
+    doc["epochs"][0]["sd"] = []
+
+
+def _huge_median_value(doc):
+    doc["epochs"][0]["median"][0] = 10**400
+
+
+@pytest.mark.parametrize(
+    "mutate", [_break_per_run_row, _break_median, _break_run, _break_sd, _huge_median_value]
+)
+def test_report_malformed_document_exits_input(cli_env, tmp_path, capsys, mutate):
+    """A report document that parses but lacks or mistypes a field the views
+    read exits 2 with one error line, not a traceback."""
+    doc = _replay_report_doc(cli_env)
+    mutate(doc)
+    bad = tmp_path / "bad_report.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["report", "--report", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_INPUT
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+
+
+def _graph_as_list(doc):
+    return [doc]
+
+
+def _metadata_as_list(doc):
+    doc["runs"][0]["metadata"] = [["flank_wear_mm", 0.1]]
+    return doc
+
+
+def _nested_samples(doc):
+    doc["series"][0]["samples"] = [doc["series"][0]["samples"][:2]]
+    return doc
+
+
+@pytest.mark.parametrize("mutate", [_graph_as_list, _metadata_as_list, _nested_samples])
+def test_replay_malformed_graph_document_exits_input(cli_env, tmp_path, capsys, mutate):
+    """A graph file of the wrong shape exits 2 with one error line, not a traceback."""
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(mutate(json.loads(cli_env["ptog"].read_text()))))
+    code = main(
+        ["replay", "--ptog", str(graph_path), "--config", str(cli_env["config"]),
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "cannot load graph" in line
+    assert not (tmp_path / "x.json").exists()
+
+
 def _error_lines(err: str) -> list[str]:
     assert "Traceback" not in err
     return [line for line in err.splitlines() if line.startswith("error:")]

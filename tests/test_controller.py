@@ -13,7 +13,8 @@ from gendt.controller import (
     ControlError,
     ControlThresholds,
     NonFiniteQ,
-    _target_truth,
+    _prepare,
+    _truth,
     accumulate_health,
     decide,
     run_epoch,
@@ -262,22 +263,39 @@ def test_decision_labels():
 
 
 def test_replay_prepares_each_vertex_once(milling_ptog, mock_config, monkeypatch):
-    """One replay preprocesses every vertex it touches exactly once, and sharing
-    the prepared table across epochs changes no epoch record."""
+    """One replay filters every vertex it touches exactly once, in one batched
+    cascade per sample rate before the first epoch, and sharing the prepared
+    table across epochs changes no epoch record."""
+    import gendt.controller as controller_mod
     from gendt import dsp
 
-    calls = []
-    preprocess = dsp.preprocess
+    batches, cascades, events = [], [], []
+    preprocess_many, cascade, epoch = dsp.preprocess_many, dsp._cascade, controller_mod.run_epoch
 
-    def counting_preprocess(series, *args):
-        calls.append((series.run, series.state))
-        return preprocess(series, *args)
+    def counting_preprocess_many(series, *args):
+        batches.append([(s.run, s.state) for s in series])
+        events.append("batch")
+        return preprocess_many(series, *args)
 
-    monkeypatch.setattr(dsp, "preprocess", counting_preprocess)
+    def counting_cascade(x, *args):
+        cascades.append(x.shape[1])
+        return cascade(x, *args)
+
+    def marking_run_epoch(*args, **kwargs):
+        events.append("epoch")
+        return epoch(*args, **kwargs)
+
+    monkeypatch.setattr(dsp, "preprocess_many", counting_preprocess_many)
+    monkeypatch.setattr(dsp, "_cascade", counting_cascade)
+    monkeypatch.setattr(controller_mod, "run_epoch", marking_run_epoch)
     result = run_replay(milling_ptog, mock_config, reproducible=True)
-    assert len(calls) == len(set(calls)) == milling_ptog.n_series
+    monkeypatch.setattr(controller_mod, "run_epoch", epoch)
+    filtered = [key for batch in batches for key in batch]
+    assert len(filtered) == len(set(filtered)) == milling_ptog.n_series
+    assert events == ["batch"] + ["epoch"] * len(result.reports)  # all before the first epoch
+    assert cascades == [milling_ptog.n_series]  # one sample rate, one cascade
 
-    calls.clear()
+    batches.clear()
     fresh = [
         run_epoch(milling_ptog, EpochPoint(RunId(r.run), milling_ptog.state_by_label(r.state)),
                   mock_config, reproducible=True).to_dict()
@@ -289,7 +307,8 @@ def test_replay_prepares_each_vertex_once(milling_ptog, mock_config, monkeypatch
             shared.pop(key)
             assert alone.pop(key) is None
         assert shared == alone
-    assert len(calls) > len(set(calls))  # fresh tables prepare overlapping windows again
+    filtered = [key for batch in batches for key in batch]
+    assert len(filtered) > len(set(filtered))  # fresh tables prepare overlapping windows again
 
 
 @pytest.mark.parametrize(
@@ -302,6 +321,6 @@ def test_truth_equals_quantized_target(milling_ptog, persistence_config, spec):
 
     config = replace(persistence_config, encoding=codec.EncodingSpec(**spec))
     series = milling_ptog.get_series(7, "P2")
-    table = {}
-    truth = _target_truth(milling_ptog, EpochPoint(series.run, series.state), config, table)
-    assert truth == codec.quantize(table[(series.run, series.state)].values, config.encoding)
+    table = _prepare([series], config)
+    truth = _truth(table, series, config.encoding)
+    assert truth.tolist() == codec.quantize(table[(series.run, series.state)].values, config.encoding)

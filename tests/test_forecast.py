@@ -31,7 +31,14 @@ def request(attempts=3, horizon=4, prompt="Sequence: 1.00."):
 
 
 def inputs(last=(1.0, 2.0, 3.0, 4.0), truth=None, key=(5, 1)):
-    return EnsembleInputs(last_history=tuple(last), epoch_key=key, truth=truth)
+    return EnsembleInputs(
+        last_history=np.array(last), epoch_key=key, truth=None if truth is None else np.array(truth)
+    )
+
+
+def values(attempts) -> list:
+    """Each attempt's values as a list, None for a failed attempt."""
+    return [None if a.values is None else a.values.tolist() for a in attempts]
 
 
 def http_config(stub, **kw):
@@ -53,15 +60,14 @@ def http_config(stub, **kw):
 def test_oracle_attempts_equal_truth():
     cfg = BackendConfig(kind="oracle")
     truth = (1.25, 2.5, 3.75, 5.0)
-    attempts = forecast_ensemble(cfg, request(), inputs(truth=truth))
-    assert len(attempts) == 3
-    assert all(a.values == truth for a in attempts)
+    attempts, rows = forecast_ensemble(cfg, request(), inputs(truth=truth))
+    assert values(attempts) == [list(truth)] * 3 == rows.tolist()
 
 
 def test_oracle_pads_short_truth():
     cfg = BackendConfig(kind="oracle")
-    attempts = forecast_ensemble(cfg, request(horizon=4), inputs(truth=(1.0, 2.0)))
-    assert attempts[0].values == (1.0, 2.0, 2.0, 2.0)
+    attempts, _ = forecast_ensemble(cfg, request(horizon=4), inputs(truth=(1.0, 2.0)))
+    assert values(attempts)[0] == [1.0, 2.0, 2.0, 2.0]
 
 
 def test_oracle_without_truth_fails():
@@ -72,14 +78,14 @@ def test_oracle_without_truth_fails():
 
 def test_persistence_repeats_last_series():
     cfg = BackendConfig(kind="persistence")
-    attempts = forecast_ensemble(cfg, request(), inputs(last=(5.0, 6.0, 7.0, 8.0)))
-    assert all(a.values == (5.0, 6.0, 7.0, 8.0) for a in attempts)
+    attempts, _ = forecast_ensemble(cfg, request(), inputs(last=(5.0, 6.0, 7.0, 8.0)))
+    assert values(attempts) == [[5.0, 6.0, 7.0, 8.0]] * 3
 
 
 def test_persistence_truncates_to_horizon():
     cfg = BackendConfig(kind="persistence")
-    attempts = forecast_ensemble(cfg, request(horizon=2), inputs(last=(5.0, 6.0, 7.0)))
-    assert attempts[0].values == (5.0, 6.0)
+    attempts, _ = forecast_ensemble(cfg, request(horizon=2), inputs(last=(5.0, 6.0, 7.0)))
+    assert values(attempts)[0] == [5.0, 6.0]
 
 
 def test_persistence_short_history_fails():
@@ -90,26 +96,26 @@ def test_persistence_short_history_fails():
 
 def test_mock_noise_is_persistence_plus_seeded_noise():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42, noise_sigma=0.1)
-    a1 = forecast_ensemble(cfg, request(), inputs())
-    a2 = forecast_ensemble(cfg, request(), inputs())
-    assert [a.values for a in a1] == [a.values for a in a2]  # bitwise reproducible
+    a1, rows = forecast_ensemble(cfg, request(), inputs())
+    a2, _ = forecast_ensemble(cfg, request(), inputs())
+    assert values(a1) == values(a2) == rows.tolist()  # bitwise reproducible
     base = np.array([1.0, 2.0, 3.0, 4.0])
     for a in a1:
-        assert a.values != tuple(base.tolist())
-        assert np.max(np.abs(np.asarray(a.values) - base)) < 1.0
+        assert not np.array_equal(a.values, base)
+        assert np.max(np.abs(a.values - base)) < 1.0
 
 
 def test_mock_noise_attempts_differ_from_each_other():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42)
-    attempts = forecast_ensemble(cfg, request(attempts=5), inputs())
-    assert len({a.values for a in attempts}) == 5
+    attempts, _ = forecast_ensemble(cfg, request(attempts=5), inputs())
+    assert len({tuple(v) for v in values(attempts)}) == 5
 
 
 def test_mock_noise_independent_of_epoch_key():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42)
-    a = forecast_ensemble(cfg, request(), inputs(key=(5, 1)))
-    b = forecast_ensemble(cfg, request(), inputs(key=(5, 2)))
-    assert [x.values for x in a] != [x.values for x in b]
+    a, _ = forecast_ensemble(cfg, request(), inputs(key=(5, 1)))
+    b, _ = forecast_ensemble(cfg, request(), inputs(key=(5, 2)))
+    assert values(a) != values(b)
 
 
 def test_mock_requires_seed():
@@ -119,13 +125,22 @@ def test_mock_requires_seed():
 
 def test_permuting_attempts_leaves_median_unchanged():
     cfg = BackendConfig(kind="mock_noise", rng_seed=7)
-    attempts = forecast_ensemble(cfg, request(attempts=8), inputs())
-    rows = [a.values for a in attempts]
-    est = aggregate(PredictionMatrix(tuple(rows)))
+    _, rows = forecast_ensemble(cfg, request(attempts=8), inputs())
+    est = aggregate(PredictionMatrix(rows))
     rng = np.random.default_rng(0)
-    perm = rng.permutation(len(rows))
-    est_perm = aggregate(PredictionMatrix(tuple(rows[i] for i in perm)))
-    assert est == est_perm
+    est_perm = aggregate(PredictionMatrix(rows[rng.permutation(len(rows))]))
+    assert est.median.tolist() == est_perm.median.tolist()
+    assert est.sd.tolist() == est_perm.sd.tolist()
+
+
+def test_local_matrix_is_taken_without_a_copy():
+    """The local backends write every attempt into one matrix; the attempts
+    view its rows and the prediction matrix takes it as is."""
+    cfg = BackendConfig(kind="mock_noise", rng_seed=7)
+    attempts, rows = forecast_ensemble(cfg, request(attempts=4), inputs())
+    assert rows.shape == (4, 4) and rows.dtype == np.float64
+    assert all(a.values.base is rows for a in attempts)
+    assert PredictionMatrix(rows).rows is rows
 
 
 # ---------------------------------------------------------------- HTTP client
@@ -198,8 +213,8 @@ def test_http_unreachable_endpoint(api_key_env):
 
 def test_ensemble_decodes_llm_output(stub_llm, api_key_env):
     stub_llm.script = [(200, stub_llm.completion("1.00,2.00,3.00,4.00"))]
-    attempts = forecast_ensemble(http_config(stub_llm), request(), inputs())
-    assert all(a.values == (1.0, 2.0, 3.0, 4.0) for a in attempts)
+    attempts, rows = forecast_ensemble(http_config(stub_llm), request(), inputs())
+    assert values(attempts) == [[1.0, 2.0, 3.0, 4.0]] * 3 == rows.tolist()
     assert all(a.raw_text == "1.00,2.00,3.00,4.00" for a in attempts)
 
 
@@ -209,7 +224,8 @@ def test_ensemble_carries_failed_attempts(stub_llm, api_key_env):
         (200, stub_llm.completion("garbage with no numbers")),
         (200, stub_llm.completion("1.00,2.00")),
     ]
-    attempts = forecast_ensemble(http_config(stub_llm), request(attempts=3), inputs())
+    attempts, rows = forecast_ensemble(http_config(stub_llm), request(attempts=3), inputs())
+    assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0]]
     assert attempts[0].ok
     assert attempts[1].failure.reason == "malformed"
     assert attempts[2].failure == DecodeFailure("short", 2)
@@ -227,7 +243,8 @@ def test_ensemble_transport_failures_counted_not_dropped(stub_llm, api_key_env):
         (500, {}),
     ]
     cfg = http_config(stub_llm, max_retries=0)
-    attempts = forecast_ensemble(cfg, request(attempts=2), inputs())
+    attempts, rows = forecast_ensemble(cfg, request(attempts=2), inputs())
+    assert len(rows) == 1
     assert attempts[0].ok
     assert not attempts[1].ok
     assert attempts[1].failure.reason == "backend"
@@ -236,7 +253,7 @@ def test_ensemble_transport_failures_counted_not_dropped(stub_llm, api_key_env):
 def test_ensemble_parallel_attempts(stub_llm, api_key_env):
     stub_llm.script = [(200, stub_llm.completion("1.00,2.00,3.00,4.00"))]
     cfg = http_config(stub_llm, max_in_flight=4)
-    attempts = forecast_ensemble(cfg, request(attempts=8), inputs())
+    attempts, _ = forecast_ensemble(cfg, request(attempts=8), inputs())
     assert [a.index for a in attempts] == list(range(1, 9))
     assert all(a.ok for a in attempts)
 

@@ -166,7 +166,7 @@ def test_load_corrupted_file(tmp_path):
 
 def test_series_length_invariant():
     s = series(1, samples=(1.0, 2.0, 3.0, 4.0))
-    assert s.length == len(s.samples) == 4
+    assert len(s.samples) == 4
 
 
 def test_empty_series_rejected():
@@ -232,4 +232,38 @@ def test_duplicated_state_index_rejected_by_graph_file():
     doc = _graph_doc_with_empty_vertex()
     doc["states"].append({"index": 1, "label": "P9", "sensor": {"name": "other", "unit": "V"}})
     with pytest.raises(PtogError, match="state index 1"):
+        Ptog.from_dict(doc)
+
+
+def test_samples_are_one_read_only_float64_array(milling_ptog, tmp_path):
+    """Samples are checked once at construction and stored as a read-only 1-D
+    float64 array; graphs with equal series still compare and hash equal."""
+    s = series(1, samples=[1, 2.5, True])
+    assert s.samples.dtype == np.float64 and s.samples.ndim == 1
+    assert s.samples.tolist() == [1.0, 2.5, 1.0]
+    with pytest.raises(ValueError):
+        s.samples[0] = 9.0
+    source = np.array([1.0, 2.0])
+    copied = series(1, samples=source)
+    source[0] = 9.0  # the series keeps its own copy
+    assert copied.samples.tolist() == [1.0, 2.0]
+
+    assert series(1, samples=[0.0, 2.0]) == series(1, samples=(-0.0, 2.0))
+    assert hash(series(1, samples=[0.0, 2.0])) == hash(series(1, samples=(-0.0, 2.0)))
+    assert series(1, samples=[1.0, 2.0]) != series(1, samples=[1.0, 2.5])
+    assert series(1, samples=[1.0]) != series(2, samples=[1.0])
+
+    path = tmp_path / "g.json"
+    save_ptog(milling_ptog, path)
+    loaded = load_ptog(path)
+    assert loaded == milling_ptog
+    assert {hash(s) for s in loaded.series.values()} == {hash(s) for s in milling_ptog.series.values()}
+    assert build_ptog(save_manifest(milling_ptog, tmp_path / "dump")) == milling_ptog
+
+
+@pytest.mark.parametrize("samples", [[[1.0, 2.0]], 5.0, [1.0, [2.0]], ["a"], [10**400]])
+def test_samples_of_the_wrong_shape_rejected_by_graph_file(samples):
+    doc = Ptog.from_series([series(1)]).to_dict()
+    doc["series"][0]["samples"] = samples
+    with pytest.raises(PtogError):
         Ptog.from_dict(doc)

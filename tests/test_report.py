@@ -8,6 +8,7 @@ from conftest import make_config
 from gendt.controller import run_replay
 from gendt.report import (
     ReportError,
+    check_document,
     run_box_stats,
     write_boxplot_svg,
     write_overlay_svg,
@@ -91,6 +92,7 @@ def test_boxplot_requires_attempt_rmse(tmp_path):
         write_boxplot_svg({"epochs": [], "summary": {"per_run": []}}, tmp_path / "x.svg")
 
 
-def test_malformed_report_rejected(tmp_path):
+def test_malformed_report_rejected(mock_report):
     with pytest.raises(ReportError):
-        write_run_table_csv({"nope": 1}, tmp_path / "x.csv")
+        check_document({"nope": 1})
+    assert check_document(mock_report) is mock_report
