@@ -12,14 +12,20 @@ import time
 from copy import copy
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import codec, dsp
 from .ensemble import PredictionMatrix, aggregate, error_stats, rmse
 from .errors import GendtError
-from .forecast import AllAttemptsFailed, EnsembleInputs, ForecastRequest, forecast_ensemble
+from .forecast import (
+    AllAttemptsFailed,
+    EnsembleInputs,
+    ForecastRequest,
+    forecast_ensemble,
+    noise_seeds,
+)
 from .ptog import MeasurementSeries, Ptog
 from .windowing import EpochPoint, enumerate_epochs, extract_window
 
@@ -165,6 +171,7 @@ def run_epoch(
     reproducible: bool = False,
     prepared: Optional[dict] = None,
     window: Optional[tuple[MeasurementSeries, ...]] = None,
+    seeds: Optional[np.ndarray] = None,
 ) -> EpochReport:
     """Execute the full pipeline for one epoch.
 
@@ -175,10 +182,12 @@ def run_epoch(
     (except for the oracle backend, which is defined to receive it). Health is
     not computed here: it is a fold over epochs, owned by `run_replay`.
 
-    `prepared` (every series the epoch reads, prepared) and `window` come
-    from `run_replay`; a bare call makes its own.
+    `prepared` (every series the epoch reads, prepared), `window` and
+    `seeds` (the epoch's `mock_noise` seed rows) come from `run_replay`; a
+    bare call makes its own.
 
-    Raises NoHistory and AllAttemptsFailed; the replay loop records the latter
+    Raises NoHistory, AllAttemptsFailed, and a CodecError when a window or
+    target vertex cannot be encoded; the replay loop records the latter two
     as a failed epoch and continues.
     """
     start = time.perf_counter()
@@ -204,11 +213,9 @@ def run_epoch(
 
     oracle = config.backend.kind == "oracle"
     truth = _truth(table, target, config.encoding) if oracle else None
-    inputs = EnsembleInputs(
-        last_history=history[-1].values,
-        epoch_key=(epoch.run.index, epoch.state.index),
-        truth=truth,
-    )
+    if seeds is None:
+        seeds = _noise_seeds([epoch], config)[0]
+    inputs = EnsembleInputs(last_history=history[-1].values, seeds=seeds, truth=truth)
     attempts, rows = forecast_ensemble(config.backend, request, inputs)
     matrix = PredictionMatrix(rows)
     estimate = aggregate(matrix)
@@ -263,6 +270,15 @@ class ReplayResult:
     halted: bool
 
 
+def _noise_seeds(epochs: list[EpochPoint], config: "RunConfig") -> Sequence[Optional[np.ndarray]]:
+    """Each epoch's `mock_noise` seed rows, every attempt of every epoch hashed
+    at once; None for each epoch under the other backends."""
+    if config.backend.kind != "mock_noise":
+        return [None] * len(epochs)
+    keys = [(e.run.index, e.state.index) for e in epochs]
+    return noise_seeds(config.backend.rng_seed, keys, config.ensemble.attempts)
+
+
 def run_replay(
     ptog: Ptog,
     config: "RunConfig",
@@ -271,9 +287,11 @@ def run_replay(
     """Run every epoch in chronological order and fold health sequentially.
 
     Before the first epoch, every series the epochs read is filtered and
-    decimated in one batch per sample rate; each vertex is encoded at its
-    first use. Failed epochs (every attempt failed) are recorded and the loop
-    continues; they, and epochs without ground truth, add 0 to the fold.
+    decimated in one batch per sample rate, and under `mock_noise` every
+    attempt's seed is hashed in one pass; each vertex is encoded at its first
+    use. Failed epochs (every attempt failed, or a window or target vertex
+    that cannot be encoded) are recorded and the loop continues; they, and
+    epochs without ground truth, add 0 to the fold.
     With config.halt_on_stop the loop stops at the first Stop decision,
     emulating a live control loop.
     """
@@ -282,17 +300,18 @@ def run_replay(
     windows = [extract_window(ptog, e, config.history_depth) for e in epochs]
     targets = (ptog.get_series(e.run, e.state) for e in epochs)
     prepared = _prepare((s for w, t in zip(windows, targets) for s in (*w, t)), config)
+    seeds = _noise_seeds(epochs, config)
     reports: list[EpochReport] = []
     cumulative = 0.0
     current_run = None
     halted = False
-    for epoch, window in zip(epochs, windows):
+    for epoch, window, epoch_seeds in zip(epochs, windows, seeds):
         if config.health_scope == "run" and epoch.run.index != current_run:
             cumulative = 0.0
             current_run = epoch.run.index
         try:
-            report = run_epoch(ptog, epoch, config, reproducible, prepared, window)
-        except AllAttemptsFailed as exc:
+            report = run_epoch(ptog, epoch, config, reproducible, prepared, window, epoch_seeds)
+        except (AllAttemptsFailed, codec.CodecError) as exc:
             report = EpochReport(epoch.run.index, epoch.state.label,
                                  flags=["epoch_failed", type(exc).__name__])
         verdict = accumulate_health(cumulative, report.q_rmse or 0.0, config.thresholds)

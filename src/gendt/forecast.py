@@ -14,10 +14,12 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import requests
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .codec import DecodeFailure, EncodingSpec, decode
 from .errors import GendtError
@@ -107,11 +109,12 @@ class EnsembleInputs:
 
     `last_history` is the most recent prior-run series after preprocessing;
     `truth` is the identically preprocessed target series, provided only to
-    the oracle backend. `epoch_key` seeds per-attempt RNG streams.
+    the oracle backend. `seeds` is the epoch's (attempts, 4) block of
+    `noise_seeds` words, which only `mock_noise` reads.
     """
 
     last_history: np.ndarray
-    epoch_key: tuple[int, int] = (0, 0)
+    seeds: Optional[np.ndarray] = None
     truth: Optional[np.ndarray] = None
 
 
@@ -194,6 +197,98 @@ def _extract_content(resp: requests.Response) -> str:
     return content
 
 
+# O'Neill's seed_seq hash as numpy's SeedSequence runs it, pool size 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n (xor, multiply) constant pairs of a hash_const sequence;
+    they do not depend on the data."""
+    seq = [init]
+    for _ in range(n):
+        seq.append(seq[-1] * mult & _MASK32)
+    return np.array([seq[:-1], seq[1:]], dtype=np.uint32).T
+
+
+_GENERATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _words(n: int) -> list[int]:
+    """An integer as SeedSequence reads it: little-endian 32-bit words, [0] for 0."""
+    if n < 0:
+        raise ValueError(f"seed key values must be >= 0, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ (result >> 16)
+
+
+def _seed_state(columns: list[np.ndarray]) -> np.ndarray:
+    """`SeedSequence(entropy).generate_state(4, np.uint64)` for many entropies
+    of at least 4 words at once: entropy word j is the uint32 array
+    `columns[j]`. The columns broadcast against each other, so a word that
+    many entropies share is hashed once; the result has a first axis of 4,
+    then their broadcast shape."""
+    consts = iter(_hash_consts(_INIT_A, _MULT_A, _POOL * len(columns)))
+    pool = [_hashmix(word, next(consts)) for word in columns[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    for word in columns[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, next(consts)))
+    state = [_hashmix(pool[i % _POOL], c).astype(np.uint64) for i, c in enumerate(_GENERATE_CONSTS)]
+    # little-endian word order, whatever the host's byte order
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])])
+
+
+def noise_seeds(rng_seed: int, epoch_keys: Sequence[tuple[int, int]], attempts: int) -> np.ndarray:
+    """(epochs, attempts, 4) uint64 PCG64 seed words: entry [e, i - 1] is what
+    `SeedSequence([rng_seed, run, state, i]).generate_state(4, np.uint64)`
+    gives for epoch e's (run, state) key and the 1-based attempt index i.
+
+    Epochs are grouped by how many 32-bit words their key splits into
+    (normally one group), and each group is hashed in one pass over
+    (1, epochs) key rows broadcast against the (attempts, 1) index column."""
+    if attempts > _MASK32:
+        raise ValueError(f"attempts must be < 2**32, got {attempts}")
+    out = np.empty((len(epoch_keys), attempts, 4), dtype=np.uint64)
+    seed = [np.full((1, 1), word, dtype=np.uint32) for word in _words(rng_seed)]
+    index = np.arange(1, attempts + 1, dtype=np.uint32)[:, None]
+    keys = [_words(run) + _words(state) for run, state in epoch_keys]
+    for width in {len(k) for k in keys}:
+        rows = [e for e, k in enumerate(keys) if len(k) == width]
+        head = np.array([keys[e] for e in rows], dtype=np.uint32)
+        out[rows] = _seed_state([*seed, *head.T[:, None], index]).T
+    return out
+
+
+class _SeedRow(ISeedSequence):
+    """One precomputed `noise_seeds` row, handed to PCG64 in place of the
+    SeedSequence it was hashed from."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _local_attempts(
     config: BackendConfig, request: ForecastRequest, inputs: EnsembleInputs
 ) -> tuple[list[ForecastAttempt], np.ndarray]:
@@ -212,8 +307,10 @@ def _local_attempts(
     rows[:, :n] = source[:n]
     rows[:, n:] = source[n - 1]  # the oracle pads with its final value; scoring truncates it away
     if config.kind == "mock_noise":
-        for i, row in zip(indices, rows):
-            rng = np.random.default_rng([config.rng_seed, *inputs.epoch_key, i])
+        if inputs.seeds is None:
+            raise ValueError("mock_noise needs the epoch's attempt seed rows")
+        for row, words in zip(rows, inputs.seeds, strict=True):
+            rng = Generator(PCG64(_SeedRow(words)))
             row += rng.normal(0.0, config.noise_sigma, request.horizon)
     return [ForecastAttempt(i, row, None) for i, row in zip(indices, rows)], rows
 

@@ -560,3 +560,33 @@ def test_replay_contract_under_config_mutations(cli_env, monkeypatch):
             assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
 
     check()
+
+
+def test_replay_unencodable_sample_fails_only_the_touching_epochs(cli_env, tmp_path, capsys):
+    """A sample the encoder cannot format fails each epoch whose window or
+    target reads its vertex, as `Overflow`; the replay goes on and exits 0."""
+    doc = json.loads(cli_env["ptog"].read_text())
+    (entry,) = [e for e in doc["series"] if (e["run"], e["state"]) == (5, 2)]
+    entry["samples"][len(entry["samples"]) // 2] = 1e300
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(doc))
+    clean, out = tmp_path / "clean.json", tmp_path / "x.json"
+    for graph, report in ((cli_env["ptog"], clean), (graph_path, out)):
+        code = main(
+            ["replay", "--ptog", str(graph), "--config", str(cli_env["config"]),
+             "--reproducible", "--out", str(report)]
+        )
+        assert code == EXIT_OK
+    assert _error_lines(capsys.readouterr().err) == []
+    before = json.loads(clean.read_text())["epochs"]
+    after = json.loads(out.read_text())["epochs"]
+    touching = [
+        e["state"] == "P2" and (e["run"] == 5 or 5 in e["history_runs"]) for e in before
+    ]
+    assert sum(touching) > 1
+    for was, now, touched in zip(before, after, touching):
+        assert (now["run"], now["state"]) == (was["run"], was["state"])
+        if touched:
+            assert now["flags"] == ["epoch_failed", "Overflow"]
+        else:
+            assert now["median"] == was["median"] and now["flags"] == was["flags"]

@@ -8,6 +8,9 @@ cover the replay loop's other paths: per-run health, a halt on Stop, and a
 graph whose late P1/P3 vertices carry no series (failed epochs under the
 oracle, `no_ground_truth` epochs under persistence, and windows that skip a
 run); they were recorded while each epoch still folded its own health. The
+two `mock_noise` variants (the sparse graph, and a halt on Stop) were
+recorded while each attempt still built its own `default_rng`; they show
+that skipped, series-less and halted epochs shift no attempt's stream. The
 ingest digests are SHA-256 sums of the graph file written by `gendt ingest`
 for the same fixture and of the `--workdir` dump (manifest and one segment
 CSV); they were recorded while ingest still re-read its segment dump to build
@@ -51,6 +54,14 @@ VARIANTS = {
     "sparse_persistence": (
         "sparse", "persistence", (0.5, 1.5, 3.0), [], EXIT_OK,
         "a99560a7a3704a1c00b945310694fd9fb95689aa9874365a42d227f335c2b4c1",
+    ),
+    "sparse_mock_noise": (
+        "sparse", "mock_noise", (0.5, 1.5, 3.0), [], EXIT_OK,
+        "a1c0a5b29418ebe3bf0420cccd410ee574c3789362df6d8452833c861cad04fa",
+    ),
+    "halt_on_stop_mock_noise": (
+        "full", "mock_noise", (0.2, 0.4, 1.0), ["--halt-on-stop"], EXIT_HALTED,
+        "46ed749794c6e3bff34ec657e2a8b18bba21bc6228006c97f20f2d4428feb989",
     ),
 }
 

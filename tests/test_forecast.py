@@ -3,10 +3,14 @@ ensemble failure policy."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
+from gendt import controller
 from gendt.codec import DecodeFailure, EncodingSpec
+from gendt.controller import run_epoch, run_replay
 from gendt.ensemble import PredictionMatrix, aggregate
 from gendt.forecast import (
     AllAttemptsFailed,
@@ -19,7 +23,9 @@ from gendt.forecast import (
     MalformedResponse,
     forecast_ensemble,
     llm_http_call,
+    noise_seeds,
 )
+from gendt.windowing import enumerate_epochs
 
 ENC = EncodingSpec()
 
@@ -30,10 +36,15 @@ def request(attempts=3, horizon=4, prompt="Sequence: 1.00."):
     )
 
 
-def inputs(last=(1.0, 2.0, 3.0, 4.0), truth=None, key=(5, 1)):
+def inputs(last=(1.0, 2.0, 3.0, 4.0), truth=None, seeds=None):
     return EnsembleInputs(
-        last_history=np.array(last), epoch_key=key, truth=None if truth is None else np.array(truth)
+        last_history=np.array(last), seeds=seeds, truth=None if truth is None else np.array(truth)
     )
+
+
+def mock_inputs(cfg, attempts=3, key=(5, 1)):
+    """Inputs of a mock_noise ensemble: the seed rows of epoch `key`."""
+    return inputs(seeds=noise_seeds(cfg.rng_seed, [key], attempts)[0])
 
 
 def values(attempts) -> list:
@@ -96,8 +107,8 @@ def test_persistence_short_history_fails():
 
 def test_mock_noise_is_persistence_plus_seeded_noise():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42, noise_sigma=0.1)
-    a1, rows = forecast_ensemble(cfg, request(), inputs())
-    a2, _ = forecast_ensemble(cfg, request(), inputs())
+    a1, rows = forecast_ensemble(cfg, request(), mock_inputs(cfg))
+    a2, _ = forecast_ensemble(cfg, request(), mock_inputs(cfg))
     assert values(a1) == values(a2) == rows.tolist()  # bitwise reproducible
     base = np.array([1.0, 2.0, 3.0, 4.0])
     for a in a1:
@@ -107,15 +118,79 @@ def test_mock_noise_is_persistence_plus_seeded_noise():
 
 def test_mock_noise_attempts_differ_from_each_other():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42)
-    attempts, _ = forecast_ensemble(cfg, request(attempts=5), inputs())
+    attempts, _ = forecast_ensemble(cfg, request(attempts=5), mock_inputs(cfg, 5))
     assert len({tuple(v) for v in values(attempts)}) == 5
 
 
-def test_mock_noise_independent_of_epoch_key():
+def test_mock_noise_depends_on_epoch_key():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42)
-    a, _ = forecast_ensemble(cfg, request(), inputs(key=(5, 1)))
-    b, _ = forecast_ensemble(cfg, request(), inputs(key=(5, 2)))
+    a, _ = forecast_ensemble(cfg, request(), mock_inputs(cfg, key=(5, 1)))
+    b, _ = forecast_ensemble(cfg, request(), mock_inputs(cfg, key=(5, 2)))
     assert values(a) != values(b)
+
+
+def test_mock_noise_without_seed_rows_fails():
+    cfg = BackendConfig(kind="mock_noise", rng_seed=42)
+    with pytest.raises(ValueError, match="seed rows"):
+        forecast_ensemble(cfg, request(), inputs())
+
+
+def _random_index(rnd: random.Random) -> int:
+    """0, or an integer of 1 to 3 32-bit words."""
+    return rnd.getrandbits(rnd.choice([1, 8, 31, 32, 33, 63, 64, 65, 96]))
+
+
+@pytest.mark.parametrize("rng_seed", [0, 7, 2**32 - 1, 2**32, 2**64, 2**64 + 12345])
+def test_noise_seeds_match_seed_sequence(rng_seed):
+    """SeedSequence is the oracle, on keys of 4 to 10 entropy words."""
+    rnd = random.Random(rng_seed)
+    keys = [(1, 1), (0, 0), (2**32, 3), (5, 2**64)]
+    keys += [(_random_index(rnd), _random_index(rnd)) for _ in range(60)]
+    seeds = noise_seeds(rng_seed, keys, 10)
+    assert seeds.shape == (len(keys), 10, 4) and seeds.dtype == np.uint64
+    for (run, state), rows in zip(keys, seeds):
+        for i, row in enumerate(rows, 1):
+            want = np.random.SeedSequence([rng_seed, run, state, i]).generate_state(4, np.uint64)
+            assert row.tolist() == want.tolist(), (run, state, i)
+
+
+def test_noise_seeds_bounds():
+    assert noise_seeds(7, [], 10).shape == (0, 10, 4)
+    with pytest.raises(ValueError, match="attempts"):
+        noise_seeds(7, [], 2**32)
+    with pytest.raises(ValueError, match=">= 0"):
+        noise_seeds(7, [(1, -1)], 3)
+
+
+def test_mock_noise_streams_equal_default_rng():
+    """Each attempt draws the normal stream of `default_rng([seed, run, state, i])`."""
+    cfg = BackendConfig(kind="mock_noise", rng_seed=2**64 + 3, noise_sigma=0.25)
+    key = (2**33 + 1, 2)
+    _, rows = forecast_ensemble(cfg, request(attempts=6), mock_inputs(cfg, 6, key))
+    base = np.array([1.0, 2.0, 3.0, 4.0])
+    for i, row in enumerate(rows, 1):
+        noise = np.random.default_rng([cfg.rng_seed, *key, i]).normal(0.0, 0.25, 4)
+        assert row.tolist() == (base + noise).tolist()
+
+
+def test_bare_epoch_draws_the_replay_streams(milling_ptog, mock_config, monkeypatch):
+    """A bare `run_epoch` seeds its attempts as the same epoch inside `run_replay`."""
+    seen = []
+
+    def recording(config, req, ens_inputs):
+        attempts, rows = forecast_ensemble(config, req, ens_inputs)
+        seen.append(rows.copy())
+        return attempts, rows
+
+    monkeypatch.setattr(controller, "forecast_ensemble", recording)
+    epochs = enumerate_epochs(milling_ptog, mock_config.min_history)
+    run_replay(milling_ptog, mock_config)
+    in_replay = list(seen)
+    assert len(in_replay) == len(epochs)
+    for k in (0, len(epochs) // 2, len(epochs) - 1):
+        seen.clear()
+        run_epoch(milling_ptog, epochs[k], mock_config)
+        assert seen[0].tolist() == in_replay[k].tolist()
 
 
 def test_mock_requires_seed():
@@ -125,7 +200,7 @@ def test_mock_requires_seed():
 
 def test_permuting_attempts_leaves_median_unchanged():
     cfg = BackendConfig(kind="mock_noise", rng_seed=7)
-    _, rows = forecast_ensemble(cfg, request(attempts=8), inputs())
+    _, rows = forecast_ensemble(cfg, request(attempts=8), mock_inputs(cfg, 8))
     est = aggregate(PredictionMatrix(rows))
     rng = np.random.default_rng(0)
     est_perm = aggregate(PredictionMatrix(rows[rng.permutation(len(rows))]))
@@ -137,7 +212,7 @@ def test_local_matrix_is_taken_without_a_copy():
     """The local backends write every attempt into one matrix; the attempts
     view its rows and the prediction matrix takes it as is."""
     cfg = BackendConfig(kind="mock_noise", rng_seed=7)
-    attempts, rows = forecast_ensemble(cfg, request(attempts=4), inputs())
+    attempts, rows = forecast_ensemble(cfg, request(attempts=4), mock_inputs(cfg, 4))
     assert rows.shape == (4, 4) and rows.dtype == np.float64
     assert all(a.values.base is rows for a in attempts)
     assert PredictionMatrix(rows).rows is rows
