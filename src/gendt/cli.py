@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import __version__, codec, report as report_mod
 from .config import ConfigError, RunConfig, load_config
-from .controller import run_epoch, run_replay
+from .controller import run_replay
 from .dataset import ingest_fixture
 from .errors import GendtError
 from .forecast import BACKEND_KINDS, AuthError
@@ -98,6 +98,11 @@ class _CliError(Exception):
 
 
 def _report_document(config: RunConfig, result, reproducible: bool) -> dict:
+    """The replay report; a reproducible one has no timestamp and zero timings."""
+    epochs = [r.to_dict() for r in result.reports]
+    if reproducible:
+        for epoch in epochs:
+            epoch["timing"] = 0.0
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "engine_version": __version__,
@@ -107,7 +112,7 @@ def _report_document(config: RunConfig, result, reproducible: bool) -> dict:
         "reproducible": reproducible,
         "config": config.to_dict(),
         "resolved": {"temperature": config.resolved_temperature()},
-        "epochs": [r.to_dict() for r in result.reports],
+        "epochs": epochs,
         "summary": result.summary,
         "halted": result.halted,
     }
@@ -119,7 +124,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except _CliError as exc:
         return _fail(exc.code, str(exc))
     try:
-        result = run_replay(ptog, config, reproducible=args.reproducible)
+        result = run_replay(ptog, config)
     except AuthError as exc:
         return _fail(EXIT_CONFIG, f"credential rejected: {exc}")
     except GendtError as exc:
@@ -154,13 +159,15 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     if run is None or not ptog.has_vertex(run, state):
         return _fail(EXIT_INPUT, f"(run {args.run}, {args.state}) is not a graph vertex")
     try:
-        epoch_report = run_epoch(ptog, EpochPoint(run, state), config)
+        (report,) = run_replay(ptog, config, [EpochPoint(run, state)]).reports
+        if "epoch_failed" in report.flags:
+            return _fail(EXIT_INPUT, f"forecast failed: {report.flags[1]}")
+        text = codec.encode(report.median, config.encoding).text
     except AuthError as exc:
         return _fail(EXIT_CONFIG, f"credential rejected: {exc}")
     except GendtError as exc:
         return _fail(EXIT_INPUT, f"forecast failed: {exc}")
-    encoded = codec.encode(epoch_report.median, config.encoding)
-    print(encoded.text)
+    print(text)
     return EXIT_OK
 
 

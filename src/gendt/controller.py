@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from . import codec, dsp
-from .ensemble import PredictionMatrix, aggregate, error_stats, rmse
+from .ensemble import aggregate, error_stats, rmse
 from .errors import GendtError
 from .forecast import (
     AllAttemptsFailed,
@@ -107,7 +107,7 @@ class EpochReport:
     """Per-epoch record; to_dict() is the JSON schema used in replay reports.
 
     The defaults are a failed epoch's record. `cumulative_rmse` and `health`
-    are set by the replay loop's health fold; a bare `run_epoch` leaves them None.
+    are set by the replay loop's health fold, not by `run_epoch`.
     """
 
     run: int
@@ -165,36 +165,28 @@ def _truth(table: dict, target: Optional[MeasurementSeries], spec: codec.Encodin
 
 
 def run_epoch(
-    ptog: Ptog,
     epoch: EpochPoint,
+    window: tuple[MeasurementSeries, ...],
+    target: Optional[MeasurementSeries],
+    table: dict,
+    seeds: Optional[np.ndarray],
     config: "RunConfig",
-    reproducible: bool = False,
-    prepared: Optional[dict] = None,
-    window: Optional[tuple[MeasurementSeries, ...]] = None,
-    seeds: Optional[np.ndarray] = None,
 ) -> EpochReport:
-    """Execute the full pipeline for one epoch.
+    """Forecast and score one epoch whose inputs `run_replay` planned.
 
-    Extract the window, preprocess each history series, concatenate oldest
-    first, encode, run the forecast ensemble, aggregate, then score against
-    the identically preprocessed ground truth when the graph carries it. The
-    target run's own series is consulted only after the forecast is fixed
-    (except for the oracle backend, which is defined to receive it). Health is
-    not computed here: it is a fold over epochs, owned by `run_replay`.
+    `window` is the epoch's history, oldest first; `target` is its own series,
+    None when the graph carries none; `table` holds every one of them
+    prepared; `seeds` is the epoch's `mock_noise` seed rows (None under the
+    other backends). Encode the history, run the forecast ensemble,
+    aggregate, then score against the identically prepared ground truth. The
+    target is consulted only after the forecast is fixed (except for the
+    oracle backend, which is defined to receive it). Health is not computed
+    here: it is a fold over epochs, owned by `run_replay`.
 
-    `prepared` (every series the epoch reads, prepared), `window` and
-    `seeds` (the epoch's `mock_noise` seed rows) come from `run_replay`; a
-    bare call makes its own.
-
-    Raises NoHistory, AllAttemptsFailed, and a CodecError when a window or
-    target vertex cannot be encoded; the replay loop records the latter two
-    as a failed epoch and continues.
+    Raises AllAttemptsFailed, and a CodecError when a window or target vertex
+    cannot be encoded; the replay loop records both as a failed epoch.
     """
     start = time.perf_counter()
-    if window is None:
-        window = extract_window(ptog, epoch, config.history_depth)
-    target = ptog.get_series(epoch.run, epoch.state)
-    table = _prepare((*window, target), config) if prepared is None else prepared
     flags = ["short_history"] if len(window) < config.history_depth else []
 
     history = [table[(s.run, s.state)] for s in window]
@@ -213,24 +205,21 @@ def run_epoch(
 
     oracle = config.backend.kind == "oracle"
     truth = _truth(table, target, config.encoding) if oracle else None
-    if seeds is None:
-        seeds = _noise_seeds([epoch], config)[0]
     inputs = EnsembleInputs(last_history=history[-1].values, seeds=seeds, truth=truth)
     attempts, rows = forecast_ensemble(config.backend, request, inputs)
-    matrix = PredictionMatrix(rows)
-    estimate = aggregate(matrix)
-    if matrix.attempts_used < len(attempts):
+    estimate = aggregate(rows)
+    if len(rows) < len(attempts):
         flags.append("failed_attempts")
 
     if not oracle:
         truth = _truth(table, target, config.encoding)
     if truth is not None:
-        n = min(len(truth), matrix.horizon)
-        if len(truth) != matrix.horizon:
+        n = min(len(truth), horizon)
+        if len(truth) != horizon:
             flags.append("length_truncated")
         truth = truth[:n]
         # one difference array: row 0 is the median's error, then one row per attempt
-        diff = truth - np.vstack((estimate.median[:n], matrix.rows[:, :n]))
+        diff = truth - np.vstack((estimate.median[:n], rows[:, :n]))
         q, *attempt_rmse = rmse(diff).tolist()
         errors = diff[0].copy()  # the report keeps it; a view would keep all of diff
         err_avg, err_std = error_stats(errors)
@@ -241,13 +230,12 @@ def run_epoch(
         q = err_avg = err_std = attempt_rmse = errors = None
         decision = NO_ACTION
 
-    elapsed_ms = 0.0 if reproducible else (time.perf_counter() - start) * 1000.0
     return EpochReport(
         run=epoch.run.index,
         state=epoch.state.label,
         history_runs=[s.run.index for s in window],
         horizon=horizon,
-        attempts_used=matrix.attempts_used,
+        attempts_used=len(rows),
         median=estimate.median.tolist(),
         sd=estimate.sd.tolist(),
         truth=truth,
@@ -257,7 +245,7 @@ def run_epoch(
         attempt_rmse=attempt_rmse,
         decision=decision,
         flags=flags,
-        timing=elapsed_ms,
+        timing=(time.perf_counter() - start) * 1000.0,
         downsample_factor=config.downsample.factor_for(window[-1].sample_rate_hz),
         errors=errors,
     )
@@ -270,47 +258,45 @@ class ReplayResult:
     halted: bool
 
 
-def _noise_seeds(epochs: list[EpochPoint], config: "RunConfig") -> Sequence[Optional[np.ndarray]]:
-    """Each epoch's `mock_noise` seed rows, every attempt of every epoch hashed
-    at once; None for each epoch under the other backends."""
-    if config.backend.kind != "mock_noise":
-        return [None] * len(epochs)
-    keys = [(e.run.index, e.state.index) for e in epochs]
-    return noise_seeds(config.backend.rng_seed, keys, config.ensemble.attempts)
-
-
 def run_replay(
     ptog: Ptog,
     config: "RunConfig",
-    reproducible: bool = False,
+    epochs: Optional[Sequence[EpochPoint]] = None,
 ) -> ReplayResult:
-    """Run every epoch in chronological order and fold health sequentially.
+    """Plan and run `epochs` in order and fold health sequentially; by
+    default every epoch with `config.min_history` prior runs, chronologically.
 
-    Before the first epoch, every series the epochs read is filtered and
-    decimated in one batch per sample rate, and under `mock_noise` every
-    attempt's seed is hashed in one pass; each vertex is encoded at its first
-    use. Failed epochs (every attempt failed, or a window or target vertex
-    that cannot be encoded) are recorded and the loop continues; they, and
-    epochs without ground truth, add 0 to the fold.
+    The plan is made before the first epoch: each epoch's window and target,
+    every series they read filtered and decimated in one batch per sample
+    rate, and under `mock_noise` every attempt's seed hashed in one pass;
+    each vertex is encoded at its first use. An epoch without history raises
+    NoHistory before any epoch runs. Failed epochs (every attempt failed, or
+    a window or target vertex that cannot be encoded) are recorded and the
+    loop continues; they, and epochs without ground truth, add 0 to the fold.
     With config.halt_on_stop the loop stops at the first Stop decision,
     emulating a live control loop.
     """
-    epochs = enumerate_epochs(ptog, config.min_history)
-    # enumerate_epochs keeps only epochs with history, so no window is empty
+    if epochs is None:
+        epochs = enumerate_epochs(ptog, config.min_history)
     windows = [extract_window(ptog, e, config.history_depth) for e in epochs]
-    targets = (ptog.get_series(e.run, e.state) for e in epochs)
-    prepared = _prepare((s for w, t in zip(windows, targets) for s in (*w, t)), config)
-    seeds = _noise_seeds(epochs, config)
+    targets = [ptog.get_series(e.run, e.state) for e in epochs]
+    table = _prepare((s for w, t in zip(windows, targets) for s in (*w, t)), config)
+    if config.backend.kind == "mock_noise":
+        keys = [(e.run.index, e.state.index) for e in epochs]
+        seeds = noise_seeds(config.backend.rng_seed, keys, config.ensemble.attempts)
+    else:
+        seeds = [None] * len(epochs)
     reports: list[EpochReport] = []
     cumulative = 0.0
     current_run = None
     halted = False
-    for epoch, window, epoch_seeds in zip(epochs, windows, seeds):
+    for epoch, window, target, epoch_seeds in zip(epochs, windows, targets, seeds):
         if config.health_scope == "run" and epoch.run.index != current_run:
             cumulative = 0.0
             current_run = epoch.run.index
         try:
-            report = run_epoch(ptog, epoch, config, reproducible, prepared, window, epoch_seeds)
+            # through the module global, so a wrapper set on it sees every epoch
+            report = run_epoch(epoch, window, target, table, epoch_seeds, config)
         except (AllAttemptsFailed, codec.CodecError) as exc:
             report = EpochReport(epoch.run.index, epoch.state.label,
                                  flags=["epoch_failed", type(exc).__name__])

@@ -1,4 +1,8 @@
-"""Prediction-matrix aggregation: column medians, spread, and error metrics."""
+"""Attempt-matrix aggregation: column medians, spread, and error metrics.
+
+The attempt matrix is the (successes, horizon) float64 array that
+`forecast.forecast_ensemble` returns; it is never empty.
+"""
 
 from __future__ import annotations
 
@@ -8,48 +12,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import EmptyInput, GendtError
-
-
-class EnsembleError(GendtError):
-    pass
-
-
-class EmptyMatrix(EnsembleError):
-    pass
-
-
-class LengthMismatch(EnsembleError):
-    pass
-
-
-@dataclass(frozen=True)
-class PredictionMatrix:
-    """Successful forecast attempts as one (attempts, horizon) float array;
-    a float64 array is taken as is, without a copy."""
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.rows) == 0:
-            raise EmptyMatrix("prediction matrix needs at least one row")
-        try:
-            rows = np.asarray(self.rows, dtype=float)
-        except ValueError as exc:
-            raise LengthMismatch("prediction matrix rows have unequal lengths") from exc
-        if rows.ndim != 2:
-            raise LengthMismatch(f"prediction matrix must be 2-D, got shape {rows.shape}")
-        if rows.shape[1] == 0:
-            raise EmptyInput("prediction matrix rows are empty")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def attempts_used(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.rows.shape[1]
+from .errors import EmptyInput
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +21,14 @@ class PointEstimate:
     sd: np.ndarray
 
 
-def aggregate(matrix: PredictionMatrix) -> PointEstimate:
-    """Column-wise median (even counts average the two central order statistics)
-    and population standard deviation.
+def aggregate(rows: np.ndarray) -> PointEstimate:
+    """The attempt matrix's column-wise median (even counts average the two
+    central order statistics) and population standard deviation.
 
     Columns are sorted first so the result is bit-identical under any row
     permutation (floating-point sums are order sensitive otherwise).
     """
-    arr = np.sort(matrix.rows, axis=0)
+    arr = np.sort(rows, axis=0)
     k = len(arr) // 2
     med = arr[k] if len(arr) % 2 else (arr[k - 1] + arr[k]) / 2
     return PointEstimate(med, np.std(arr, axis=0))  # ddof=0: the attempts are the population

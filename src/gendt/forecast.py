@@ -32,6 +32,8 @@ DEFAULT_API_KEY_ENV = "GENDT_API_KEY"
 _RETRYABLE_STATUS = frozenset({429})
 _AUTH_STATUS = frozenset({401, 403})
 _JITTER_SPREAD = 0.25  # multiplicative, on top of the doubling base
+# far below 1e154, where squaring a mock_noise error overflows a float64
+NOISE_SIGMA_MAX = 1e100
 
 
 class ForecastError(GendtError):
@@ -80,8 +82,8 @@ class BackendConfig:
             raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
         if not self.retry_base_delay_s >= 0:
             raise ValueError(f"retry_base_delay_s must be >= 0, got {self.retry_base_delay_s}")
-        if not 0 <= self.noise_sigma < float("inf"):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma <= NOISE_SIGMA_MAX:
+            raise ValueError(f"noise_sigma must be in [0, {NOISE_SIGMA_MAX:g}], got {self.noise_sigma}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:

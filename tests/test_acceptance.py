@@ -25,7 +25,7 @@ from gendt.config import save_config
 from gendt.controller import ControlThresholds, accumulate_health, decide, run_replay
 from gendt.dataset import interpolate_wear
 from gendt.dsp import FilterSpec
-from gendt.ensemble import PredictionMatrix, aggregate, error_stats, rmse
+from gendt.ensemble import aggregate, error_stats, rmse
 from gendt.windowing import EpochPoint, NoHistory, enumerate_epochs, extract_window
 
 
@@ -147,8 +147,7 @@ def test_median_and_stat_oracles():
         k = int(rng.integers(1, 12))
         width = int(rng.integers(1, 30))
         rows = tuple(tuple(rng.normal(0, 5, width).tolist()) for _ in range(k))
-        matrix = PredictionMatrix(rows)
-        est = aggregate(matrix)
+        est = aggregate(np.array(rows))
 
         for j in range(width):
             column = sorted(row[j] for row in rows)
@@ -156,7 +155,7 @@ def test_median_and_stat_oracles():
             assert est.median[j] == med
 
         perm = rng.permutation(k)
-        permuted = aggregate(PredictionMatrix(tuple(rows[i] for i in perm)))
+        permuted = aggregate(np.array([rows[i] for i in perm]))
         assert permuted.median.tolist() == est.median.tolist()
         assert permuted.sd.tolist() == est.sd.tolist()
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gendt.cli import EXIT_CONFIG, EXIT_HALTED, EXIT_INPUT, EXIT_OK, main
@@ -144,6 +145,69 @@ def test_forecast_prints_median_vector(cli_env, capsys):
     values = [float(tok) for tok in line.split(",")]
     assert len(values) >= 3
     assert all(round(v, 2) == v for v in values)  # printed at wire precision
+
+
+@pytest.mark.parametrize("kind", ["mock_noise", "persistence", "oracle"])
+def test_forecast_prints_the_replay_median(cli_env, tmp_path, capsys, kind):
+    """`forecast` is a one-epoch replay: it prints exactly the encoded median
+    that the replay report holds for that epoch, short history included."""
+    from gendt.codec import encode
+
+    config = make_config(kind, min_history=1)
+    config_path, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    save_config(config, config_path)
+    common = ["--ptog", str(cli_env["ptog"]), "--config", str(config_path)]
+    assert main(["replay", *common, "--out", str(report)]) == EXIT_OK
+    epochs = {(e["run"], e["state"]): e for e in json.loads(report.read_text())["epochs"]}
+    assert "short_history" in epochs[(2, "P2")]["flags"]
+    capsys.readouterr()
+    for run, state in ((2, "P2"), (3, "P1"), (7, "P1"), (14, "P3")):
+        assert main(["forecast", *common, "--run", str(run), "--state", state]) == EXIT_OK
+        median = epochs[(run, state)]["median"]
+        assert capsys.readouterr().out == encode(median, config.encoding).text + "\n"
+
+
+def test_forecast_unencodable_median_exits_input(cli_env, tmp_path, capsys):
+    """A median the encoder cannot format is an input error, not a traceback."""
+    from gendt.forecast import BackendConfig
+
+    config_path = tmp_path / "noisy.json"
+    backend = BackendConfig(kind="mock_noise", rng_seed=42, noise_sigma=1e12)
+    save_config(make_config(backend=backend), config_path)
+    code = main(["forecast", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                 "--run", "7", "--state", "P1"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = _error_lines(captured.err)
+    assert line.startswith("error: forecast failed: scaled magnitude")
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_noise_sigma_bound(cli_env, tmp_path, capsys, above):
+    """At the bound a mock_noise replay raises no numpy warning; just above
+    it, the config is rejected (exit 3)."""
+    import warnings
+
+    from gendt.forecast import NOISE_SIGMA_MAX
+
+    doc = make_config("mock_noise").to_dict()
+    sigma = float(np.nextafter(NOISE_SIGMA_MAX, np.inf)) if above else NOISE_SIGMA_MAX
+    doc["backend"]["noise_sigma"] = sigma
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                     "--reproducible", "--out", str(tmp_path / "report.json")])
+    if above:
+        assert code == EXIT_CONFIG
+        (line,) = _error_lines(capsys.readouterr().err)
+        assert "noise_sigma" in line
+    else:
+        assert code == EXIT_OK
+        epochs = json.loads((tmp_path / "report.json").read_text())["epochs"]
+        assert len(epochs) == 30 and all(e["q_rmse"] > 1e99 for e in epochs)
 
 
 def test_forecast_unknown_vertex(cli_env):
@@ -513,8 +577,8 @@ def _config_leaves(doc: dict) -> list[tuple[str, ...]]:
 
 
 def test_replay_contract_under_config_mutations(cli_env, monkeypatch):
-    """Whatever a config file holds, replay exits 0, 2, 3 or 4, never raises,
-    and a failing exit prints exactly one `error:` line."""
+    """Whatever a config file holds, replay and forecast exit 0, 2, 3 or 4,
+    never raise, and a failing exit prints exactly one `error:` line."""
     hypothesis = pytest.importorskip("hypothesis")
     import contextlib
     import io
@@ -549,22 +613,23 @@ def test_replay_contract_under_config_mutations(cli_env, monkeypatch):
                 parent[path[-1]] = value
         config_path = root / "cfg.json"
         config_path.write_text(json.dumps(doc))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(
-                ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
-                 "--reproducible", "--out", str(root / "report.json")]
-            )
-        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG, EXIT_HALTED)
-        if code in (EXIT_INPUT, EXIT_CONFIG):
-            assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
+        common = ["--ptog", str(cli_env["ptog"]), "--config", str(config_path)]
+        for args in (["replay", *common, "--reproducible", "--out", str(root / "report.json")],
+                     ["forecast", *common, "--run", "7", "--state", "P1"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(args)
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG, EXIT_HALTED), args[0]
+            if code in (EXIT_INPUT, EXIT_CONFIG):
+                assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
 
     check()
 
 
 def test_replay_unencodable_sample_fails_only_the_touching_epochs(cli_env, tmp_path, capsys):
     """A sample the encoder cannot format fails each epoch whose window or
-    target reads its vertex, as `Overflow`; the replay goes on and exits 0."""
+    target reads its vertex, as `Overflow`; the replay goes on and exits 0,
+    and a forecast of such an epoch exits 2 naming the failure."""
     doc = json.loads(cli_env["ptog"].read_text())
     (entry,) = [e for e in doc["series"] if (e["run"], e["state"]) == (5, 2)]
     entry["samples"][len(entry["samples"]) // 2] = 1e300
@@ -590,3 +655,7 @@ def test_replay_unencodable_sample_fails_only_the_touching_epochs(cli_env, tmp_p
             assert now["flags"] == ["epoch_failed", "Overflow"]
         else:
             assert now["median"] == was["median"] and now["flags"] == was["flags"]
+    code = main(["forecast", "--ptog", str(graph_path), "--config", str(cli_env["config"]),
+                 "--run", "6", "--state", "P2"])
+    assert code == EXIT_INPUT
+    assert _error_lines(capsys.readouterr().err) == ["error: forecast failed: Overflow"]

@@ -17,7 +17,6 @@ from gendt.controller import (
     _truth,
     accumulate_health,
     decide,
-    run_epoch,
     run_replay,
 )
 from gendt.ptog import RunId, build_ptog
@@ -25,6 +24,12 @@ from gendt.windowing import EpochPoint, NoHistory
 
 TH = ControlThresholds(t_low=0.5, t_high=1.5, t_health=15.0)
 EPS = 1e-9
+
+
+def replay_one(ptog, epoch, config):
+    """The report of a one-epoch replay, as `gendt forecast` runs it."""
+    (report,) = run_replay(ptog, config, [epoch]).reports
+    return report
 
 
 def test_decision_boundaries():
@@ -91,7 +96,7 @@ def test_thresholds_validation():
 
 def test_oracle_epoch_is_exact(milling_ptog, oracle_config):
     epoch = EpochPoint(RunId(7), milling_ptog.state_by_label("P2"))
-    report = run_epoch(milling_ptog, epoch, oracle_config)
+    report = replay_one(milling_ptog, epoch, oracle_config)
     assert report.q_rmse == 0.0
     assert report.decision == "Continue"
     assert report.err_avg == 0.0
@@ -100,7 +105,7 @@ def test_oracle_epoch_is_exact(milling_ptog, oracle_config):
 
 def test_epoch_history_and_horizon(milling_ptog, persistence_config):
     epoch = EpochPoint(RunId(7), milling_ptog.state_by_label("P1"))
-    report = run_epoch(milling_ptog, epoch, persistence_config)
+    report = replay_one(milling_ptog, epoch, persistence_config)
     assert report.history_runs == [3, 4, 5, 6]
     assert report.horizon == len(report.median) == len(report.sd)
     assert report.attempts_used == persistence_config.ensemble.attempts
@@ -123,7 +128,7 @@ def test_epoch_without_ground_truth_no_action(tmp_path, persistence_config):
     ]
     ptog = build_ptog(entries, base_dir=tmp_path)
     epoch = EpochPoint(RunId(5), ptog.state_by_label("P1"))
-    report = run_epoch(ptog, epoch, persistence_config)
+    report = replay_one(ptog, epoch, persistence_config)
     assert report.decision == "no action"
     assert report.q_rmse is None
     assert "no_ground_truth" in report.flags
@@ -158,7 +163,7 @@ def test_forecast_blind_to_ground_truth(tmp_path, persistence_config, mock_confi
         for with_truth in (True, False):
             ptog = graph(with_truth)
             epoch = EpochPoint(RunId(5), ptog.state_by_label("P1"))
-            reports.append(run_epoch(ptog, epoch, config))
+            reports.append(replay_one(ptog, epoch, config))
         assert reports[0].median == reports[1].median
         assert reports[0].q_rmse is not None and reports[1].q_rmse is None
 
@@ -264,8 +269,7 @@ def test_decision_labels():
 
 def test_replay_prepares_each_vertex_once(milling_ptog, mock_config, monkeypatch):
     """One replay filters every vertex it touches exactly once, in one batched
-    cascade per sample rate before the first epoch, and sharing the prepared
-    table across epochs changes no epoch record."""
+    cascade per sample rate before the first epoch."""
     import gendt.controller as controller_mod
     from gendt import dsp
 
@@ -288,27 +292,31 @@ def test_replay_prepares_each_vertex_once(milling_ptog, mock_config, monkeypatch
     monkeypatch.setattr(dsp, "preprocess_many", counting_preprocess_many)
     monkeypatch.setattr(dsp, "_cascade", counting_cascade)
     monkeypatch.setattr(controller_mod, "run_epoch", marking_run_epoch)
-    result = run_replay(milling_ptog, mock_config, reproducible=True)
-    monkeypatch.setattr(controller_mod, "run_epoch", epoch)
+    result = run_replay(milling_ptog, mock_config)
     filtered = [key for batch in batches for key in batch]
     assert len(filtered) == len(set(filtered)) == milling_ptog.n_series
     assert events == ["batch"] + ["epoch"] * len(result.reports)  # all before the first epoch
     assert cascades == [milling_ptog.n_series]  # one sample rate, one cascade
 
-    batches.clear()
-    fresh = [
-        run_epoch(milling_ptog, EpochPoint(RunId(r.run), milling_ptog.state_by_label(r.state)),
-                  mock_config, reproducible=True).to_dict()
-        for r in result.reports
-    ]
-    for shared, alone in zip(result.reports, fresh):
-        shared = shared.to_dict()
-        for key in ("cumulative_rmse", "health"):  # folded across epochs in the replay
-            shared.pop(key)
-            assert alone.pop(key) is None
-        assert shared == alone
-    filtered = [key for batch in batches for key in batch]
-    assert len(filtered) > len(set(filtered))  # fresh tables prepare overlapping windows again
+
+def test_replay_of_chosen_epochs_matches_the_full_replay(milling_ptog, mock_config):
+    """Epochs replayed on their own, in any order, carry the records they have
+    in the full replay; only the health fold and the timing differ."""
+    full = run_replay(milling_ptog, mock_config).reports
+    chosen = [full[-1], full[0], full[len(full) // 2]]
+    epochs = [EpochPoint(RunId(r.run), milling_ptog.state_by_label(r.state)) for r in chosen]
+    for alone, shared in zip(run_replay(milling_ptog, mock_config, epochs).reports, chosen):
+        alone, shared = alone.to_dict(), shared.to_dict()
+        for record in (alone, shared):
+            for key in ("cumulative_rmse", "health", "timing"):
+                del record[key]
+        assert alone == shared
+
+
+def test_replay_of_an_epoch_without_history_raises(milling_ptog, persistence_config):
+    first = EpochPoint(RunId(1), milling_ptog.state_by_label("P1"))
+    with pytest.raises(NoHistory):
+        run_replay(milling_ptog, persistence_config, [first])
 
 
 @pytest.mark.parametrize(

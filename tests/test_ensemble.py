@@ -7,14 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gendt.ensemble import (
-    EmptyMatrix,
-    LengthMismatch,
-    PredictionMatrix,
-    aggregate,
-    error_stats,
-    rmse,
-)
+from gendt.ensemble import aggregate, error_stats, rmse
 from gendt.errors import EmptyInput
 
 
@@ -32,26 +25,25 @@ def sort_oracle_column(column: list[float]) -> tuple[float, float]:
     return med, sd
 
 
-def random_matrix(rng, k=None, width=None) -> PredictionMatrix:
+def random_matrix(rng, k=None, width=None) -> np.ndarray:
     k = k or int(rng.integers(1, 12))
     width = width or int(rng.integers(1, 51))
-    rows = tuple(tuple(rng.normal(0, 10, width).tolist()) for _ in range(k))
-    return PredictionMatrix(rows)
+    return rng.normal(0, 10, (k, width))
 
 
 def test_single_row_identity():
-    est = aggregate(PredictionMatrix(((1.5, -2.0, 3.25),)))
+    est = aggregate(np.array([[1.5, -2.0, 3.25]]))
     assert est.median.tolist() == [1.5, -2.0, 3.25]
     assert est.sd.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_odd_k_order_statistic():
-    est = aggregate(PredictionMatrix(((1.0,), (2.0,), (100.0,))))
+    est = aggregate(np.array([[1.0], [2.0], [100.0]]))
     assert est.median.tolist() == [2.0]
 
 
 def test_even_k_midpoint():
-    est = aggregate(PredictionMatrix(((1.0,), (2.0,), (3.0,), (10.0,))))
+    est = aggregate(np.array([[1.0], [2.0], [3.0], [10.0]]))
     assert est.median.tolist() == [2.5]
 
 
@@ -60,8 +52,8 @@ def test_matches_sort_oracle_on_random_matrices():
     for _ in range(100):
         matrix = random_matrix(rng)
         est = aggregate(matrix)
-        for j in range(matrix.horizon):
-            column = [row[j] for row in matrix.rows]
+        for j in range(matrix.shape[1]):
+            column = matrix[:, j].tolist()
             med, sd = sort_oracle_column(column)
             assert est.median[j] == med  # exact, not approximate
             assert est.sd[j] == pytest.approx(sd, abs=1e-12)
@@ -72,8 +64,7 @@ def test_row_permutation_invariance():
     for _ in range(50):
         matrix = random_matrix(rng, k=int(rng.integers(2, 10)))
         est = aggregate(matrix)
-        perm = rng.permutation(matrix.attempts_used)
-        shuffled = aggregate(PredictionMatrix(tuple(matrix.rows[i] for i in perm)))
+        shuffled = aggregate(matrix[rng.permutation(len(matrix))])
         assert shuffled.median.tolist() == est.median.tolist()
         assert shuffled.sd.tolist() == est.sd.tolist()
 
@@ -85,13 +76,12 @@ def test_median_robust_to_single_row_replacement():
     for _ in range(50):
         k = int(rng.integers(3, 11))
         matrix = random_matrix(rng, k=k, width=int(rng.integers(1, 10)))
-        corrupt_row = tuple(rng.uniform(-1e6, 1e6, matrix.horizon).tolist())
-        victim = int(rng.integers(0, k))
-        rows = list(matrix.rows)
-        rows[victim] = corrupt_row
-        est = aggregate(PredictionMatrix(tuple(rows)))
-        for j in range(matrix.horizon):
-            column = sorted(row[j] for row in matrix.rows)
+        corrupt_row = rng.uniform(-1e6, 1e6, matrix.shape[1])
+        rows = matrix.copy()
+        rows[int(rng.integers(0, k))] = corrupt_row
+        est = aggregate(rows)
+        for j in range(matrix.shape[1]):
+            column = sorted(matrix[:, j])
             if k % 2:
                 m = k // 2
                 lo, hi = column[m - 1], column[m + 1]
@@ -99,16 +89,6 @@ def test_median_robust_to_single_row_replacement():
                 m = k // 2 - 1
                 lo, hi = column[max(m - 1, 0)], column[min(m + 2, k - 1)]
             assert lo <= est.median[j] <= hi
-
-
-def test_empty_matrix_rejected():
-    with pytest.raises(EmptyMatrix):
-        PredictionMatrix(())
-
-
-def test_ragged_rows_rejected():
-    with pytest.raises(LengthMismatch):
-        PredictionMatrix(((1.0, 2.0), (1.0,)))
 
 
 def test_error_stats_identity():

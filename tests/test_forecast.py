@@ -8,10 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from gendt import controller
 from gendt.codec import DecodeFailure, EncodingSpec
-from gendt.controller import run_epoch, run_replay
-from gendt.ensemble import PredictionMatrix, aggregate
+from gendt.ensemble import aggregate
 from gendt.forecast import (
     AllAttemptsFailed,
     AuthError,
@@ -25,7 +23,6 @@ from gendt.forecast import (
     llm_http_call,
     noise_seeds,
 )
-from gendt.windowing import enumerate_epochs
 
 ENC = EncodingSpec()
 
@@ -173,26 +170,6 @@ def test_mock_noise_streams_equal_default_rng():
         assert row.tolist() == (base + noise).tolist()
 
 
-def test_bare_epoch_draws_the_replay_streams(milling_ptog, mock_config, monkeypatch):
-    """A bare `run_epoch` seeds its attempts as the same epoch inside `run_replay`."""
-    seen = []
-
-    def recording(config, req, ens_inputs):
-        attempts, rows = forecast_ensemble(config, req, ens_inputs)
-        seen.append(rows.copy())
-        return attempts, rows
-
-    monkeypatch.setattr(controller, "forecast_ensemble", recording)
-    epochs = enumerate_epochs(milling_ptog, mock_config.min_history)
-    run_replay(milling_ptog, mock_config)
-    in_replay = list(seen)
-    assert len(in_replay) == len(epochs)
-    for k in (0, len(epochs) // 2, len(epochs) - 1):
-        seen.clear()
-        run_epoch(milling_ptog, epochs[k], mock_config)
-        assert seen[0].tolist() == in_replay[k].tolist()
-
-
 def test_mock_requires_seed():
     with pytest.raises(ValueError):
         BackendConfig(kind="mock_noise", rng_seed=None)
@@ -201,21 +178,20 @@ def test_mock_requires_seed():
 def test_permuting_attempts_leaves_median_unchanged():
     cfg = BackendConfig(kind="mock_noise", rng_seed=7)
     _, rows = forecast_ensemble(cfg, request(attempts=8), mock_inputs(cfg, 8))
-    est = aggregate(PredictionMatrix(rows))
+    est = aggregate(rows)
     rng = np.random.default_rng(0)
-    est_perm = aggregate(PredictionMatrix(rows[rng.permutation(len(rows))]))
+    est_perm = aggregate(rows[rng.permutation(len(rows))])
     assert est.median.tolist() == est_perm.median.tolist()
     assert est.sd.tolist() == est_perm.sd.tolist()
 
 
 def test_local_matrix_is_taken_without_a_copy():
-    """The local backends write every attempt into one matrix; the attempts
-    view its rows and the prediction matrix takes it as is."""
+    """The local backends write every attempt into one float64 attempt
+    matrix, and the attempts view its rows."""
     cfg = BackendConfig(kind="mock_noise", rng_seed=7)
     attempts, rows = forecast_ensemble(cfg, request(attempts=4), mock_inputs(cfg, 4))
     assert rows.shape == (4, 4) and rows.dtype == np.float64
     assert all(a.values.base is rows for a in attempts)
-    assert PredictionMatrix(rows).rows is rows
 
 
 # ---------------------------------------------------------------- HTTP client
@@ -298,9 +274,12 @@ def test_ensemble_carries_failed_attempts(stub_llm, api_key_env):
         (200, stub_llm.completion("1.00,2.00,3.00,4.00")),
         (200, stub_llm.completion("garbage with no numbers")),
         (200, stub_llm.completion("1.00,2.00")),
+        (200, stub_llm.completion("5.00,6.00,7.00,8.00,9.00")),
     ]
-    attempts, rows = forecast_ensemble(http_config(stub_llm), request(attempts=3), inputs())
-    assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    attempts, rows = forecast_ensemble(http_config(stub_llm), request(attempts=4), inputs())
+    # the successes form one rectangular float64 attempt matrix, longer replies truncated
+    assert rows.dtype == np.float64
+    assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
     assert attempts[0].ok
     assert attempts[1].failure.reason == "malformed"
     assert attempts[2].failure == DecodeFailure("short", 2)

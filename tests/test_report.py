@@ -33,7 +33,7 @@ def mock_report(tmp_path_factory):
 
     root = tmp_path_factory.mktemp("report")
     ptog = ingest_fixture(write_synthetic_fixture(root / "fixture"))
-    result = run_replay(ptog, make_config("mock_noise"), reproducible=True)
+    result = run_replay(ptog, make_config("mock_noise"))
     return {
         "schema_version": 1,
         "config": make_config("mock_noise").to_dict(),
@@ -74,7 +74,7 @@ def test_overlay_svg_contains_band_truth_median(mock_report, tmp_path):
 
 
 def test_overlay_oracle_median_coincides_with_truth(tmp_path, milling_ptog, oracle_config):
-    result = run_replay(milling_ptog, oracle_config, reproducible=True)
+    result = run_replay(milling_ptog, oracle_config)
     epoch = result.reports[0].to_dict()
     assert epoch["median"] == epoch["truth"][: len(epoch["median"])]
     write_overlay_svg(epoch, tmp_path / "oracle_overlay.svg")
