@@ -52,7 +52,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         save_ptog(ptog, out)
-    except (GendtError, OSError, json.JSONDecodeError) as exc:
+    except (GendtError, OSError) as exc:
         return _fail(EXIT_INPUT, f"ingestion failed: {exc}")
     print(f"wrote {out}: {counts}")
     return EXIT_OK
@@ -86,7 +86,7 @@ def _load_replay_inputs(args: argparse.Namespace) -> tuple:
         raise _CliError(EXIT_INPUT, f"graph file {ptog_path} does not exist")
     try:
         ptog = load_ptog(ptog_path)
-    except (GendtError, json.JSONDecodeError) as exc:
+    except GendtError as exc:
         raise _CliError(EXIT_INPUT, f"cannot load graph: {exc}")
     return ptog, config
 
@@ -178,7 +178,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         doc = report_mod.check_document(json.loads(path.read_text()))
         written = report_mod.write_report_artifacts(doc, args.out_dir)
-    except (GendtError, json.JSONDecodeError) as exc:
+    except (GendtError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError among them
         return _fail(EXIT_INPUT, f"malformed report: {exc}")
     print(f"wrote {len(written)} artifacts to {args.out_dir}")
     return EXIT_OK

@@ -156,9 +156,10 @@ def decode(
             v = float(token)
         except ValueError:
             return DecodeFailure("malformed", i, f"unparseable token {token!r}")
-        if not math.isfinite(v):
-            return DecodeFailure("malformed", i, f"non-finite token {token!r}")
-        values.append(v * spec.scale)
+        v *= spec.scale
+        if not math.isfinite(v):  # checked after scaling: 1e308 is finite, 4 x 1e308 is not
+            return DecodeFailure("malformed", i, f"token {token!r} x {spec.scale} is not finite")
+        values.append(v)
         if len(values) == expected_len:
             break
     if len(values) < expected_len:

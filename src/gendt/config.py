@@ -145,7 +145,7 @@ def _section(name: str, cls: type, doc):
 def load_config(path: Union[str, Path]) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return RunConfig.from_dict(doc)
 

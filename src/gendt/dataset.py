@@ -1,17 +1,23 @@
-"""Milling-style fixture ingestion: per-run current CSVs, three-state
-segmentation, and flank-wear metadata, producing the observation graph.
+"""Milling-style fixture ingestion: per-run current CSVs, cut into three
+process states at explicit boundaries, plus flank-wear metadata, producing the
+observation graph.
 
-The reference path uses explicit per-run boundaries shipped with the fixture;
-the threshold heuristic exists for new data where boundaries are unknown. A
-synthetic fixture generator ships here so tests never need external files.
+`fixture.json` gives each run's `[start, p1_end, p2_end, end]` sample
+indices, and a run is cut there and nowhere else. Data whose states are not
+labeled this way is segmented outside gendt and enters as a graph file or a
+manifest; `Ptog.from_series` validates it either way. A synthetic fixture
+generator ships here so tests never need external files.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -23,57 +29,15 @@ SENSOR_NAME = "spindle_current"
 SENSOR_UNIT = "A"
 FIXTURE_META_NAME = "fixture.json"
 
+Bounds = tuple[int, int, int, int]
+
 
 class DatasetError(GendtError):
     pass
 
 
-class NoCuttingDetected(DatasetError):
-    """The signal never rises above the entry threshold."""
-
-
-class DegenerateSegment(DatasetError):
-    """Segmentation produced an empty process state."""
-
-
 class InsufficientPoints(DatasetError):
     """Wear interpolation needs at least two known measurements."""
-
-
-@dataclass(frozen=True)
-class SegmentationSpec:
-    """Either explicit [start, p1_end, p2_end, end] boundaries (per run or
-    shared) or a threshold heuristic for unlabeled data."""
-
-    mode: str = "explicit"  # "explicit" | "threshold"
-    boundaries: Optional[Union[Sequence[int], Mapping[int, Sequence[int]]]] = None
-    entry_threshold: float = 0.0
-    exit_threshold: float = 0.0
-    min_plateau_len: int = 10
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("explicit", "threshold"):
-            raise DatasetError(f"unknown segmentation mode {self.mode!r}")
-        if self.mode == "explicit" and self.boundaries is None:
-            raise DatasetError("explicit segmentation requires boundaries")
-        if self.mode == "threshold":
-            if self.entry_threshold <= 0 or self.exit_threshold <= 0:
-                raise DatasetError("threshold segmentation requires positive thresholds")
-            if self.min_plateau_len < 1:
-                raise DatasetError("min_plateau_len must be >= 1")
-
-    def boundaries_for(self, run: Optional[int]) -> tuple[int, int, int, int]:
-        b = self.boundaries
-        if isinstance(b, Mapping):
-            if run is None:
-                raise DatasetError("per-run boundaries need a run index")
-            try:
-                b = b[run]
-            except KeyError as exc:
-                raise DatasetError(f"no boundaries for run {run}") from exc
-        if len(b) != 4:
-            raise DatasetError(f"boundaries must be [start, p1_end, p2_end, end], got {b!r}")
-        return tuple(int(v) for v in b)
 
 
 @dataclass(frozen=True)
@@ -83,76 +47,19 @@ class WearRecord:
     interpolated: bool
 
     def __post_init__(self) -> None:
-        if self.flank_wear_mm < 0:
-            raise DatasetError(f"flank wear must be >= 0, got {self.flank_wear_mm}")
+        if not (self.flank_wear_mm >= 0 and math.isfinite(self.flank_wear_mm)):
+            raise DatasetError(f"flank wear must be finite and >= 0, got {self.flank_wear_mm}")
 
 
-def _explicit_segments(x: Sequence[float], bounds: tuple[int, int, int, int]):
+def segment(samples: Sequence[float], bounds: Bounds) -> tuple[Sequence[float], ...]:
+    """Cut one run's trace at [start, p1_end, p2_end, end] into the three
+    process states (entry, stable, exit); none of them can be empty."""
     start, p1_end, p2_end, end = bounds
-    if not (0 <= start < p1_end < p2_end < end <= len(x)):
+    if not (0 <= start < p1_end < p2_end < end <= len(samples)):
         raise DatasetError(
-            f"boundaries {bounds} must be strictly increasing within series length {len(x)}"
+            f"boundaries {bounds} must be strictly increasing within series length {len(samples)}"
         )
-    return list(x[start:p1_end]), list(x[p1_end:p2_end]), list(x[p2_end:end])
-
-
-def _sustained_runs(mask: np.ndarray, min_len: int) -> list[tuple[int, int]]:
-    """[start, end) index pairs of mask stretches at least min_len long."""
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start >= min_len:
-                runs.append((start, i))
-            start = None
-    if start is not None and len(mask) - start >= min_len:
-        runs.append((start, len(mask)))
-    return runs
-
-
-def _threshold_segments(x: Sequence[float], spec: SegmentationSpec):
-    arr = np.asarray(x, dtype=float)
-    entry_runs = _sustained_runs(arr > spec.entry_threshold, spec.min_plateau_len)
-    if not entry_runs:
-        raise NoCuttingDetected(
-            f"no stretch of {spec.min_plateau_len}+ samples above {spec.entry_threshold}"
-        )
-    start = entry_runs[0][0]
-    exit_runs = _sustained_runs(arr > spec.exit_threshold, spec.min_plateau_len)
-    end = exit_runs[-1][1] if exit_runs else entry_runs[-1][1]
-
-    cut = arr[start:end]
-    # plateau = longest low-slope stretch; tolerance scales with signal range
-    slope_tol = (float(cut.max()) - float(cut.min())) * 0.5 / max(len(cut), 1)
-    flat = np.abs(np.diff(cut)) < slope_tol
-    plateau_runs = _sustained_runs(flat, spec.min_plateau_len)
-    if not plateau_runs:
-        raise DegenerateSegment("no plateau of the required length inside the cutting region")
-    p_on, p_off = max(plateau_runs, key=lambda r: r[1] - r[0])
-    segments = (
-        list(cut[:p_on]),
-        list(cut[p_on : p_off + 1]),
-        list(cut[p_off + 1 :]),
-    )
-    return segments
-
-
-def segment(
-    run_series: Sequence[float], spec: SegmentationSpec, run: Optional[int] = None
-) -> tuple[list[float], list[float], list[float]]:
-    """Split one run's trace into the three process states (entry, stable, exit)."""
-    if len(run_series) < 3:
-        raise DatasetError(f"series of length {len(run_series)} cannot hold three states")
-    if spec.mode == "explicit":
-        segments = _explicit_segments(run_series, spec.boundaries_for(run))
-    else:
-        segments = _threshold_segments(run_series, spec)
-    for label, seg in zip(STATE_LABELS, segments):
-        if not seg:
-            raise DegenerateSegment(f"segment {label} is empty")
-    return segments
+    return samples[start:p1_end], samples[p1_end:p2_end], samples[p2_end:end]
 
 
 def interpolate_wear(
@@ -185,63 +92,68 @@ def interpolate_wear(
     return records
 
 
-def load_fixture_meta(fixture_dir: Union[str, Path]) -> dict:
+def _is_finite(v) -> bool:
+    """A JSON number within float range; a boolean is not a number."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def load_fixture_meta(
+    fixture_dir: Union[str, Path],
+) -> tuple[float, dict[int, Bounds], list[tuple[int, float]]]:
+    """Read and check `fixture.json`: the sample rate, each run's boundaries
+    and the known wear points. Values are checked, not coerced: a boundary or
+    a wear run is a JSON integer (a boolean is not one), and the rate and a
+    wear value are finite numbers."""
     path = Path(fixture_dir) / FIXTURE_META_NAME
     if not path.exists():
         raise DatasetError(f"fixture metadata {path} not found")
-    return json.loads(path.read_text())
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+        raise DatasetError(f"{path}: {exc}") from exc
+
+    def bad(message: str) -> DatasetError:
+        return DatasetError(f"{FIXTURE_META_NAME}: {message}")
+
+    if not isinstance(meta, dict):
+        raise bad(f"must hold a JSON object, got {type(meta).__name__}")
+    rate = meta.get("sample_rate_hz")
+    if not _is_finite(rate):
+        raise bad(f"sample_rate_hz must be a finite number, got {rate!r}")
+    if "boundaries" not in meta:
+        raise bad("missing 'boundaries' (each run's [start, p1_end, p2_end, end]); "
+                  "data segmented outside gendt enters as a graph file or a manifest")
+    runs = meta["boundaries"]
+    if not isinstance(runs, dict) or not runs:
+        raise bad(f"boundaries must be a non-empty object of run -> bounds, got {runs!r}")
+    boundaries = {}
+    for key, bounds in runs.items():
+        if not re.fullmatch("[1-9][0-9]{0,17}", key):  # int() refuses over 4300 digits
+            raise bad(f"boundaries key {key!r} is not a run number below 10**18")
+        if not (isinstance(bounds, list) and len(bounds) == 4
+                and all(type(b) is int for b in bounds)):
+            raise bad(f"boundaries of run {key} must be 4 integers "
+                      f"[start, p1_end, p2_end, end], got {bounds!r}")
+        boundaries[int(key)] = tuple(bounds)
+    wear = meta.get("wear_points", [])
+    for point in wear if isinstance(wear, list) else [wear]:
+        if not (isinstance(point, list) and len(point) == 2
+                and type(point[0]) is int and _is_finite(point[1])):
+            raise bad(f"wear_points must be [run, flank_wear_mm] pairs of an integer "
+                      f"and a finite number, got {point!r}")
+    return float(rate), boundaries, [(run, float(w)) for run, w in wear]
 
 
-def segmentation_from_meta(meta: Mapping) -> SegmentationSpec:
-    if "boundaries" in meta:
-        return SegmentationSpec(
-            mode="explicit",
-            boundaries={int(k): tuple(int(b) for b in v) for k, v in meta["boundaries"].items()},
-        )
-    return SegmentationSpec(
-        mode="threshold",
-        entry_threshold=float(meta["entry_threshold"]),
-        exit_threshold=float(meta["exit_threshold"]),
-        min_plateau_len=int(meta.get("min_plateau_len", 10)),
-    )
+def ingest_fixture(fixture_dir: Union[str, Path]) -> Ptog:
+    """Cut each run CSV at its boundaries into state series and build the
+    observation graph.
 
-
-def _run_index(path: Path) -> int:
-    k = path.stem[len("run_"):]
-    if not (k.isascii() and k.isdigit()):
-        raise DatasetError(f"{path}: run files must be named run_<k>.csv with an integer k")
-    return int(k)
-
-
-def ingest_fixture(
-    fixture_dir: Union[str, Path],
-    seg: Optional[SegmentationSpec] = None,
-    wear: Optional[Sequence[tuple[int, float]]] = None,
-) -> Ptog:
-    """Segment per-run CSVs into state series and build the observation graph.
-
-    `seg` and `wear` default to what the fixture's metadata file declares.
     Each run CSV is read once and nothing is written (`ptog.save_manifest`
     dumps the graph). Ingestion is deterministic: same fixture, same graph.
     """
     fixture_dir = Path(fixture_dir)
-    meta = load_fixture_meta(fixture_dir)
-    try:
-        sample_rate_hz = float(meta["sample_rate_hz"])
-        if seg is None:
-            seg = segmentation_from_meta(meta)
-        if wear is None:
-            wear = [(int(r), float(w)) for r, w in meta.get("wear_points", [])]
-    except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise DatasetError(f"{FIXTURE_META_NAME}: missing or ill-typed field ({exc!r})") from exc
-
-    if isinstance(seg.boundaries, Mapping):
-        runs = sorted(seg.boundaries)
-    else:
-        runs = sorted(_run_index(p) for p in fixture_dir.glob("run_*.csv"))
-    if not runs:
-        raise DatasetError(f"no runs found in {fixture_dir}")
-
+    sample_rate_hz, boundaries, wear = load_fixture_meta(fixture_dir)
+    runs = sorted(boundaries)
     metadata = {
         r.run: {"flank_wear_mm": r.flank_wear_mm, "flank_wear_interpolated": float(r.interpolated)}
         for r in (interpolate_wear(wear, runs) if len(wear) >= 2 else ())
@@ -251,7 +163,7 @@ def ingest_fixture(
     series = []
     for run in runs:
         samples = read_samples_csv(fixture_dir / f"run_{run}.csv")
-        for state, values in zip(states, segment(samples, seg, run=run)):
+        for state, values in zip(states, segment(samples, boundaries[run])):
             series.append(MeasurementSeries(RunId(run), state, sensor, sample_rate_hz, values))
     return Ptog.from_series(series, run_metadata=metadata)
 

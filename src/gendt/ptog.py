@@ -95,8 +95,8 @@ class MeasurementSeries:
             raise PtogError(f"samples of {where} must be a flat list, got {samples.ndim} dimensions")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate_hz <= 0:
-            raise PtogError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
+            raise PtogError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if not samples.size:
             raise PtogError(f"series for {where} has no samples")
         bad = np.flatnonzero(~np.isfinite(samples))
@@ -347,7 +347,8 @@ def read_samples_csv(path: Union[str, Path]) -> tuple[float, ...]:
     if not p.exists():
         raise MissingSeriesFile(str(p))
     values = []
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    # an undecodable byte reads as U+FFFD, so its line fails as unparseable below
+    for lineno, line in enumerate(p.read_text(errors="replace").splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -432,4 +433,8 @@ def save_ptog(ptog: Ptog, path: Union[str, Path]) -> None:
 
 
 def load_ptog(path: Union[str, Path]) -> Ptog:
-    return Ptog.from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+        raise PtogError(f"{path}: {exc}") from exc
+    return Ptog.from_dict(doc)

@@ -461,19 +461,67 @@ def test_ingest_without_workdir_writes_only_the_graph(cli_env, tmp_path, capsys)
     assert "manifest" not in capsys.readouterr().out
 
 
-def test_ingest_stray_run_file_exits_input(cli_env, tmp_path, capsys):
+def test_ingest_meta_without_boundaries_exits_input(cli_env, tmp_path, capsys):
     fixture = _broken_fixture(cli_env, tmp_path)
     meta_path = fixture / "fixture.json"
     meta = json.loads(meta_path.read_text())
     del meta["boundaries"]
-    meta.update(entry_threshold=1.0, exit_threshold=0.5)
     meta_path.write_text(json.dumps(meta))
-    (fixture / "run_old.csv").write_text("1.0\n")
     code = main(["ingest", "--fixture", str(fixture), "--out", str(tmp_path / "g.json")])
     assert code == EXIT_INPUT
     (line,) = _error_lines(capsys.readouterr().err)
-    assert "run_old.csv" in line
+    assert "'boundaries'" in line
     assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, command, code",
+    [
+        ("fixture/fixture.json", "ingest", EXIT_INPUT),
+        ("fixture/run_2.csv", "ingest", EXIT_INPUT),
+        ("g.json", "replay", EXIT_INPUT),
+        ("cfg.json", "replay", EXIT_CONFIG),
+        ("report.json", "report", EXIT_INPUT),
+    ],
+)
+def test_non_utf8_input_file_exits_with_one_error_line(
+    cli_env, tmp_path, capsys, name, command, code
+):
+    import shutil
+
+    _broken_fixture(cli_env, tmp_path)
+    shutil.copy(cli_env["ptog"], tmp_path / "g.json")
+    shutil.copy(cli_env["config"], tmp_path / "cfg.json")
+    args = {
+        "ingest": ["ingest", "--fixture", str(tmp_path / "fixture"),
+                   "--out", str(tmp_path / "new.json")],
+        "replay": ["replay", "--ptog", str(tmp_path / "g.json"),
+                   "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "report.json")],
+        "report": ["report", "--report", str(tmp_path / "report.json"),
+                   "--out-dir", str(tmp_path / "artifacts")],
+    }
+    if command == "report":
+        assert main(args["replay"]) == EXIT_OK
+        capsys.readouterr()
+    path = tmp_path / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert main(args[command]) == code
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+
+
+def test_replay_graph_with_nan_sample_rate_exits_input(cli_env, tmp_path, capsys):
+    doc = json.loads(cli_env["ptog"].read_text())
+    doc["series"][0]["sample_rate_hz"] = float("nan")
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(doc))
+    code = main(
+        ["replay", "--ptog", str(graph_path), "--config", str(cli_env["config"]),
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "sample_rate_hz" in line
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -622,6 +670,84 @@ def test_replay_contract_under_config_mutations(cli_env, monkeypatch):
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG, EXIT_HALTED), args[0]
             if code in (EXIT_INPUT, EXIT_CONFIG):
                 assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
+
+    check()
+
+
+def _meta_paths(meta: dict) -> list[tuple]:
+    """Every item path of a fixture.json: its fields, each run's boundaries
+    and their elements, and each wear point and its elements."""
+    paths = [(key,) for key in meta]
+    for field in ("boundaries", "wear_points"):
+        items = meta[field].items() if isinstance(meta[field], dict) else enumerate(meta[field])
+        for key, value in items:
+            paths.append((field, key))
+            paths.extend((field, key, i) for i in range(len(value)))
+    return paths
+
+
+def _holds(parent, key) -> bool:
+    if isinstance(parent, dict):
+        return key in parent
+    return isinstance(parent, list) and isinstance(key, int) and key < len(parent)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON token {name} in the graph file")
+
+
+def test_ingest_contract_under_fixture_meta_mutations(cli_env):
+    """Whatever fixture.json holds, ingest exits 0 or 2 and never raises; a
+    failing exit prints exactly one `error:` line, and a graph it writes is
+    standard JSON."""
+    hypothesis = pytest.importorskip("hypothesis")
+    import contextlib
+    import io
+    import shutil
+
+    from hypothesis import strategies as st
+
+    root = cli_env["root"] / "ingest_contract"
+    fixture = root / "fixture"
+    if not fixture.exists():
+        shutil.copytree(cli_env["fixture"], fixture)
+    base = json.loads((cli_env["fixture"] / "fixture.json").read_text())
+    edges = [None, True, False, -1, 0, 1, 0.5, 130.9, float("nan"), float("inf"), -float("inf"),
+             1e308, 2**64, 10**30, 10**400, "", "130", [], [0, 1, 2, 3], [[40, 130]], {}]
+    values = st.one_of(
+        st.sampled_from(edges), st.integers(-5, 700), st.floats(), st.text(max_size=3)
+    )
+    mutation = st.tuples(
+        st.sampled_from(_meta_paths(base)), st.sampled_from(["set", "delete", "rename"]), values
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(mutations=st.lists(mutation, min_size=1, max_size=3))
+    def check(mutations):
+        meta = json.loads(json.dumps(base))
+        for path, op, value in mutations:
+            parent = meta
+            for key in path[:-1]:
+                parent = parent[key] if _holds(parent, key) else None
+            if not _holds(parent, path[-1]):
+                continue
+            if op == "delete":
+                del parent[path[-1]]
+            elif op == "rename" and isinstance(parent, dict):
+                parent[str(value)] = parent.pop(path[-1])
+            else:
+                parent[path[-1]] = value
+        (fixture / "fixture.json").write_text(json.dumps(meta))
+        graph = root / "g.json"
+        graph.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["ingest", "--fixture", str(fixture), "--out", str(graph)])
+        assert code in (EXIT_OK, EXIT_INPUT)
+        if code == EXIT_INPUT:
+            assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
+        else:
+            json.loads(graph.read_text(), parse_constant=_reject_constant)
 
     check()
 

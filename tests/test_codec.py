@@ -132,6 +132,12 @@ def test_decode_rejects_nan_token():
     assert result.reason == "malformed"
 
 
+def test_decode_checks_finiteness_after_scaling():
+    # 1e308 parses as a finite float; scaled by 4 it is inf
+    result = decode("1e308,1", EncodingSpec(scale=4.0), 2)
+    assert (result.reason, result.position) == ("malformed", 0)
+
+
 def test_decode_empty_output():
     assert decode("", SPEC, 2) == DecodeFailure("short", 0, "empty output")
     assert decode("   \n", SPEC, 2) == DecodeFailure("short", 0, "empty output")

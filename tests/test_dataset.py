@@ -1,20 +1,18 @@
-"""Segmentation, wear interpolation, and fixture ingestion."""
+"""Segmentation at explicit boundaries, wear interpolation, and fixture ingestion."""
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gendt.cli import EXIT_INPUT, main
 from gendt.dataset import (
+    STATE_LABELS,
     DatasetError,
-    DegenerateSegment,
     InsufficientPoints,
-    NoCuttingDetected,
-    SegmentationSpec,
     WearRecord,
     ingest_fixture,
     interpolate_wear,
@@ -27,6 +25,7 @@ from gendt.ptog import (
     RunId,
     SensorId,
     build_ptog,
+    read_samples_csv,
     save_manifest,
 )
 from gendt.windowing import enumerate_epochs
@@ -37,74 +36,37 @@ from gendt.windowing import enumerate_epochs
 
 def test_explicit_segmentation_lengths():
     series = list(range(600))
-    spec = SegmentationSpec(mode="explicit", boundaries=[0, 100, 400, 500])
-    p1, p2, p3 = segment(series, spec)
+    p1, p2, p3 = segment(series, (0, 100, 400, 500))
     assert (len(p1), len(p2), len(p3)) == (100, 300, 100)
     assert p1 + p2 + p3 == series[0:500]  # partition of the cutting region
 
 
-def test_explicit_segmentation_per_run_boundaries():
-    spec = SegmentationSpec(mode="explicit", boundaries={3: [0, 2, 4, 6]})
-    p1, p2, p3 = segment([1, 2, 3, 4, 5, 6], spec, run=3)
+def test_explicit_segmentation_per_run_boundaries(fixture_dir, tmp_path):
+    p1, p2, p3 = segment([1, 2, 3, 4, 5, 6], (0, 2, 4, 6))
     assert (p1, p2, p3) == ([1, 2], [3, 4], [5, 6])
-    with pytest.raises(DatasetError):
-        segment([1, 2, 3, 4, 5, 6], spec, run=9)
+    # each run is cut at its own boundaries, and a run without boundaries is no run
+    fixture = _copy_fixture(fixture_dir, tmp_path)
+    meta = json.loads((fixture / "fixture.json").read_text())
+    meta["boundaries"]["3"] = [0, 2, 4, 6]
+    del meta["boundaries"]["9"]
+    (fixture / "fixture.json").write_text(json.dumps(meta))
+    ptog = ingest_fixture(fixture)
+    samples = read_samples_csv(fixture / "run_3.csv")
+    cut = [ptog.get_series(3, label).samples.tolist() for label in STATE_LABELS]
+    assert cut == [list(samples[0:2]), list(samples[2:4]), list(samples[4:6])]
+    assert RunId(9) not in ptog.runs and len(ptog.runs) == 13
 
 
 def test_explicit_boundaries_validated():
-    spec = SegmentationSpec(mode="explicit", boundaries=[0, 100, 90, 120])
     with pytest.raises(DatasetError):
-        segment(list(range(200)), spec)
-    spec = SegmentationSpec(mode="explicit", boundaries=[0, 10, 20, 500])
+        segment(list(range(200)), (0, 100, 90, 120))
     with pytest.raises(DatasetError):
-        segment(list(range(100)), spec)
-
-
-def trapezoid(plateau_level=10.0, ramp=100, plateau=300):
-    up = [plateau_level * i / ramp for i in range(ramp)]
-    flat = [plateau_level] * plateau
-    down = [plateau_level * (1 - i / ramp) for i in range(ramp)]
-    return up + flat + down
-
-
-def test_threshold_segmentation_finds_trapezoid_knees():
-    ramp, plateau, level = 100, 300, 10.0
-    x = trapezoid(level, ramp, plateau)
-    spec = SegmentationSpec(
-        mode="threshold",
-        entry_threshold=0.1 * level,
-        exit_threshold=0.1 * level,
-        min_plateau_len=20,
-    )
-    p1, p2, p3 = segment(x, spec)
-    # entry crossing at 10% of the ramp, knees at ramp/plateau joints
-    assert len(p1) == pytest.approx(ramp - 0.1 * ramp, abs=2)
-    assert len(p2) == pytest.approx(plateau, abs=2)
-    assert len(p3) == pytest.approx(ramp - 0.1 * ramp, abs=2)
-
-
-def test_threshold_no_cutting():
-    spec = SegmentationSpec(
-        mode="threshold", entry_threshold=1.0, exit_threshold=1.0, min_plateau_len=5
-    )
-    with pytest.raises(NoCuttingDetected):
-        segment([0.0] * 200, spec)
-
-
-def test_threshold_degenerate_segment():
-    spec = SegmentationSpec(
-        mode="threshold", entry_threshold=0.5, exit_threshold=0.5, min_plateau_len=50
-    )
-    # spike with no plateau of the required length
-    x = [0.0] * 10 + [1.0, 5.0, 1.0] * 30 + [0.0] * 10
-    with pytest.raises((DegenerateSegment, NoCuttingDetected)):
-        segment(x, spec)
+        segment(list(range(100)), (0, 10, 20, 500))
 
 
 def test_segment_requires_three_samples():
-    spec = SegmentationSpec(mode="explicit", boundaries=[0, 1, 2, 3])
     with pytest.raises(DatasetError):
-        segment([1.0, 2.0], spec)
+        segment([1.0, 2.0], (0, 1, 2, 3))
 
 
 # ---------------------------------------------------------------- wear
@@ -159,8 +121,9 @@ def test_wear_rejects_unsorted_known():
 
 
 def test_wear_record_validation():
-    with pytest.raises(DatasetError):
-        WearRecord(1, -0.1, False)
+    for wear in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(DatasetError):
+            WearRecord(1, wear, False)
 
 
 # ---------------------------------------------------------------- ingestion
@@ -231,15 +194,6 @@ def test_synthetic_plateau_drifts_upward(milling_ptog):
     assert levels[0] < levels[1] < levels[2]
 
 
-def test_segmentation_spec_validation():
-    with pytest.raises(DatasetError):
-        SegmentationSpec(mode="explicit")  # boundaries required
-    with pytest.raises(DatasetError):
-        SegmentationSpec(mode="threshold", entry_threshold=0.0, exit_threshold=1.0)
-    with pytest.raises(DatasetError):
-        SegmentationSpec(mode="nonsense")
-
-
 def _copy_fixture(fixture_dir, tmp_path):
     import shutil
 
@@ -255,30 +209,43 @@ def test_ingest_rejects_non_numeric_sample(fixture_dir, tmp_path):
         ingest_fixture(broken)
 
 
+def _put(*path):
+    """An edit of the metadata that sets the item at path[:-1] to path[-1]."""
+    *keys, last, value = path
+
+    def edit(meta):
+        for key in keys:
+            meta = meta[key]
+        meta[last] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         pytest.param(lambda meta: meta.pop("sample_rate_hz"), id="no-sample-rate"),
         pytest.param(lambda meta: meta.update(sample_rate_hz="fast"), id="text-sample-rate"),
+        pytest.param(_put("sample_rate_hz", float("nan")), id="nan-sample-rate"),
+        pytest.param(_put("sample_rate_hz", float("inf")), id="inf-sample-rate"),
+        pytest.param(lambda meta: meta.pop("boundaries"), id="no-boundaries"),
         pytest.param(lambda meta: meta.update(boundaries=[[0, 1, 2, 3]]), id="boundaries-list"),
         pytest.param(
             lambda meta: meta["boundaries"].update({"2": [0, "x", 200, 300]}), id="text-boundary"
         ),
         pytest.param(lambda meta: meta["boundaries"].update({"2": 7}), id="scalar-boundaries"),
+        pytest.param(_put("boundaries", "2", 1, 130.9), id="fractional-boundary"),
+        pytest.param(_put("boundaries", "2", 1, "130"), id="numeric-text-boundary"),
+        pytest.param(_put("boundaries", "2", 0, True), id="boolean-boundary"),
+        pytest.param(_put("boundaries", "1" + "0" * 5000, [0, 1, 2, 3]), id="huge-run-key"),
         pytest.param(
             lambda meta: meta.update(wear_points=[[1, "worn"], [2, 0.1]]), id="text-wear"
         ),
-        pytest.param(
-            lambda meta: (
-                meta.pop("boundaries"),
-                meta.update(entry_threshold=[1.0], exit_threshold=0.5),
-            ),
-            id="list-threshold",
-        ),
-        pytest.param(lambda meta: meta.pop("boundaries"), id="no-thresholds"),
+        pytest.param(_put("wear_points", 0, 0, 1.5), id="fractional-wear-run"),
+        pytest.param(_put("wear_points", 1, 1, float("nan")), id="nan-wear"),
     ],
 )
-def test_ingest_rejects_bad_fixture_meta(fixture_dir, tmp_path, edit):
+def test_ingest_rejects_bad_fixture_meta(fixture_dir, tmp_path, capsys, edit):
     broken = _copy_fixture(fixture_dir, tmp_path)
     meta_path = broken / "fixture.json"
     meta = json.loads(meta_path.read_text())
@@ -286,16 +253,9 @@ def test_ingest_rejects_bad_fixture_meta(fixture_dir, tmp_path, edit):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(DatasetError, match="fixture.json"):
         ingest_fixture(broken)
-
-
-@pytest.mark.parametrize("name", ["run_old.csv", "run_1_0.csv", "run_.csv"])
-def test_threshold_ingest_rejects_stray_run_file(fixture_dir, tmp_path, name):
-    fixture = _copy_fixture(fixture_dir, tmp_path)
-    meta_path = fixture / "fixture.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["boundaries"]
-    meta.update(entry_threshold=1.0, exit_threshold=0.5)
-    meta_path.write_text(json.dumps(meta))
-    (fixture / name).write_text("1.0\n")
-    with pytest.raises(DatasetError, match=re.escape(name)):
-        ingest_fixture(fixture)
+    graph = tmp_path / "g.json"
+    assert main(["ingest", "--fixture", str(broken), "--out", str(graph)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert not graph.exists()

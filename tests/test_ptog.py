@@ -160,7 +160,19 @@ def test_load_rejects_wrong_schema_version(milling_ptog, tmp_path):
 def test_load_corrupted_file(tmp_path):
     path = tmp_path / "corrupt.json"
     path.write_text("{this is not json")
-    with pytest.raises((SchemaVersionMismatch, json.JSONDecodeError)):
+    with pytest.raises(PtogError):
+        load_ptog(path)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_sample_rate_must_be_finite_and_positive(rate, tmp_path):
+    with pytest.raises(PtogError, match="sample_rate_hz"):
+        MeasurementSeries(RunId(1), S1, SENSOR, rate, (1.0, 2.0))
+    doc = Ptog.from_series([series(1)]).to_dict()
+    doc["series"][0]["sample_rate_hz"] = rate
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PtogError, match="sample_rate_hz"):
         load_ptog(path)
 
 
