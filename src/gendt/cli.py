@@ -1,6 +1,6 @@
 """Command-line surface: ingest, replay, forecast, report.
 
-Exit codes are stable: 0 ok, 2 input error, 3 config error, 4 halt-on-stop.
+Exit codes are stable: 0 ok, 2 input error, 3 config error, 4 halted on Stop.
 """
 
 from __future__ import annotations
@@ -58,20 +58,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_replay_inputs(args: argparse.Namespace) -> tuple:
+def _load_replay_inputs(args: argparse.Namespace, backend_kind: Optional[str] = None) -> tuple:
+    """The config, its prompt template and credential checked, and the graph.
+    `backend_kind` is `replay --backend`, the one override left (see ROADMAP)."""
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        raise _CliError(EXIT_CONFIG, str(exc))
-    backend = {"kind": args.backend, "max_in_flight": getattr(args, "max_in_flight", None)}
-    backend = {k: v for k, v in backend.items() if v is not None}
-    overrides = {}
-    if getattr(args, "halt_on_stop", False):
-        overrides["halt_on_stop"] = True
-    if getattr(args, "health_scope", None):
-        overrides["health_scope"] = args.health_scope
-    try:
-        config = replace(config, backend=replace(config.backend, **backend), **overrides)
+        if backend_kind is not None:
+            config = replace(config, backend=replace(config.backend, kind=backend_kind))
         config.prompt_template  # read and checked here, before the first epoch
     except (ValueError, ConfigError) as exc:
         raise _CliError(EXIT_CONFIG, str(exc))
@@ -120,7 +113,7 @@ def _report_document(config: RunConfig, result, reproducible: bool) -> dict:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
-        ptog, config = _load_replay_inputs(args)
+        ptog, config = _load_replay_inputs(args, args.backend)
     except _CliError as exc:
         return _fail(exc.code, str(exc))
     try:
@@ -204,20 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--ptog", required=True, help="graph JSON produced by ingest")
         p.add_argument("--config", required=True, help="run configuration JSON")
-        p.add_argument("--backend", choices=BACKEND_KINDS, default=None,
-                       help="override the configured backend kind")
 
     p_replay = sub.add_parser("replay", help="run every epoch and write the session report")
     add_common(p_replay)
+    p_replay.add_argument("--backend", choices=BACKEND_KINDS, default=None,
+                          help="deprecated: override backend.kind; set it in the config")
     p_replay.add_argument("--out", default="report.json", help="report output path")
     p_replay.add_argument("--reproducible", action="store_true",
                           help="exclude timestamps and timings so reports byte-compare")
-    p_replay.add_argument("--halt-on-stop", action="store_true",
-                          help="stop the replay at the first Stop decision (exit 4)")
-    p_replay.add_argument("--health-scope", choices=("session", "run"), default=None,
-                          help="reset the cumulative health error per run or never")
-    p_replay.add_argument("--max-in-flight", type=int, default=None,
-                          help="cap concurrent backend requests within one epoch")
     p_replay.set_defaults(func=cmd_replay)
 
     p_forecast = sub.add_parser("forecast", help="forecast a single epoch and print the median vector")

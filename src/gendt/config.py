@@ -1,8 +1,9 @@
 """Run configuration: one JSON document wiring the whole pipeline together.
 
 The file round-trips losslessly and every replay report embeds the resolved
-form as an audit trail. Only the credential is ever read from the
-environment; numeric parameters never are.
+form as an audit trail. The file alone sets a run (the deprecated `replay
+--backend` aside): the command line names files and output switches, and
+only the credential is ever read from the environment. `backend.rng_seed` is the one seed.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class RunConfig:
     history_depth: int = 4
     min_history: int = 4
     prompt_template_path: Optional[str] = None
-    rng_seed: int = 42
     halt_on_stop: bool = False
     health_scope: str = "session"
 
@@ -94,10 +94,6 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         try:
             sections = {name: doc[name] for name in _SECTIONS if name in doc}
-            if isinstance(sections.get("backend"), dict):
-                # the backend's attempts take the top-level seed unless it names its own
-                seed = doc.get("rng_seed", cls.rng_seed)
-                sections["backend"] = {"rng_seed": seed, **sections["backend"]}
             # unknown top-level keys are ignored; a section rejects its unknown keys
             scalars = {
                 f.name: doc[f.name] for f in fields(cls) if f.name in doc and f.name not in _SECTIONS

@@ -311,9 +311,12 @@ def run_replay(
 
 
 def _build_summary(ptog: Ptog, reports: list[EpochReport], halted: bool) -> dict:
+    by_run: dict[int, list[EpochReport]] = {}
+    for r in reports:
+        by_run.setdefault(r.run, []).append(r)
     per_run = []
     for run in ptog.runs:
-        run_reports = [r for r in reports if r.run == run.index]
+        run_reports = by_run.get(run.index)
         if not run_reports:
             continue
         pooled = [r.errors for r in run_reports if r.errors is not None]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -22,7 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import GendtError
-from .ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId, read_samples_csv
+from .ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId, is_finite_number, read_samples_csv
 
 STATE_LABELS = ("P1", "P2", "P3")
 SENSOR_NAME = "spindle_current"
@@ -92,11 +91,6 @@ def interpolate_wear(
     return records
 
 
-def _is_finite(v) -> bool:
-    """A JSON number within float range; a boolean is not a number."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
 def load_fixture_meta(
     fixture_dir: Union[str, Path],
 ) -> tuple[float, dict[int, Bounds], list[tuple[int, float]]]:
@@ -118,7 +112,7 @@ def load_fixture_meta(
     if not isinstance(meta, dict):
         raise bad(f"must hold a JSON object, got {type(meta).__name__}")
     rate = meta.get("sample_rate_hz")
-    if not _is_finite(rate):
+    if not is_finite_number(rate):
         raise bad(f"sample_rate_hz must be a finite number, got {rate!r}")
     if "boundaries" not in meta:
         raise bad("missing 'boundaries' (each run's [start, p1_end, p2_end, end]); "
@@ -138,7 +132,7 @@ def load_fixture_meta(
     wear = meta.get("wear_points", [])
     for point in wear if isinstance(wear, list) else [wear]:
         if not (isinstance(point, list) and len(point) == 2
-                and type(point[0]) is int and _is_finite(point[1])):
+                and type(point[0]) is int and is_finite_number(point[1])):
             raise bad(f"wear_points must be [run, flank_wear_mm] pairs of an integer "
                       f"and a finite number, got {point!r}")
     return float(rate), boundaries, [(run, float(w)) for run, w in wear]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -80,7 +81,9 @@ class SensorId:
 @dataclass(frozen=True, eq=False)
 class MeasurementSeries:
     """One sensor trace for a single (run, state) vertex; `samples` is
-    checked once, here, and stored as a read-only 1-D float64 array."""
+    checked once, here, and stored as a read-only 1-D float64 array. The
+    check reads the dtype numpy infers, without a loop over the samples: a
+    boolean among numbers is upcast, a list of only booleans is rejected."""
 
     run: RunId
     state: StateId
@@ -90,7 +93,10 @@ class MeasurementSeries:
 
     def __post_init__(self) -> None:
         where = f"run {self.run.index} {self.state.label}"
-        samples = np.array(self.samples, dtype=np.float64)
+        raw = np.asarray(self.samples)
+        if raw.dtype.kind not in "iuf":  # booleans, text, nulls, integers beyond 64 bits
+            raise PtogError(f"samples of {where} must be floats or 64-bit integers, not {raw.dtype}")
+        samples = raw.astype(np.float64, copy=raw is self.samples)  # a caller's array is copied
         if samples.ndim != 1:
             raise PtogError(f"samples of {where} must be a flat list, got {samples.ndim} dimensions")
         samples.flags.writeable = False
@@ -188,32 +194,18 @@ class Ptog:
             run_metadata=metadata,
         )
 
-    def _coerce_run(self, run: Union[RunId, int]) -> RunId:
-        return run if isinstance(run, RunId) else RunId(int(run))
-
-    def _coerce_state(self, state: Union[StateId, str]) -> Optional[StateId]:
-        if isinstance(state, StateId):
-            return state
-        return self.state_by_label(state)
-
     def state_by_label(self, label: str) -> Optional[StateId]:
         for s in self.states:
             if s.label == label:
                 return s
         return None
 
-    def get_series(
-        self, run: Union[RunId, int], state: Union[StateId, str]
-    ) -> Optional[MeasurementSeries]:
+    def get_series(self, run: RunId, state: StateId) -> Optional[MeasurementSeries]:
         """Stored series for a vertex, or None. Absence is a value, not an error."""
-        sid = self._coerce_state(state)
-        if sid is None:
-            return None
-        return self.series.get((self._coerce_run(run), sid))
+        return self.series.get((run, state))
 
-    def has_vertex(self, run: Union[RunId, int], state: Union[StateId, str]) -> bool:
-        sid = self._coerce_state(state)
-        return sid is not None and (self._coerce_run(run), sid) in self.vertices
+    def has_vertex(self, run: RunId, state: StateId) -> bool:
+        return (run, state) in self.vertices
 
     @cached_property
     def runs_by_state(self) -> Mapping[StateId, tuple[RunId, ...]]:
@@ -265,6 +257,10 @@ class Ptog:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Ptog":
+        """A graph document, its values checked, not coerced: an index is a JSON
+        integer (a boolean is not one), a label, sensor name or unit a string,
+        and a sample rate or metadata value a finite number. `MeasurementSeries`
+        checks the samples."""
         if not isinstance(doc, Mapping):
             raise PtogError(f"graph document must be a JSON object, got {type(doc).__name__}")
         version = doc.get("schema_version")
@@ -274,35 +270,54 @@ class Ptog:
             states = {}
             sensors = {}
             for s in doc["states"]:
-                sid = StateId(int(s["index"]), str(s["label"]))
+                sid = StateId(_checked(int, s["index"], "state index"),
+                              _checked(str, s["label"], "state label"))
                 if sid.index in states:
                     raise PtogError(f"state index {sid.index} declared twice")
                 if any(known.label == sid.label for known in states.values()):
                     raise PtogError(f"state label {sid.label!r} declared twice")
                 states[sid.index] = sid
-                sensors[sid] = SensorId(str(s["sensor"]["name"]), str(s["sensor"]["unit"]))
+                sensor = s["sensor"]
+                sensors[sid] = SensorId(_checked(str, sensor["name"], "sensor name"),
+                                        _checked(str, sensor["unit"], "sensor unit"))
             metadata = {
-                int(r["index"]): {k: float(v) for k, v in r.get("metadata", {}).items()}
+                _checked(int, r["index"], "run index"): {
+                    k: _checked(float, v, f"metadata {k!r}") for k, v in r.get("metadata", {}).items()
+                }
                 for r in doc["runs"]
             }
+
+            def vertex(run, state) -> tuple[RunId, StateId, SensorId]:
+                sid = states[_checked(int, state, "state index")]
+                return RunId(_checked(int, run, "run index")), sid, sensors[sid]
+
             series = [
-                MeasurementSeries(
-                    run=RunId(int(e["run"])),
-                    state=states[int(e["state"])],
-                    sensor=sensors[states[int(e["state"])]],
-                    sample_rate_hz=float(e["sample_rate_hz"]),
-                    samples=e["samples"],
-                )
+                MeasurementSeries(*vertex(e["run"], e["state"]),
+                                  _checked(float, e["sample_rate_hz"], "sample_rate_hz"), e["samples"])
                 for e in doc["series"]
             ]
-            extra = [
-                (RunId(int(r)), states[int(s)], sensors[states[int(s)]])
-                for r, s in doc.get("extra_vertices", [])
-            ]
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            extra = [vertex(r, s) for r, s in doc.get("extra_vertices", [])]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             # AttributeError: a list or a scalar where the document needs an object
             raise PtogError(f"malformed graph document: {exc}") from exc
         return cls.from_series(series, run_metadata=metadata, empty_vertices=extra)
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number within float range; a boolean is not a number."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _checked(kind: type, value, what: str):
+    """`value` if it has the JSON type `kind`, where `float` means a finite
+    number; `int` and `str` are exact, so a boolean is not an integer."""
+    if kind is float:
+        if not is_finite_number(value):
+            raise PtogError(f"{what} must be a finite number, got {value!r}")
+        return float(value)
+    if type(value) is not kind:
+        raise PtogError(f"{what} must be a JSON {'integer' if kind is int else 'string'}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Shared fixtures: the synthetic milling fixture, reference configs, random
-graph generation, and a scriptable chat-completion stub server."""
+graph generation, and a scriptable chat-completion stub server (the
+benchmark's `bench/chatstub.py`, so that tests and benchmark share one)."""
 
 from __future__ import annotations
 
-import json
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,9 @@ from gendt.ptog import (
     SensorId,
     StateId,
 )
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from chatstub import ChatStub, StubRequest, completion  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -116,70 +119,41 @@ def make_random_ptog(
     return Ptog.from_series(series, run_metadata=metadata)
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        stub = self.server.stub
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
-        stub.requests.append(
-            {
-                "time": time.monotonic(),
-                "body": body,
-                "auth": self.headers.get("Authorization", ""),
-            }
-        )
-        status, payload = stub.next_response()
-        data = payload.encode() if isinstance(payload, str) else json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):  # silence request logging
-        pass
-
-
 class StubLlm:
-    """Scriptable chat-completion endpoint; records request bodies and times.
+    """Scripted chat-completion endpoint over the benchmark's `ChatStub`;
+    records each request's body, Authorization header and arrival time.
 
     Script entries are (status, payload). String payloads are sent verbatim;
     dict payloads as JSON. When the script is exhausted the last entry repeats.
     """
 
+    completion = staticmethod(completion)
+
     def __init__(self):
         self.script: list[tuple[int, object]] = []
         self.requests: list[dict] = []
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-        self._server.stub = self
-        # a short poll lets shutdown() return promptly at teardown
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        )
+        self._lock = threading.Lock()  # concurrent attempts each take one script entry
+        self._stub = ChatStub(self._respond)
 
-    @staticmethod
-    def completion(content: str) -> dict:
-        return {"choices": [{"message": {"role": "assistant", "content": content}}]}
-
-    def next_response(self):
-        if not self.script:
-            return 200, self.completion("0.00")
-        if len(self.script) == 1:
-            return self.script[0]
-        return self.script.pop(0)
+    def _respond(self, request: StubRequest) -> tuple[int, object]:
+        with self._lock:
+            self.requests.append(
+                {"time": time.monotonic(), "body": request.body, "auth": request.authorization}
+            )
+            if not self.script:
+                return 200, completion("0.00")
+            return self.script[0] if len(self.script) == 1 else self.script.pop(0)
 
     @property
     def endpoint(self) -> str:
-        host, port = self._server.server_address
-        return f"http://{host}:{port}/v1/chat/completions"
+        return self._stub.endpoint
 
     def __enter__(self) -> "StubLlm":
-        self._thread.start()
+        self._stub.start()
         return self
 
     def __exit__(self, *exc):
-        self._server.shutdown()
-        self._server.server_close()
+        self._stub.close()
 
 
 @pytest.fixture

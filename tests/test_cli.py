@@ -63,6 +63,8 @@ def test_replay_persistence(cli_env, capsys):
 
 
 def test_replay_oracle_override(cli_env):
+    """`replay --backend`, the one override left (deprecated), and the report
+    embeds the kind that ran."""
     out = cli_env["root"] / "report_oracle.json"
     code = main(
         ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
@@ -71,6 +73,7 @@ def test_replay_oracle_override(cli_env):
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
     assert all(e["q_rmse"] == 0.0 for e in doc["epochs"])
+    assert doc["config"]["backend"]["kind"] == "oracle"
 
 
 def test_replay_llm_without_credential(cli_env, tmp_path, monkeypatch, capsys):
@@ -92,11 +95,13 @@ def test_replay_llm_without_credential(cli_env, tmp_path, monkeypatch, capsys):
 
 
 def test_replay_reproducible_byte_identical(cli_env):
+    config_path = cli_env["root"] / "mock_noise.json"
+    save_config(make_config("mock_noise"), config_path)
     paths = [cli_env["root"] / f"rep{i}.json" for i in (1, 2)]
     for p in paths:
         code = main(
-            ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
-             "--backend", "mock_noise", "--reproducible", "--out", str(p)]
+            ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+             "--reproducible", "--out", str(p)]
         )
         assert code == EXIT_OK
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -107,13 +112,14 @@ def test_replay_halt_on_stop(cli_env, tmp_path):
 
     config_path = tmp_path / "eager.json"
     save_config(
-        make_config("persistence", thresholds=ControlThresholds(0.001, 0.002, 15.0)),
+        make_config("persistence", thresholds=ControlThresholds(0.001, 0.002, 15.0),
+                    halt_on_stop=True),
         config_path,
     )
     out = tmp_path / "halted.json"
     code = main(
         ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
-         "--halt-on-stop", "--out", str(out)]
+         "--out", str(out)]
     )
     assert code == EXIT_HALTED
     doc = json.loads(out.read_text())
@@ -350,7 +356,38 @@ def _nested_samples(doc):
     return doc
 
 
-@pytest.mark.parametrize("mutate", [_graph_as_list, _metadata_as_list, _nested_samples])
+def _set_graph_value(path, value):
+    """A mutation that sets the graph document's item at `path` to `value`."""
+    def mutate(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return doc
+
+    return mutate
+
+
+# values of the wrong JSON type, which the graph loader rejects rather than coerces
+_UNCOERCED_GRAPH_VALUES = {
+    "boolean-sample-rate": (("series", 0, "sample_rate_hz"), True),
+    "numeric-text-sample-rate": (("series", 0, "sample_rate_hz"), "250"),
+    "fractional-run-index": (("series", -1, "run"), 14.5),
+    "boolean-state-index": (("states", 0, "index"), True),
+    "numeric-state-label": (("states", 0, "label"), 5),
+    "numeric-sensor-unit": (("states", 0, "sensor", "unit"), 1),
+    "numeric-text-metadata": (("runs", 0, "metadata", "flank_wear_mm"), "0.1"),
+    "boolean-metadata": (("runs", 0, "metadata", "flank_wear_mm"), True),
+    "numeric-text-sample": (("series", 0, "samples", 0), "1.5"),
+    "boolean-samples": (("series", 0, "samples"), [True, False] * 60),
+}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_graph_as_list, _metadata_as_list, _nested_samples]
+    + [pytest.param(_set_graph_value(*case), id=name) for name, case in _UNCOERCED_GRAPH_VALUES.items()],
+)
 def test_replay_malformed_graph_document_exits_input(cli_env, tmp_path, capsys, mutate):
     """A graph file of the wrong shape exits 2 with one error line, not a traceback."""
     graph_path = tmp_path / "g.json"
@@ -370,15 +407,58 @@ def _error_lines(err: str) -> list[str]:
     return [line for line in err.splitlines() if line.startswith("error:")]
 
 
-@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("value", [-1, 0])
 def test_replay_bad_max_in_flight_exits_config(cli_env, tmp_path, capsys, value):
+    doc = make_config("persistence").to_dict()
+    doc["backend"]["max_in_flight"] = value
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
     code = main(
-        ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
-         "--max-in-flight", value, "--out", str(tmp_path / "x.json")]
+        ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+         "--out", str(tmp_path / "x.json")]
     )
     assert code == EXIT_CONFIG
     assert len(_error_lines(capsys.readouterr().err)) == 1
     assert not (tmp_path / "x.json").exists()
+
+
+_RUN_PARAMETER_FLAGS = {
+    "--backend": ["oracle"],
+    "--halt-on-stop": [],
+    "--health-scope": ["run"],
+    "--max-in-flight": ["2"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("forecast", flag) for flag in _RUN_PARAMETER_FLAGS]
+    + [("replay", flag) for flag in _RUN_PARAMETER_FLAGS if flag != "--backend"],
+)
+def test_run_parameters_are_not_command_line_flags(cli_env, tmp_path, capsys, command, flag):
+    """The config file alone sets a run, so its fields have no flags."""
+    args = ["--run", "7", "--state", "P1"] if command == "forecast" else ["--out", str(tmp_path / "x.json")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
+              *args, flag, *_RUN_PARAMETER_FLAGS[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_mock_noise_seeded_only_at_top_level_exits_config(cli_env, tmp_path, capsys):
+    """`backend.rng_seed` is the one seed; a top-level `rng_seed` is ignored."""
+    doc = make_config("mock_noise").to_dict()
+    del doc["backend"]["rng_seed"]
+    doc["rng_seed"] = 42
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    code = main(
+        ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == EXIT_CONFIG
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "mock_noise backend requires rng_seed" in line
 
 
 @pytest.mark.parametrize(

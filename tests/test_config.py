@@ -124,15 +124,20 @@ def test_invalid_documents_raise_config_error():
         )
 
 
-def test_backend_seed_inherits_top_level():
-    config = RunConfig.from_dict(
-        {
-            "backend": {"kind": "mock_noise"},
-            "thresholds": {"t_low": 0.5, "t_high": 1.5, "t_health": 15.0},
-            "rng_seed": 99,
-        }
-    )
-    assert config.backend.rng_seed == 99
+def test_top_level_rng_seed_is_ignored():
+    """`backend.rng_seed` is the one seed: a top-level `rng_seed` is an unknown
+    key, ignored like any other."""
+    doc = {
+        "backend": {"kind": "mock_noise"},
+        "thresholds": {"t_low": 0.5, "t_high": 1.5, "t_health": 15.0},
+        "rng_seed": 99,
+    }
+    with pytest.raises(ConfigError, match="mock_noise backend requires rng_seed"):
+        RunConfig.from_dict(doc)
+    doc["backend"]["rng_seed"] = 7
+    config = RunConfig.from_dict(doc)
+    assert config.backend.rng_seed == 7
+    assert "rng_seed" not in config.to_dict()
 
 
 def test_credential_env_name_only_never_value(tmp_path, monkeypatch):

@@ -328,7 +328,7 @@ def test_truth_equals_quantized_target(milling_ptog, persistence_config, spec):
     from gendt import codec
 
     config = replace(persistence_config, encoding=codec.EncodingSpec(**spec))
-    series = milling_ptog.get_series(7, "P2")
+    series = milling_ptog.get_series(RunId(7), milling_ptog.state_by_label("P2"))
     table = _prepare([series], config)
     truth = _truth(table, series, config.encoding)
     assert truth.tolist() == codec.quantize(table[(series.run, series.state)].values, config.encoding)

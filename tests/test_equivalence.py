@@ -2,15 +2,16 @@
 
 The report digests below are SHA-256 sums of the report files written by
 `gendt replay --reproducible` for the 14-run synthetic fixture (seed 7), with
-the persistence test config and a `--backend` override. They were recorded
-before each graph vertex was prepared once per replay. The variant digests
+the test config and its backend kind set per case. The variant digests
 cover the replay loop's other paths: per-run health, a halt on Stop, and a
 graph whose late P1/P3 vertices carry no series (failed epochs under the
 oracle, `no_ground_truth` epochs under persistence, and windows that skip a
-run); they were recorded while each epoch still folded its own health. The
-two `mock_noise` variants (the sparse graph, and a halt on Stop) were
-recorded while each attempt still built its own `default_rng`; they show
-that skipped, series-less and halted epochs shift no attempt's stream. The
+run). The two `mock_noise` variants (the sparse graph, and a halt on Stop)
+show that skipped, series-less and halted epochs shift no attempt's stream.
+Each report digest was first recorded before the restructuring it guards
+(each vertex prepared once per replay, health folded once per replay, every
+seed hashed in one pass), and all were recorded again, with no other byte
+changed, when the report's `config` lost its top-level `rng_seed`. The
 ingest digests are SHA-256 sums of the graph file written by `gendt ingest`
 for the same fixture and of the `--workdir` dump (manifest and one segment
 CSV); they were recorded while ingest still re-read its segment dump to build
@@ -32,36 +33,36 @@ from gendt.controller import ControlThresholds
 from gendt.dataset import write_synthetic_fixture
 
 REPORT_SHA256 = {
-    "persistence": "659680d6d8087e9a78b9490807ffda5f15382644ac8be42fca7e9836fc033e68",
-    "mock_noise": "996a5d40feacf3a3fe414837acb0ec2fea3a4ad2e60bfbb8b6f7d3af81223b41",
-    "oracle": "931d5c9c1e2c1f9fa01ffeee9abfb4081024d2b6b6334e066dbce96cd85e4bbc",
+    "persistence": "2ad31c7d4e3a6061b37971b5db828e4ce86cf17321c4ae89817e55273f05b498",
+    "mock_noise": "374230929f84c9d30e1287823b0571bd5afe89aa4dcc312d7ec1c7d42e88a983",
+    "oracle": "c9ce47f5f2f03935c1931c63522010247eb90afdd987eb70081bd5b0db61d3d2",
 }
 
-# name -> (graph, backend, thresholds, extra replay arguments, exit code, digest)
+# name -> (graph, backend, thresholds, other config fields, exit code, digest)
 VARIANTS = {
     "health_scope_run": (
-        "full", "persistence", (0.5, 1.5, 0.5), ["--health-scope", "run"], EXIT_OK,
-        "445fc9fc49117fd5217dc59002819006c9d248330b97fc61f215764334b02671",
+        "full", "persistence", (0.5, 1.5, 0.5), {"health_scope": "run"}, EXIT_OK,
+        "7b29dba52b04def514f35553ae711075e5c280b63ca625f69e45e3e4dfbad6e2",
     ),
     "halt_on_stop": (
-        "full", "persistence", (0.2, 0.4, 1.0), ["--halt-on-stop"], EXIT_HALTED,
-        "01cb2052379630085a1ae503012f4e99efd51609d6308b552afb14d68b1f048f",
+        "full", "persistence", (0.2, 0.4, 1.0), {"halt_on_stop": True}, EXIT_HALTED,
+        "8d02b12c3a6266cf65d4636a571a40d87d7448fe367b7c4665b8bd944e88d94c",
     ),
     "sparse_oracle": (
-        "sparse", "oracle", (0.5, 1.5, 3.0), [], EXIT_OK,
-        "f2b4b39bfba23bd5c3346bbec94dfa8d39fcc377b3f9737a7a72952c296605fd",
+        "sparse", "oracle", (0.5, 1.5, 3.0), {}, EXIT_OK,
+        "6db0f52b2850fee6a7a12fab1b1952b95275c7070a67d836e989559ad40fb0ed",
     ),
     "sparse_persistence": (
-        "sparse", "persistence", (0.5, 1.5, 3.0), [], EXIT_OK,
-        "a99560a7a3704a1c00b945310694fd9fb95689aa9874365a42d227f335c2b4c1",
+        "sparse", "persistence", (0.5, 1.5, 3.0), {}, EXIT_OK,
+        "b39dea09701022569300b6b40bd393c18ca899b1971a7f4508f7fab50dfdeddc",
     ),
     "sparse_mock_noise": (
-        "sparse", "mock_noise", (0.5, 1.5, 3.0), [], EXIT_OK,
-        "a1c0a5b29418ebe3bf0420cccd410ee574c3789362df6d8452833c861cad04fa",
+        "sparse", "mock_noise", (0.5, 1.5, 3.0), {}, EXIT_OK,
+        "73e51cfc15cf4c66fc0e2df0b95815576cb0ee9e77661d49c422de2af54f6d6b",
     ),
     "halt_on_stop_mock_noise": (
-        "full", "mock_noise", (0.2, 0.4, 1.0), ["--halt-on-stop"], EXIT_HALTED,
-        "46ed749794c6e3bff34ec657e2a8b18bba21bc6228006c97f20f2d4428feb989",
+        "full", "mock_noise", (0.2, 0.4, 1.0), {"halt_on_stop": True}, EXIT_HALTED,
+        "862d3e363b982cb4044053061ea090fd7d5de14ac5a93f1f06b176f75876dfef",
     ),
 }
 
@@ -85,18 +86,18 @@ def replay_inputs(tmp_path_factory):
     fixture = write_synthetic_fixture(root / "fixture")
     graph = root / "ptog.json"
     assert main(["ingest", "--fixture", str(fixture), "--out", str(graph)]) == EXIT_OK
-    config = root / "cfg.json"
-    save_config(make_config("persistence"), config)
-    return root, graph, config
+    return root, graph
 
 
 @pytest.mark.parametrize("backend", sorted(REPORT_SHA256))
 def test_reproducible_report_digest(replay_inputs, backend):
-    root, graph, config = replay_inputs
+    root, graph = replay_inputs
+    config = root / f"{backend}.cfg.json"
+    save_config(make_config(backend), config)
     out = root / f"{backend}.json"
     code = main(
-        ["replay", "--ptog", str(graph), "--config", str(config), "--backend", backend,
-         "--reproducible", "--out", str(out)]
+        ["replay", "--ptog", str(graph), "--config", str(config), "--reproducible",
+         "--out", str(out)]
     )
     assert code == EXIT_OK
     assert _sha256(out) == REPORT_SHA256[backend]
@@ -116,23 +117,23 @@ def _sparse_graph(root, graph):
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_replay_variant_digest(replay_inputs, name):
-    root, graph, _ = replay_inputs
-    kind, backend, thresholds, extra, exit_code, digest = VARIANTS[name]
+    root, graph = replay_inputs
+    kind, backend, thresholds, fields, exit_code, digest = VARIANTS[name]
     if kind == "sparse":
         graph = _sparse_graph(root, graph)
     config = root / f"{name}.json"
-    save_config(make_config(backend, thresholds=ControlThresholds(*thresholds)), config)
+    save_config(make_config(backend, thresholds=ControlThresholds(*thresholds), **fields), config)
     out = root / f"{name}.out.json"
     code = main(
         ["replay", "--ptog", str(graph), "--config", str(config), "--reproducible",
-         "--out", str(out), *extra]
+         "--out", str(out)]
     )
     assert code == exit_code
     assert _sha256(out) == digest
 
 
 def test_ingest_digests(replay_inputs):
-    root, graph, _ = replay_inputs
+    root, graph = replay_inputs
     dumped = root / "dump" / "ptog.json"
     code = main(
         ["ingest", "--fixture", str(root / "fixture"), "--out", str(dumped),

@@ -57,7 +57,7 @@ def test_milling_manifest_builds_42_vertices(milling_ptog):
 def test_empty_manifest_is_valid():
     ptog = build_ptog([])
     assert ptog.n_vertices == 0
-    assert ptog.get_series(1, "P1") is None
+    assert ptog.get_series(RunId(1), S1) is None
 
 
 def test_duplicate_vertex_rejected(tmp_path):
@@ -91,9 +91,10 @@ def test_direct_sensor_mismatch():
 
 
 def test_get_series_present_and_absent(milling_ptog):
-    assert milling_ptog.get_series(7, "P1") is not None
-    assert milling_ptog.get_series(99, "P1") is None
-    assert milling_ptog.get_series(7, "P9") is None
+    p1 = milling_ptog.state_by_label("P1")
+    assert milling_ptog.get_series(RunId(7), p1) is not None
+    assert milling_ptog.get_series(RunId(99), p1) is None
+    assert milling_ptog.get_series(RunId(7), StateId(9, "P9")) is None
 
 
 def test_vertex_without_series(tmp_path):
@@ -102,8 +103,8 @@ def test_vertex_without_series(tmp_path):
     ptog = build_ptog(entries, base_dir=tmp_path)
     assert ptog.n_vertices == 2
     assert ptog.n_series == 1
-    assert ptog.has_vertex(2, "P1")
-    assert ptog.get_series(2, "P1") is None
+    assert ptog.has_vertex(RunId(2), S1)
+    assert ptog.get_series(RunId(2), S1) is None
 
 
 def test_manifest_dump_rejects_series_less_vertex(tmp_path):
@@ -273,7 +274,9 @@ def test_samples_are_one_read_only_float64_array(milling_ptog, tmp_path):
     assert build_ptog(save_manifest(milling_ptog, tmp_path / "dump")) == milling_ptog
 
 
-@pytest.mark.parametrize("samples", [[[1.0, 2.0]], 5.0, [1.0, [2.0]], ["a"], [10**400]])
+@pytest.mark.parametrize(
+    "samples", [[[1.0, 2.0]], 5.0, [1.0, [2.0]], ["a"], [10**400], [1.0, "1.5"], [True, False]]
+)
 def test_samples_of_the_wrong_shape_rejected_by_graph_file(samples):
     doc = Ptog.from_series([series(1)]).to_dict()
     doc["series"][0]["samples"] = samples
