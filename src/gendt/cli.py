@@ -1,6 +1,11 @@
 """Command-line surface: ingest, replay, forecast, report.
 
 Exit codes are stable: 0 ok, 2 input error, 3 config error, 4 halted on Stop.
+Each command raises its errors, and `main` alone maps one to a code and one
+`error:` line: a `ConfigError` or `AuthError` (config file, prompt template,
+credential) exits 3; any other `GendtError` (an input that fails its check, a
+failed forecast) and an `OSError` (an output path that cannot be written)
+exit 2.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from typing import Optional
 from . import __version__, codec, report as report_mod
 from .config import ConfigError, RunConfig, load_config
 from .controller import run_replay
-from .dataset import ingest_fixture
-from .errors import GendtError
-from .forecast import BACKEND_KINDS, AuthError
-from .ptog import load_ptog, save_manifest, save_ptog
+from .dataset import DatasetError, ingest_fixture
+from .errors import GendtError, read_json
+from .forecast import BACKEND_KINDS, AuthError, ForecastError
+from .ptog import PtogError, load_ptog, save_manifest, save_ptog
 from .windowing import EpochPoint
 
 EXIT_OK = 0
@@ -32,28 +37,20 @@ EXIT_HALTED = 4
 REPORT_SCHEMA_VERSION = 1
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     fixture = Path(args.fixture)
     if not fixture.is_dir():
-        return _fail(EXIT_INPUT, f"fixture directory {fixture} does not exist")
-    try:
-        ptog = ingest_fixture(fixture)
-        counts = f"{ptog.n_vertices} vertices, {ptog.n_series} series"
-        if args.dry_run:
-            print(f"dry run ok: {counts}")
-            return EXIT_OK
-        if args.workdir:
-            counts += f", manifest {save_manifest(ptog, args.workdir)}"
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_ptog(ptog, out)
-    except (GendtError, OSError) as exc:
-        return _fail(EXIT_INPUT, f"ingestion failed: {exc}")
+        raise DatasetError(f"fixture directory {fixture} does not exist")
+    ptog = ingest_fixture(fixture)
+    counts = f"{ptog.n_vertices} vertices, {ptog.n_series} series"
+    if args.dry_run:
+        print(f"dry run ok: {counts}")
+        return EXIT_OK
+    if args.workdir:
+        counts += f", manifest {save_manifest(ptog, args.workdir)}"
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_ptog(ptog, out)
     print(f"wrote {out}: {counts}")
     return EXIT_OK
 
@@ -61,33 +58,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def _load_replay_inputs(args: argparse.Namespace, backend_kind: Optional[str] = None) -> tuple:
     """The config, its prompt template and credential checked, and the graph.
     `backend_kind` is `replay --backend`, the one override left (see ROADMAP)."""
-    try:
-        config = load_config(args.config)
-        if backend_kind is not None:
+    config = load_config(args.config)
+    if backend_kind is not None:
+        try:
             config = replace(config, backend=replace(config.backend, kind=backend_kind))
-        config.prompt_template  # read and checked here, before the first epoch
-    except (ValueError, ConfigError) as exc:
-        raise _CliError(EXIT_CONFIG, str(exc))
+        except ValueError as exc:
+            raise ConfigError(f"--backend {backend_kind}: {exc}") from exc
+    config.prompt_template  # read and checked here, before the first epoch
     if config.backend.kind == "llm_http" and not os.environ.get(config.backend.api_key_env):
-        raise _CliError(
-            EXIT_CONFIG,
+        raise ConfigError(
             f"backend llm_http requires the environment variable "
-            f"{config.backend.api_key_env} to hold the API credential",
+            f"{config.backend.api_key_env} to hold the API credential"
         )
-    ptog_path = Path(args.ptog)
-    if not ptog_path.exists():
-        raise _CliError(EXIT_INPUT, f"graph file {ptog_path} does not exist")
-    try:
-        ptog = load_ptog(ptog_path)
-    except GendtError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot load graph: {exc}")
-    return ptog, config
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    return load_ptog(args.ptog), config
 
 
 def _report_document(config: RunConfig, result, reproducible: bool) -> dict:
@@ -112,23 +95,12 @@ def _report_document(config: RunConfig, result, reproducible: bool) -> dict:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        ptog, config = _load_replay_inputs(args, args.backend)
-    except _CliError as exc:
-        return _fail(exc.code, str(exc))
-    try:
-        result = run_replay(ptog, config)
-    except AuthError as exc:
-        return _fail(EXIT_CONFIG, f"credential rejected: {exc}")
-    except GendtError as exc:
-        return _fail(EXIT_INPUT, f"replay failed: {exc}")
+    ptog, config = _load_replay_inputs(args, args.backend)
+    result = run_replay(ptog, config)
     doc = _report_document(config, result, args.reproducible)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        return _fail(EXIT_INPUT, f"cannot write report: {exc}")
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     session = result.summary["session"]
     print(
         f"wrote {out}: {session['epochs']} epochs, {session['evaluated']} evaluated, "
@@ -141,38 +113,23 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
-    try:
-        ptog, config = _load_replay_inputs(args)
-    except _CliError as exc:
-        return _fail(exc.code, str(exc))
+    ptog, config = _load_replay_inputs(args)
     state = ptog.state_by_label(args.state)
     if state is None:
-        return _fail(EXIT_INPUT, f"state {args.state!r} not present in the graph")
+        raise PtogError(f"state {args.state!r} not present in the graph")
     run = next((r for r in ptog.runs if r.index == args.run), None)
     if run is None or not ptog.has_vertex(run, state):
-        return _fail(EXIT_INPUT, f"(run {args.run}, {args.state}) is not a graph vertex")
-    try:
-        (report,) = run_replay(ptog, config, [EpochPoint(run, state)]).reports
-        if "epoch_failed" in report.flags:
-            return _fail(EXIT_INPUT, f"forecast failed: {report.flags[1]}")
-        text = codec.encode(report.median, config.encoding).text
-    except AuthError as exc:
-        return _fail(EXIT_CONFIG, f"credential rejected: {exc}")
-    except GendtError as exc:
-        return _fail(EXIT_INPUT, f"forecast failed: {exc}")
-    print(text)
+        raise PtogError(f"(run {args.run}, {args.state}) is not a graph vertex")
+    (report,) = run_replay(ptog, config, [EpochPoint(run, state)]).reports
+    if "epoch_failed" in report.flags:
+        raise ForecastError(f"forecast failed: {report.flags[1]}")
+    print(codec.encode(report.median, config.encoding).text)
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    path = Path(args.report)
-    if not path.exists():
-        return _fail(EXIT_INPUT, f"report file {path} does not exist")
-    try:
-        doc = report_mod.check_document(json.loads(path.read_text()))
-        written = report_mod.write_report_artifacts(doc, args.out_dir)
-    except (GendtError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError among them
-        return _fail(EXIT_INPUT, f"malformed report: {exc}")
+    doc = report_mod.check_document(read_json(args.report, report_mod.ReportError))
+    written = report_mod.write_report_artifacts(doc, args.out_dir)
     print(f"wrote {len(written)} artifacts to {args.out_dir}")
     return EXIT_OK
 
@@ -221,13 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GendtError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG if isinstance(exc, (ConfigError, AuthError)) else EXIT_INPUT
 
 
 def run() -> None:

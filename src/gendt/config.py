@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Union, get_args, get_type_hints
 from .codec import DEFAULT_PROMPT_TEMPLATE, EncodingSpec, MissingPlaceholder, build_prompt
 from .controller import ControlThresholds
 from .dsp import DownsampleSpec, FilterSpec
-from .errors import GendtError
+from .errors import GendtError, read_json
 from .forecast import BackendConfig
 
 HEALTH_SCOPES = ("session", "run")
@@ -139,11 +139,7 @@ def _section(name: str, cls: type, doc):
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError among them
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return RunConfig.from_dict(doc)
+    return RunConfig.from_dict(read_json(path, ConfigError))
 
 
 def save_config(config: RunConfig, path: Union[str, Path]) -> None:

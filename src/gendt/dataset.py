@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import GendtError
+from .errors import GendtError, read_json
 from .ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId, is_finite_number, read_samples_csv
 
 STATE_LABELS = ("P1", "P2", "P3")
@@ -98,13 +98,7 @@ def load_fixture_meta(
     and the known wear points. Values are checked, not coerced: a boundary or
     a wear run is a JSON integer (a boolean is not one), and the rate and a
     wear value are finite numbers."""
-    path = Path(fixture_dir) / FIXTURE_META_NAME
-    if not path.exists():
-        raise DatasetError(f"fixture metadata {path} not found")
-    try:
-        meta = json.loads(path.read_text())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
-        raise DatasetError(f"{path}: {exc}") from exc
+    meta = read_json(Path(fixture_dir) / FIXTURE_META_NAME, DatasetError)
 
     def bad(message: str) -> DatasetError:
         return DatasetError(f"{FIXTURE_META_NAME}: {message}")

@@ -1,4 +1,14 @@
-"""Shared exception base classes."""
+"""Shared exception base classes, and the one reader of untrusted JSON.
+
+Every JSON document gendt does not write itself in the same run, whether a
+graph, config, report, manifest or `fixture.json` file or the body of an HTTP
+reply, is parsed by `read_json`, so each failure to read it becomes the
+caller's error class and never a traceback.
+"""
+
+import json
+from pathlib import Path
+from typing import Union
 
 
 class GendtError(Exception):
@@ -7,3 +17,16 @@ class GendtError(Exception):
 
 class EmptyInput(GendtError):
     """An operation that requires samples received an empty list."""
+
+
+def read_json(source: Union[str, Path, bytes], error: type[GendtError], name: str = ""):
+    """The JSON document held by the file at `source`, or by `source` itself
+    when it is bytes, which must be UTF-8. A file that cannot be read, bytes
+    that are not UTF-8 JSON, and nesting deeper than the parser's recursion
+    limit each raise `error`, with one line naming `name` or the file."""
+    try:
+        data = source if isinstance(source, bytes) else Path(source).read_bytes()
+        return json.loads(data.decode())
+    except (OSError, ValueError, RecursionError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise error(f"cannot read {name or source}: {reason}") from exc

@@ -22,7 +22,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .codec import DecodeFailure, EncodingSpec, decode
-from .errors import GendtError
+from .errors import GendtError, read_json
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +34,8 @@ _AUTH_STATUS = frozenset({401, 403})
 _JITTER_SPREAD = 0.25  # multiplicative, on top of the doubling base
 # far below 1e154, where squaring a mock_noise error overflows a float64
 NOISE_SIGMA_MAX = 1e100
+# a reply holds a few numbers per horizon step, so this is far above any honest one
+MAX_REPLY_BYTES = 64 * 1024
 
 
 class ForecastError(GendtError):
@@ -163,33 +165,38 @@ def llm_http_call(
             delay = config.retry_base_delay_s * (2 ** (attempt - 1))
             time.sleep(delay * (1.0 + _JITTER_SPREAD * random.random()))
         try:
-            resp = requests.post(
-                config.endpoint, json=body, headers=headers, timeout=config.timeout_s
-            )
-        except requests.RequestException as exc:
+            with requests.post(config.endpoint, json=body, headers=headers,
+                               timeout=config.timeout_s, stream=True) as resp:
+                status = resp.status_code
+                if status in _AUTH_STATUS:
+                    raise AuthError(f"endpoint rejected credential (HTTP {status})")
+                if status in _RETRYABLE_STATUS or status >= 500:
+                    last_error = f"HTTP {status}"
+                    log.debug("llm_http retryable status %d (try %d)", status, attempt + 1)
+                    continue
+                if status != 200:
+                    raise BackendUnreachable(f"unexpected HTTP {status} from {config.endpoint}")
+                return _extract_content(_read_capped(resp))
+        except requests.RequestException as exc:  # a body cut short among them
             last_error = f"transport error: {type(exc).__name__}"
             log.debug("llm_http transport error (try %d): %s", attempt + 1, last_error)
-            continue
-        status = resp.status_code
-        if status in _AUTH_STATUS:
-            raise AuthError(f"endpoint rejected credential (HTTP {status})")
-        if status in _RETRYABLE_STATUS or status >= 500:
-            last_error = f"HTTP {status}"
-            log.debug("llm_http retryable status %d (try %d)", status, attempt + 1)
-            continue
-        if status != 200:
-            raise BackendUnreachable(f"unexpected HTTP {status} from {config.endpoint}")
-        return _extract_content(resp)
     raise BackendUnreachable(
         f"gave up after {config.max_retries + 1} calls to {config.endpoint}: {last_error}"
     )
 
 
-def _extract_content(resp: requests.Response) -> str:
-    try:
-        data = resp.json()
-    except ValueError as exc:
-        raise MalformedResponse(f"response body is not JSON: {exc}") from exc
+def _read_capped(resp: requests.Response) -> bytes:
+    """The decoded body, read until it ends or exceeds MAX_REPLY_BYTES."""
+    body = bytearray()
+    for chunk in resp.iter_content(chunk_size=16 * 1024):
+        body += chunk
+        if len(body) > MAX_REPLY_BYTES:
+            raise MalformedResponse(f"response body exceeds {MAX_REPLY_BYTES} bytes")
+    return bytes(body)
+
+
+def _extract_content(body: bytes) -> str:
+    data = read_json(body, MalformedResponse, "response body")
     try:
         content = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:

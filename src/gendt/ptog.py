@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import GendtError
+from .errors import GendtError, read_json
 
 SCHEMA_VERSION = 1
 
@@ -334,23 +334,27 @@ class ManifestEntry:
 
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "ManifestEntry":
+        """An entry, its values checked, not coerced, as `Ptog.from_dict` checks
+        a graph document's."""
         try:
+            csv_path = doc.get("csv_path")
             return cls(
-                run=int(doc["run"]),
-                state_label=str(doc["state_label"]),
-                sensor=str(doc["sensor"]),
-                unit=str(doc["unit"]),
-                sample_rate_hz=float(doc["sample_rate_hz"]),
-                csv_path=None if doc.get("csv_path") is None else str(doc["csv_path"]),
-                metadata={str(k): float(v) for k, v in doc.get("metadata", {}).items()},
+                run=_checked(int, doc["run"], "run"),
+                state_label=_checked(str, doc["state_label"], "state_label"),
+                sensor=_checked(str, doc["sensor"], "sensor"),
+                unit=_checked(str, doc["unit"], "unit"),
+                sample_rate_hz=_checked(float, doc["sample_rate_hz"], "sample_rate_hz"),
+                csv_path=None if csv_path is None else _checked(str, csv_path, "csv_path"),
+                metadata={k: _checked(float, v, f"metadata {k!r}")
+                          for k, v in doc.get("metadata", {}).items()},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise PtogError(f"malformed manifest entry: {exc}") from exc
 
 
 def load_manifest(path: Union[str, Path]) -> list[ManifestEntry]:
-    doc = json.loads(Path(path).read_text())
-    entries = doc["entries"] if isinstance(doc, dict) else doc
+    doc = read_json(path, PtogError)
+    entries = doc.get("entries") if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise PtogError("manifest must be a list of entries or {'entries': [...]}")
     return [ManifestEntry.from_mapping(e) for e in entries]
@@ -448,8 +452,4 @@ def save_ptog(ptog: Ptog, path: Union[str, Path]) -> None:
 
 
 def load_ptog(path: Union[str, Path]) -> Ptog:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
-        raise PtogError(f"{path}: {exc}") from exc
-    return Ptog.from_dict(doc)
+    return Ptog.from_dict(read_json(path, PtogError))

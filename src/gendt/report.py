@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 from typing import Union
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -25,7 +26,7 @@ MARGIN = 46
 
 
 def _int(v) -> bool:
-    return type(v) is int
+    return type(v) is int and _number(v)
 
 
 def _number(v) -> bool:  # a finite float, or an int that fits one; NaN fails the comparison
@@ -36,8 +37,12 @@ def _numbers(v) -> bool:
     return isinstance(v, list) and all(map(_number, v))
 
 
-def _label(v) -> bool:  # it names an overlay file
-    return isinstance(v, str) and not set(v) & {"/", "\\"}
+def _rmses(v) -> bool:  # an RMSE is never negative
+    return _numbers(v) and all(x >= 0 for x in v)
+
+
+def _label(v) -> bool:  # it names an overlay file, and XML cannot hold a control character
+    return isinstance(v, str) and v.isprintable() and not set(v) & {"/", "\\"}
 
 
 def _optional(ok):
@@ -47,7 +52,7 @@ def _optional(ok):
 _PER_RUN_FIELDS = {"run": _int, "flank_wear_mm": _optional(_number),
                    "err_avg": _optional(_number), "err_std": _optional(_number)}
 _EPOCH_FIELDS = {"run": _int, "state": _label, "median": _numbers, "sd": _numbers,
-                 "truth": _optional(_numbers), "attempt_rmse": _optional(_numbers)}
+                 "truth": _optional(_numbers), "attempt_rmse": _optional(_rmses)}
 
 
 def _check_rows(rows, where: str, fields: dict) -> None:
@@ -86,15 +91,16 @@ def write_run_table_csv(report: dict, path: Union[str, Path]) -> Path:
 
 
 class _Scale:
-    """Data -> pixel mapping for one axis."""
+    """Data -> pixel mapping for one axis; a range that is empty in float
+    arithmetic, such as one value far from zero, spans 1."""
 
     def __init__(self, lo: float, hi: float, pix_lo: float, pix_hi: float):
-        if hi <= lo:
-            hi = lo + 1.0
-        self.lo, self.hi, self.pix_lo, self.pix_hi = lo, hi, pix_lo, pix_hi
+        span = float(hi) - float(lo)
+        self.lo, self.span = float(lo), span if span > 0 else 1.0
+        self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
     def __call__(self, v: float) -> float:
-        frac = (v - self.lo) / (self.hi - self.lo)
+        frac = (v - self.lo) / self.span
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 
@@ -110,7 +116,7 @@ def _polygon(xs, ys, fill: str, opacity: float) -> str:
 
 
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "start") -> str:
-    return f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" font-family="sans-serif" text-anchor="{anchor}">{s}</text>'
+    return f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" font-family="sans-serif" text-anchor="{anchor}">{escape(s)}</text>'
 
 
 def _svg(body: list[str]) -> str:
@@ -139,8 +145,9 @@ def write_overlay_svg(epoch: dict, path: Union[str, Path]) -> Path:
     series = [median]
     if truth:
         series.append(truth[:n])
-    lo_band = [m - s for m, s in zip(median, sd)]
-    hi_band = [m + s for m, s in zip(median, sd)]
+    # in floats: two integers of the document can add up beyond the float range
+    lo_band = [float(m) - s for m, s in zip(median, sd)]
+    hi_band = [float(m) + s for m, s in zip(median, sd)]
     vmin = min(min(s) for s in series + [lo_band])
     vmax = max(max(s) for s in series + [hi_band])
     sx = _Scale(0, max(n - 1, 1), MARGIN, WIDTH - MARGIN)

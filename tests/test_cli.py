@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,7 +187,7 @@ def test_forecast_unencodable_median_exits_input(cli_env, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = _error_lines(captured.err)
-    assert line.startswith("error: forecast failed: scaled magnitude")
+    assert re.fullmatch(r"error: scaled magnitude -?[0-9.e+]+ exceeds 1e\+09", line)
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -274,6 +275,44 @@ def test_replay_llm_http_end_to_end(cli_env, tmp_path, stub_llm, api_key_env):
     assert "Sequence: " in prompt
 
 
+def test_replay_survives_hostile_replies(cli_env, tmp_path, stub_llm, api_key_env):
+    """A deeply nested, an oversized and a non-JSON reply each fail one
+    attempt; the replay goes on and exits 0."""
+    from gendt.forecast import MAX_REPLY_BYTES, BackendConfig
+
+    valid = stub_llm.completion(",".join(["1.00"] * 600))
+    oversize = stub_llm.completion(",".join(["1.00"] * (MAX_REPLY_BYTES // 5 + 1)))
+    stub_llm.script = [(200, "[" * 10_000), (200, oversize), (200, "not json"), (200, valid)]
+    config_path = tmp_path / "llm.json"
+    backend = BackendConfig(kind="llm_http", endpoint=stub_llm.endpoint, max_retries=0)
+    save_config(make_config(backend=backend), config_path)
+    out = tmp_path / "llm_report.json"
+    code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    epochs = json.loads(out.read_text())["epochs"]
+    assert [e["attempts_used"] for e in epochs] == [7] + [10] * 29
+    assert len(stub_llm.requests) == 300
+
+
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_unwritable_output_path_exits_input(cli_env, tmp_path, capsys, command):
+    """An output path that runs through a file exits 2 with one `error:` line."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    report = cli_env["root"] / "report.json"
+    _replay_report_doc(cli_env)
+    args = {
+        "replay": ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
+                   "--out", str(blocker / "r.json")],
+        "report": ["report", "--report", str(report), "--out-dir", str(blocker / "art")],
+    }
+    capsys.readouterr()
+    assert main(args[command]) == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert str(blocker) in line
+
+
 def test_replay_rejected_credential_exits_config(cli_env, tmp_path, stub_llm, api_key_env):
     from gendt.forecast import BackendConfig
 
@@ -327,8 +366,21 @@ def _huge_median_value(doc):
     doc["epochs"][0]["median"][0] = 10**400
 
 
+def _huge_run(doc):
+    doc["epochs"][0]["run"] = 10**400
+
+
+def _negative_attempt_rmse(doc):
+    doc["epochs"][0]["attempt_rmse"][0] = -1.0
+
+
+def _control_character_state(doc):
+    doc["epochs"][0]["state"] = "P1\x00"
+
+
 @pytest.mark.parametrize(
-    "mutate", [_break_per_run_row, _break_median, _break_run, _break_sd, _huge_median_value]
+    "mutate", [_break_per_run_row, _break_median, _break_run, _break_sd, _huge_median_value,
+               _huge_run, _negative_attempt_rmse, _control_character_state]
 )
 def test_report_malformed_document_exits_input(cli_env, tmp_path, capsys, mutate):
     """A report document that parses but lacks or mistypes a field the views
@@ -368,27 +420,47 @@ def _set_graph_value(path, value):
     return mutate
 
 
-# values of the wrong JSON type, which the graph loader rejects rather than coerces
+# values of the wrong JSON type, which the graph loader rejects rather than coerces,
+# each with the error line it gives
 _UNCOERCED_GRAPH_VALUES = {
-    "boolean-sample-rate": (("series", 0, "sample_rate_hz"), True),
-    "numeric-text-sample-rate": (("series", 0, "sample_rate_hz"), "250"),
-    "fractional-run-index": (("series", -1, "run"), 14.5),
-    "boolean-state-index": (("states", 0, "index"), True),
-    "numeric-state-label": (("states", 0, "label"), 5),
-    "numeric-sensor-unit": (("states", 0, "sensor", "unit"), 1),
-    "numeric-text-metadata": (("runs", 0, "metadata", "flank_wear_mm"), "0.1"),
-    "boolean-metadata": (("runs", 0, "metadata", "flank_wear_mm"), True),
-    "numeric-text-sample": (("series", 0, "samples", 0), "1.5"),
-    "boolean-samples": (("series", 0, "samples"), [True, False] * 60),
+    "boolean-sample-rate": (("series", 0, "sample_rate_hz"), True,
+                            "sample_rate_hz must be a finite number, got True"),
+    "numeric-text-sample-rate": (("series", 0, "sample_rate_hz"), "250",
+                                 "sample_rate_hz must be a finite number, got '250'"),
+    "fractional-run-index": (("series", -1, "run"), 14.5,
+                             "run index must be a JSON integer, got 14.5"),
+    "boolean-state-index": (("states", 0, "index"), True,
+                            "state index must be a JSON integer, got True"),
+    "numeric-state-label": (("states", 0, "label"), 5,
+                            "state label must be a JSON string, got 5"),
+    "numeric-sensor-unit": (("states", 0, "sensor", "unit"), 1,
+                            "sensor unit must be a JSON string, got 1"),
+    "numeric-text-metadata": (("runs", 0, "metadata", "flank_wear_mm"), "0.1",
+                              "metadata 'flank_wear_mm' must be a finite number, got '0.1'"),
+    "boolean-metadata": (("runs", 0, "metadata", "flank_wear_mm"), True,
+                         "metadata 'flank_wear_mm' must be a finite number, got True"),
+    "numeric-text-sample": (("series", 0, "samples", 0), "1.5",
+                            "samples of run 1 P1 must be floats or 64-bit integers, not <U32"),
+    "boolean-samples": (("series", 0, "samples"), [True, False] * 60,
+                        "samples of run 1 P1 must be floats or 64-bit integers, not bool"),
 }
 
 
 @pytest.mark.parametrize(
-    "mutate",
-    [_graph_as_list, _metadata_as_list, _nested_samples]
-    + [pytest.param(_set_graph_value(*case), id=name) for name, case in _UNCOERCED_GRAPH_VALUES.items()],
+    "mutate, message",
+    [
+        pytest.param(_graph_as_list, "graph document must be a JSON object, got list",
+                     id="_graph_as_list"),
+        pytest.param(_metadata_as_list,
+                     "malformed graph document: 'list' object has no attribute 'items'",
+                     id="_metadata_as_list"),
+        pytest.param(_nested_samples, "samples of run 1 P1 must be a flat list, got 2 dimensions",
+                     id="_nested_samples"),
+    ]
+    + [pytest.param(_set_graph_value(path, value), message, id=name)
+       for name, (path, value, message) in _UNCOERCED_GRAPH_VALUES.items()],
 )
-def test_replay_malformed_graph_document_exits_input(cli_env, tmp_path, capsys, mutate):
+def test_replay_malformed_graph_document_exits_input(cli_env, tmp_path, capsys, mutate, message):
     """A graph file of the wrong shape exits 2 with one error line, not a traceback."""
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps(mutate(json.loads(cli_env["ptog"].read_text()))))
@@ -397,8 +469,7 @@ def test_replay_malformed_graph_document_exits_input(cli_env, tmp_path, capsys, 
          "--out", str(tmp_path / "x.json")]
     )
     assert code == EXIT_INPUT
-    (line,) = _error_lines(capsys.readouterr().err)
-    assert "cannot load graph" in line
+    assert _error_lines(capsys.readouterr().err) == [f"error: {message}"]
     assert not (tmp_path / "x.json").exists()
 
 
@@ -567,6 +638,8 @@ def test_ingest_meta_without_boundaries_exits_input(cli_env, tmp_path, capsys):
 def test_non_utf8_input_file_exits_with_one_error_line(
     cli_env, tmp_path, capsys, name, command, code
 ):
+    """An input file that is not UTF-8, or that nests arrays far deeper than
+    the JSON parser's recursion limit, exits with one `error:` line."""
     import shutil
 
     _broken_fixture(cli_env, tmp_path)
@@ -584,9 +657,11 @@ def test_non_utf8_input_file_exits_with_one_error_line(
         assert main(args["replay"]) == EXIT_OK
         capsys.readouterr()
     path = tmp_path / name
-    path.write_bytes(b"\xff" + path.read_bytes())
-    assert main(args[command]) == code
-    assert len(_error_lines(capsys.readouterr().err)) == 1
+    original = path.read_bytes()
+    for payload in (b"\xff" + original, b"[" * 100_000):
+        path.write_bytes(payload)
+        assert main(args[command]) == code
+        assert len(_error_lines(capsys.readouterr().err)) == 1
 
 
 def test_replay_graph_with_nan_sample_rate_exits_input(cli_env, tmp_path, capsys):
@@ -865,3 +940,82 @@ def test_replay_unencodable_sample_fails_only_the_touching_epochs(cli_env, tmp_p
                  "--run", "6", "--state", "P2"])
     assert code == EXIT_INPUT
     assert _error_lines(capsys.readouterr().err) == ["error: forecast failed: Overflow"]
+
+
+def _report_paths() -> list[tuple]:
+    """Item paths of a replay report that `gendt report` reads: the lists it
+    draws from, the fields of the first per-run row and of the first two
+    epochs, and the first element of each number list of the first epoch."""
+    lists = ("median", "sd", "truth", "attempt_rmse")
+    paths = [("summary",), ("summary", "per_run"), ("epochs",)]
+    paths += [("summary", "per_run", 0, key) for key in ("run", "flank_wear_mm", "err_avg", "err_std")]
+    for i in (0, 1):
+        paths += [("epochs", i, key) for key in ("run", "state", *lists)]
+    paths += [("epochs", 0, key, 0) for key in lists]
+    return paths
+
+
+def test_report_contract_under_document_mutations(cli_env):
+    """Whatever a report file holds, `gendt report` exits 0 or 2 and never
+    raises; a failing exit prints exactly one `error:` line, and every SVG it
+    writes is well-formed XML."""
+    hypothesis = pytest.importorskip("hypothesis")
+    import contextlib
+    import io
+    import shutil
+    import xml.etree.ElementTree as ET
+
+    from hypothesis import strategies as st
+
+    root = cli_env["root"] / "report_contract"
+    root.mkdir(exist_ok=True)
+    base = _replay_report_doc(cli_env)
+    labels = st.one_of(st.sampled_from(["", "P1", 'P1<svg onload=alert(1)>&"', "a/b"]),
+                       st.text(alphabet='P1<>&"/\x00\x7f\ud800', max_size=4))
+    numbers = st.one_of(
+        st.sampled_from([0, 1, 0.5, float("nan"), float("inf"), 1e20, 1e308, -1e308,
+                         9 * 10**307, 10**400]),
+        st.integers(-5, 40), st.floats(),
+    )
+    anything = st.one_of(labels, numbers, st.sampled_from([None, True, [], [1.0], {}]))
+
+    def mutation(path):
+        # mostly a value of the field's own type, so that most documents pass the
+        # check and reach the views
+        typed = labels if path[-1] == "state" else numbers
+        return st.tuples(st.just(path), st.sampled_from(["set", "fill", "fill", "delete"]),
+                         st.one_of(typed, typed, typed, anything))
+
+    mutation = st.sampled_from(_report_paths()).flatmap(mutation)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(mutations=st.lists(mutation, min_size=1, max_size=2))
+    def check(mutations):
+        doc = json.loads(json.dumps(base))
+        for path, op, value in mutations:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key] if _holds(parent, key) else None
+            if not _holds(parent, path[-1]):
+                continue
+            if op == "delete":
+                del parent[path[-1]]
+            elif op == "fill" and isinstance(parent[path[-1]], list):
+                # every element of a list takes the value, so lengths still agree
+                parent[path[-1]] = [value] * len(parent[path[-1]])
+            else:
+                parent[path[-1]] = value
+        report = root / "report.json"
+        report.write_text(json.dumps(doc))
+        out_dir = root / "artifacts"
+        shutil.rmtree(out_dir, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["report", "--report", str(report), "--out-dir", str(out_dir)])
+        assert code in (EXIT_OK, EXIT_INPUT)
+        if code == EXIT_INPUT:
+            assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
+        for svg in out_dir.glob("*.svg"):
+            ET.parse(svg)
+
+    check()

@@ -18,6 +18,7 @@ from gendt.forecast import (
     EnsembleInputs,
     ForecastAttempt,
     ForecastRequest,
+    MAX_REPLY_BYTES,
     MalformedResponse,
     forecast_ensemble,
     llm_http_call,
@@ -248,6 +249,68 @@ def test_http_malformed_response(stub_llm, api_key_env):
     stub_llm.script = [(200, "this is not json")]
     with pytest.raises(MalformedResponse):
         llm_http_call(http_config(stub_llm), "p", 0.7, 1.0)
+
+
+def test_hostile_replies_are_failed_backend_attempts(stub_llm, api_key_env):
+    """A reply nested far deeper than the JSON parser's recursion limit, one
+    over MAX_REPLY_BYTES and one that is not JSON each fail one attempt, not
+    retried, with reason `backend`; the other attempts go on."""
+    oversize = stub_llm.completion(",".join(["1.00"] * (MAX_REPLY_BYTES // 5 + 1)))
+    stub_llm.script = [
+        (200, "[" * 10_000),
+        (200, oversize),
+        (200, "this is not json"),
+        (200, stub_llm.completion("1.00,2.00,3.00,4.00")),
+    ]
+    attempts, rows = forecast_ensemble(http_config(stub_llm), request(attempts=4), inputs())
+    assert [a.failure.reason for a in attempts[:3]] == ["backend"] * 3
+    assert "recursion" in attempts[0].failure.message
+    assert f"exceeds {MAX_REPLY_BYTES} bytes" in attempts[1].failure.message
+    assert "cannot read response body" in attempts[2].failure.message
+    assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert len(stub_llm.requests) == 4
+
+
+def test_http_body_cut_short_is_a_retried_transport_error(api_key_env):
+    """A body shorter than its Content-Length is a transport error, retried,
+    and BackendUnreachable once the retries are spent."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    import urllib3
+
+    if int(urllib3.__version__.split(".")[0]) < 2:
+        pytest.skip("urllib3 before 2.0 does not enforce Content-Length by default")
+    served = []
+
+    class ShortBody(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            served.append(self.path)
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", "1000")
+            self.end_headers()
+            self.wfile.write(b'{"choices": [')  # then the connection closes
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ShortBody)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        cfg = BackendConfig(kind="llm_http", endpoint=f"http://{host}:{port}/v1",
+                            max_retries=1, retry_base_delay_s=0.0, timeout_s=5.0)
+        with pytest.raises(BackendUnreachable, match="transport error: ChunkedEncodingError"):
+            llm_http_call(cfg, "p", 0.7, 1.0)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert len(served) == 2
 
 
 def test_http_unreachable_endpoint(api_key_env):

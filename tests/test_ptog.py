@@ -192,6 +192,31 @@ def test_manifest_entry_validation():
         ManifestEntry.from_mapping({"run": "x"})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("run", "3"),
+        ("state_label", 7),
+        ("sensor", True),
+        ("unit", 1),
+        ("sample_rate_hz", "250"),
+        ("metadata", {"w": "0.5"}),
+    ],
+)
+def test_manifest_values_checked_not_coerced(tmp_path, field, value):
+    (tmp_path / "s.csv").write_text("1.0\n")
+    with pytest.raises(PtogError, match=field if field != "metadata" else "metadata 'w'"):
+        build_ptog([dict(entry(3), **{field: value})], base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("payload", [b"\xff[]", b"[" * 100_000, b'{"no": []}'],
+                         ids=["non-utf8", "nested", "no-entries"])
+def test_unreadable_manifest_file_raises_ptog_error(tmp_path, payload):
+    (tmp_path / "manifest.json").write_bytes(payload)
+    with pytest.raises(PtogError):
+        build_ptog(tmp_path / "manifest.json")
+
+
 def test_two_states_may_share_one_sensor(tmp_path):
     # sensor uniqueness is a per-state assignment, not a global exclusivity
     (tmp_path / "s.csv").write_text("1.0\n")

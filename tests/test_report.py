@@ -12,6 +12,7 @@ from gendt.report import (
     run_box_stats,
     write_boxplot_svg,
     write_overlay_svg,
+    write_report_artifacts,
     write_run_table_csv,
 )
 
@@ -96,3 +97,42 @@ def test_malformed_report_rejected(mock_report):
     with pytest.raises(ReportError):
         check_document({"nope": 1})
     assert check_document(mock_report) is mock_report
+
+
+def test_svg_text_is_escaped(mock_report, tmp_path):
+    """A state label holding markup is written as text: every SVG parses as
+    XML, and the overlay title holds the label verbatim."""
+    import copy
+    import xml.etree.ElementTree as ET
+
+    label = 'P1<svg onload=alert(1)>&"'
+    report = copy.deepcopy(mock_report)
+    for epoch in report["epochs"]:
+        epoch["state"] = epoch["state"].replace("P1", label)
+    written = write_report_artifacts(check_document(report), tmp_path)
+    svgs = [path for path in written if path.suffix == ".svg"]
+    assert len(svgs) == 31  # 30 overlays and the box plot
+    for path in svgs:
+        ET.parse(path)
+    title = ET.parse(tmp_path / f"overlay_run05_{label}.svg").find("{*}text").text
+    assert title.startswith(f"run 5 {label}: ")
+
+
+@pytest.mark.parametrize(
+    "median, sd",
+    [([1e20] * 3, [0.0] * 3), ([9 * 10**307] * 2, [9 * 10**307] * 2)],
+    ids=["flat-far-from-zero", "band-beyond-float-range"],
+)
+def test_overlay_of_extreme_values_is_drawn(tmp_path, median, sd):
+    import xml.etree.ElementTree as ET
+
+    epoch = {"run": 5, "state": "P1", "median": median, "sd": sd, "truth": None}
+    ET.parse(write_overlay_svg(epoch, tmp_path / "overlay.svg"))
+
+
+def test_boxplot_of_one_run_far_from_zero(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    report = {"epochs": [{"run": 9 * 10**307, "attempt_rmse": [1e20, 1e20]}],
+              "summary": {"per_run": []}}
+    ET.parse(write_boxplot_svg(report, tmp_path / "box.svg"))
