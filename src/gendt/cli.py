@@ -73,13 +73,16 @@ def _load_replay_inputs(args: argparse.Namespace, backend_kind: Optional[str] = 
     return load_ptog(args.ptog), config
 
 
-def _report_document(config: RunConfig, result, reproducible: bool) -> dict:
-    """The replay report; a reproducible one has no timestamp and zero timings."""
+def _report_text(config: RunConfig, result, reproducible: bool) -> str:
+    """The replay report: its top-level keys indented and sorted, and each
+    epoch record one line with sorted keys (an indent would make `json` use
+    its pure-Python encoder throughout). A reproducible one has no timestamp
+    and zero timings."""
     epochs = [r.to_dict() for r in result.reports]
     if reproducible:
         for epoch in epochs:
             epoch["timing"] = 0.0
-    return {
+    doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "engine_version": __version__,
         "generated_at": None
@@ -88,19 +91,23 @@ def _report_document(config: RunConfig, result, reproducible: bool) -> dict:
         "reproducible": reproducible,
         "config": config.to_dict(),
         "resolved": {"temperature": config.resolved_temperature()},
-        "epochs": epochs,
+        "epochs": [None],  # the placeholder that the epoch lines replace
         "summary": result.summary,
         "halted": result.halted,
     }
+    lines = ",\n".join("    " + json.dumps(e, sort_keys=True) for e in epochs)
+    block = f"[\n{lines}\n  ]" if epochs else "[]"
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    # only the top-level key can match: a string value holds no raw newline
+    return text.replace('\n  "epochs": [\n    null\n  ]', f'\n  "epochs": {block}', 1) + "\n"
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     ptog, config = _load_replay_inputs(args, args.backend)
     result = run_replay(ptog, config)
-    doc = _report_document(config, result, args.reproducible)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    out.write_text(_report_text(config, result, args.reproducible))
     session = result.summary["session"]
     print(
         f"wrote {out}: {session['epochs']} epochs, {session['evaluated']} evaluated, "

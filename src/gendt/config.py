@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Union, get_args, get_type_hints
 from .codec import DEFAULT_PROMPT_TEMPLATE, EncodingSpec, MissingPlaceholder, build_prompt
 from .controller import ControlThresholds
 from .dsp import DownsampleSpec, FilterSpec
-from .errors import GendtError, read_json
+from .errors import GendtError, read_json, shown
 from .forecast import BackendConfig
 
 HEALTH_SCOPES = ("session", "run")
@@ -127,13 +127,13 @@ def _check_types(where: str, cls: type, doc: Mapping) -> None:
             allowed += (int,)
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
             names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-            raise ConfigError(f"{where}.{key} must be {names}, got {value!r}")
+            raise ConfigError(f"{where}.{key} must be {names}, got {shown(value)}")
 
 
 def _section(name: str, cls: type, doc):
     """The config section `name` as a `cls`, once its value types hold."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{name} must be an object, got {doc!r}")
+        raise ConfigError(f"{name} must be an object, got {shown(doc)}")
     _check_types(name, cls, doc)
     return cls(**doc)
 

@@ -1,7 +1,10 @@
-"""Feedback decisions and the per-epoch forecast pipeline.
+"""Feedback decisions and the replay pipeline: plan, forecast, score, fold.
 
-Per-epoch control is a three-level policy on the forecast error; production
-health folds epoch errors into a cumulative total checked against a budget.
+A replay plans every epoch's inputs, forecasts each epoch (`run_epoch`),
+scores the forecasts in batches of alike epochs, then folds them in epoch
+order. Only the fold depends on earlier epochs: per-epoch control is a
+three-level policy on the forecast error, and production health folds epoch
+errors into a cumulative total checked against a budget.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import time
 from copy import copy
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -106,8 +110,9 @@ def accumulate_health(prior: float, q: float, th: ControlThresholds) -> HealthVe
 class EpochReport:
     """Per-epoch record; to_dict() is the JSON schema used in replay reports.
 
-    The defaults are a failed epoch's record. `cumulative_rmse` and `health`
-    are set by the replay loop's health fold, not by `run_epoch`.
+    The defaults are a failed epoch's record. `run_epoch` sets the forecast's
+    fields, the replay's score phase the aggregate and errors, and its fold
+    `decision`, `cumulative_rmse` and `health`.
     """
 
     run: int
@@ -171,20 +176,19 @@ def run_epoch(
     table: dict,
     seeds: Optional[np.ndarray],
     config: "RunConfig",
-) -> EpochReport:
-    """Forecast and score one epoch whose inputs `run_replay` planned.
+) -> tuple[EpochReport, np.ndarray, Optional[np.ndarray]]:
+    """The forecast stage of one epoch whose inputs `run_replay` planned: its
+    record (flags, history, horizon, timing), attempt matrix and truth.
 
     `window` is the epoch's history, oldest first; `target` is its own series,
     None when the graph carries none; `table` holds every one of them
     prepared; `seeds` is the epoch's `mock_noise` seed rows (None under the
-    other backends). Encode the history, run the forecast ensemble,
-    aggregate, then score against the identically prepared ground truth. The
-    target is consulted only after the forecast is fixed (except for the
-    oracle backend, which is defined to receive it). Health is not computed
-    here: it is a fold over epochs, owned by `run_replay`.
-
+    other backends). Encode the history, run the forecast ensemble, then read
+    the identically prepared ground truth; the target is consulted only after
+    the forecast is fixed (except for the oracle backend, which is defined to
+    receive it), and cut to the horizon; it is None without ground truth.
     Raises AllAttemptsFailed, and a CodecError when a window or target vertex
-    cannot be encoded; the replay loop records both as a failed epoch.
+    cannot be encoded; the replay records both as a failed epoch.
     """
     start = time.perf_counter()
     flags = ["short_history"] if len(window) < config.history_depth else []
@@ -207,48 +211,70 @@ def run_epoch(
     truth = _truth(table, target, config.encoding) if oracle else None
     inputs = EnsembleInputs(last_history=history[-1].values, seeds=seeds, truth=truth)
     attempts, rows = forecast_ensemble(config.backend, request, inputs)
-    estimate = aggregate(rows)
     if len(rows) < len(attempts):
         flags.append("failed_attempts")
-
     if not oracle:
         truth = _truth(table, target, config.encoding)
-    if truth is not None:
-        n = min(len(truth), horizon)
-        if len(truth) != horizon:
-            flags.append("length_truncated")
-        truth = truth[:n]
-        # one difference array: row 0 is the median's error, then one row per attempt
-        diff = truth - np.vstack((estimate.median[:n], rows[:, :n]))
-        q, *attempt_rmse = rmse(diff).tolist()
-        errors = diff[0].copy()  # the report keeps it; a view would keep all of diff
-        err_avg, err_std = error_stats(errors)
-        decision = decide(q, config.thresholds).label
-        truth = truth.tolist()
-    else:
+    if truth is None:
         flags.append("no_ground_truth")
-        q = err_avg = err_std = attempt_rmse = errors = None
-        decision = NO_ACTION
+    elif len(truth) != horizon:
+        flags.append("length_truncated")
+        truth = truth[:horizon]
 
-    return EpochReport(
+    report = EpochReport(
         run=epoch.run.index,
         state=epoch.state.label,
         history_runs=[s.run.index for s in window],
         horizon=horizon,
         attempts_used=len(rows),
-        median=estimate.median.tolist(),
-        sd=estimate.sd.tolist(),
-        truth=truth,
-        q_rmse=q,
-        err_avg=err_avg,
-        err_std=err_std,
-        attempt_rmse=attempt_rmse,
-        decision=decision,
         flags=flags,
         timing=(time.perf_counter() - start) * 1000.0,
         downsample_factor=config.downsample.factor_for(window[-1].sample_rate_hz),
-        errors=errors,
     )
+    return report, rows, truth
+
+
+def _forecast(table: dict, config: "RunConfig", epoch, window, target, seeds) -> tuple:
+    """`run_epoch`'s result, or a failed epoch's record without a matrix."""
+    try:
+        # through the module global, so a wrapper set on it sees every epoch
+        return run_epoch(epoch, window, target, table, seeds, config)
+    except (AllAttemptsFailed, codec.CodecError) as exc:
+        flags = ["epoch_failed", type(exc).__name__]
+        return EpochReport(epoch.run.index, epoch.state.label, flags=flags), None, None
+
+
+def _score(forecasts: list[tuple]) -> list[EpochReport]:
+    """Aggregate and score forecast epochs in one pass over each group of equal
+    (successes, horizon, truth length). In a group's one difference array,
+    truth minus the median and minus each attempt, row 0 gives `q_rmse` and
+    the error stats and the other rows the per-attempt RMSEs."""
+    groups: dict[tuple, list[tuple]] = {}
+    for report, rows, truth in forecasts:
+        if rows is not None:
+            key = (*rows.shape, None if truth is None else len(truth))
+            groups.setdefault(key, []).append((report, rows, truth))
+    for (_, _, n), members in groups.items():
+        reports, rows, truths = zip(*members)
+        rows = np.stack(rows)
+        estimate = aggregate(rows)
+        for report, median, sd in zip(reports, estimate.median.tolist(), estimate.sd.tolist()):
+            report.median = median
+            report.sd = sd
+        if n is None:
+            continue
+        diff = np.stack(truths)[:, None] - np.concatenate(
+            (estimate.median[:, None, :n], rows[..., :n]), axis=1)
+        errors = diff[:, 0].copy()  # the reports keep its rows; a view would keep all of diff
+        q = rmse(diff).tolist()
+        err_avg, err_std = error_stats(errors)
+        for i, (report, truth) in enumerate(zip(reports, truths)):
+            report.truth = truth.tolist()
+            report.errors = errors[i]
+            report.q_rmse, *report.attempt_rmse = q[i]
+            report.err_avg = err_avg[i].item()
+            report.err_std = err_std[i].item()
+    return [report for report, _, _ in forecasts]
 
 
 @dataclass
@@ -263,18 +289,19 @@ def run_replay(
     config: "RunConfig",
     epochs: Optional[Sequence[EpochPoint]] = None,
 ) -> ReplayResult:
-    """Plan and run `epochs` in order and fold health sequentially; by
-    default every epoch with `config.min_history` prior runs, chronologically.
+    """Plan, forecast, score and fold `epochs`; by default every epoch with
+    `config.min_history` prior runs, chronologically.
 
-    The plan is made before the first epoch: each epoch's window and target,
+    The plan, made before any forecast, holds each epoch's window and target,
     every series they read filtered and decimated in one batch per sample
-    rate, and under `mock_noise` every attempt's seed hashed in one pass;
-    each vertex is encoded at its first use. An epoch without history raises
-    NoHistory before any epoch runs. Failed epochs (every attempt failed, or
-    a window or target vertex that cannot be encoded) are recorded and the
-    loop continues; they, and epochs without ground truth, add 0 to the fold.
-    With config.halt_on_stop the loop stops at the first Stop decision,
-    emulating a live control loop.
+    rate, and under `mock_noise` every attempt's seed hashed in one pass (an
+    epoch without history raises NoHistory here). `run_epoch` forecasts each
+    epoch, `_score` scores them in batches, and the fold takes decisions and
+    health in epoch order. Failed epochs are recorded and the replay goes on;
+    they, and epochs without ground truth, add 0 to the fold. With
+    config.halt_on_stop the fold stops at the first Stop decision, emulating
+    a live control loop, and epochs are forecast and scored one at a time, so
+    that none past the Stop is forecast; otherwise all are scored at once.
     """
     if epochs is None:
         epochs = enumerate_epochs(ptog, config.min_history)
@@ -286,20 +313,22 @@ def run_replay(
         seeds = noise_seeds(config.backend.rng_seed, keys, config.ensemble.attempts)
     else:
         seeds = [None] * len(epochs)
+    plan = list(zip(epochs, windows, targets, seeds))
+    # a halting replay forecasts one epoch at a time, so none past the Stop is
+    # forecast (or, under llm_http, paid for); any other scores all at once
+    size = 1 if config.halt_on_stop else max(len(plan), 1)
+    chunks = (_score([_forecast(table, config, *p) for p in plan[i:i + size]])
+              for i in range(0, len(plan), size))
     reports: list[EpochReport] = []
     cumulative = 0.0
     current_run = None
     halted = False
-    for epoch, window, target, epoch_seeds in zip(epochs, windows, targets, seeds):
-        if config.health_scope == "run" and epoch.run.index != current_run:
+    for report in chain.from_iterable(chunks):
+        if config.health_scope == "run" and report.run != current_run:
             cumulative = 0.0
-            current_run = epoch.run.index
-        try:
-            # through the module global, so a wrapper set on it sees every epoch
-            report = run_epoch(epoch, window, target, table, epoch_seeds, config)
-        except (AllAttemptsFailed, codec.CodecError) as exc:
-            report = EpochReport(epoch.run.index, epoch.state.label,
-                                 flags=["epoch_failed", type(exc).__name__])
+            current_run = report.run
+        if report.q_rmse is not None:
+            report.decision = decide(report.q_rmse, config.thresholds).label
         verdict = accumulate_health(cumulative, report.q_rmse or 0.0, config.thresholds)
         cumulative = report.cumulative_rmse = verdict.cumulative
         report.health = verdict.value

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import GendtError, read_json
+from .errors import GendtError, read_json, shown
 from .ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId, is_finite_number, read_samples_csv
 
 STATE_LABELS = ("P1", "P2", "P3")
@@ -107,28 +107,28 @@ def load_fixture_meta(
         raise bad(f"must hold a JSON object, got {type(meta).__name__}")
     rate = meta.get("sample_rate_hz")
     if not is_finite_number(rate):
-        raise bad(f"sample_rate_hz must be a finite number, got {rate!r}")
+        raise bad(f"sample_rate_hz must be a finite number, got {shown(rate)}")
     if "boundaries" not in meta:
         raise bad("missing 'boundaries' (each run's [start, p1_end, p2_end, end]); "
                   "data segmented outside gendt enters as a graph file or a manifest")
     runs = meta["boundaries"]
     if not isinstance(runs, dict) or not runs:
-        raise bad(f"boundaries must be a non-empty object of run -> bounds, got {runs!r}")
+        raise bad(f"boundaries must be a non-empty object of run -> bounds, got {shown(runs)}")
     boundaries = {}
     for key, bounds in runs.items():
         if not re.fullmatch("[1-9][0-9]{0,17}", key):  # int() refuses over 4300 digits
-            raise bad(f"boundaries key {key!r} is not a run number below 10**18")
+            raise bad(f"boundaries key {shown(key)} is not a run number below 10**18")
         if not (isinstance(bounds, list) and len(bounds) == 4
                 and all(type(b) is int for b in bounds)):
             raise bad(f"boundaries of run {key} must be 4 integers "
-                      f"[start, p1_end, p2_end, end], got {bounds!r}")
+                      f"[start, p1_end, p2_end, end], got {shown(bounds)}")
         boundaries[int(key)] = tuple(bounds)
     wear = meta.get("wear_points", [])
     for point in wear if isinstance(wear, list) else [wear]:
         if not (isinstance(point, list) and len(point) == 2
                 and type(point[0]) is int and is_finite_number(point[1])):
             raise bad(f"wear_points must be [run, flank_wear_mm] pairs of an integer "
-                      f"and a finite number, got {point!r}")
+                      f"and a finite number, got {shown(point)}")
     return float(rate), boundaries, [(run, float(w)) for run, w in wear]
 
 

@@ -1,4 +1,5 @@
-"""Shared exception base classes, and the one reader of untrusted JSON.
+"""Shared exception base classes, the one reader of untrusted JSON, and the
+one way an error line shows an offending value.
 
 Every JSON document gendt does not write itself in the same run, whether a
 graph, config, report, manifest or `fixture.json` file or the body of an HTTP
@@ -17,6 +18,12 @@ class GendtError(Exception):
 
 class EmptyInput(GendtError):
     """An operation that requires samples received an empty list."""
+
+
+def shown(value) -> str:
+    """`repr(value)` for an error line, cut to 80 characters and an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "…"
 
 
 def read_json(source: Union[str, Path, bytes], error: type[GendtError], name: str = ""):

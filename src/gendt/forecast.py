@@ -22,7 +22,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .codec import DecodeFailure, EncodingSpec, decode
-from .errors import GendtError, read_json
+from .errors import GendtError, read_json, shown
 
 log = logging.getLogger(__name__)
 
@@ -73,7 +73,7 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"unknown backend kind {self.kind!r}, expected one of {BACKEND_KINDS}")
+            raise ValueError(f"unknown backend kind {shown(self.kind)}, expected one of {BACKEND_KINDS}")
         if self.kind == "llm_http" and not self.endpoint:
             raise ValueError("llm_http backend requires an endpoint URL")
         if self.kind == "mock_noise" and self.rng_seed is None:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import GendtError, read_json
+from .errors import GendtError, read_json, shown
 
 SCHEMA_VERSION = 1
 
@@ -156,7 +156,7 @@ class Ptog:
                 raise DuplicateVertex(f"duplicate vertex for run {run.index} {state.label}")
             known = labels.get(state.label)
             if known is not None and known != state:
-                raise PtogError(f"state label {state.label!r} bound to two different indices")
+                raise PtogError(f"state label {shown(state.label)} bound to two different indices")
             known = indices.get(state.index)
             if known is not None and known != state:
                 raise PtogError(f"state index {state.index} bound to two different labels")
@@ -265,7 +265,7 @@ class Ptog:
             raise PtogError(f"graph document must be a JSON object, got {type(doc).__name__}")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
-            raise SchemaVersionMismatch(f"expected schema_version {SCHEMA_VERSION}, got {version!r}")
+            raise SchemaVersionMismatch(f"expected schema_version {SCHEMA_VERSION}, got {shown(version)}")
         try:
             states = {}
             sensors = {}
@@ -275,21 +275,25 @@ class Ptog:
                 if sid.index in states:
                     raise PtogError(f"state index {sid.index} declared twice")
                 if any(known.label == sid.label for known in states.values()):
-                    raise PtogError(f"state label {sid.label!r} declared twice")
+                    raise PtogError(f"state label {shown(sid.label)} declared twice")
                 states[sid.index] = sid
                 sensor = s["sensor"]
                 sensors[sid] = SensorId(_checked(str, sensor["name"], "sensor name"),
                                         _checked(str, sensor["unit"], "sensor unit"))
-            metadata = {
-                _checked(int, r["index"], "run index"): {
-                    k: _checked(float, v, f"metadata {k!r}") for k, v in r.get("metadata", {}).items()
-                }
-                for r in doc["runs"]
-            }
+            metadata = {}
+            for r in doc["runs"]:
+                run = _checked(int, r["index"], "run index")
+                meta = r.get("metadata", {})
+                if not isinstance(meta, dict):
+                    raise PtogError(f"run {run}: metadata must be a JSON object, got {type(meta).__name__}")
+                metadata[run] = {k: _checked(float, v, f"metadata {shown(k)}") for k, v in meta.items()}
 
             def vertex(run, state) -> tuple[RunId, StateId, SensorId]:
-                sid = states[_checked(int, state, "state index")]
-                return RunId(_checked(int, run, "run index")), sid, sensors[sid]
+                index = _checked(int, state, "state index")
+                run = RunId(_checked(int, run, "run index"))
+                if index not in states:
+                    raise PtogError(f"run {run.index}: state index {index} is not declared")
+                return run, states[index], sensors[states[index]]
 
             series = [
                 MeasurementSeries(*vertex(e["run"], e["state"]),
@@ -299,7 +303,8 @@ class Ptog:
             extra = [vertex(r, s) for r, s in doc.get("extra_vertices", [])]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             # AttributeError: a list or a scalar where the document needs an object
-            raise PtogError(f"malformed graph document: {exc}") from exc
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise PtogError(f"malformed graph document: {reason}") from exc
         return cls.from_series(series, run_metadata=metadata, empty_vertices=extra)
 
 
@@ -313,10 +318,10 @@ def _checked(kind: type, value, what: str):
     number; `int` and `str` are exact, so a boolean is not an integer."""
     if kind is float:
         if not is_finite_number(value):
-            raise PtogError(f"{what} must be a finite number, got {value!r}")
+            raise PtogError(f"{what} must be a finite number, got {shown(value)}")
         return float(value)
     if type(value) is not kind:
-        raise PtogError(f"{what} must be a JSON {'integer' if kind is int else 'string'}, got {value!r}")
+        raise PtogError(f"{what} must be a JSON {'integer' if kind is int else 'string'}, got {shown(value)}")
     return value
 
 
@@ -345,7 +350,7 @@ class ManifestEntry:
                 unit=_checked(str, doc["unit"], "unit"),
                 sample_rate_hz=_checked(float, doc["sample_rate_hz"], "sample_rate_hz"),
                 csv_path=None if csv_path is None else _checked(str, csv_path, "csv_path"),
-                metadata={k: _checked(float, v, f"metadata {k!r}")
+                metadata={k: _checked(float, v, f"metadata {shown(k)}")
                           for k, v in doc.get("metadata", {}).items()},
             )
         except (AttributeError, KeyError, TypeError) as exc:
@@ -374,9 +379,9 @@ def read_samples_csv(path: Union[str, Path]) -> tuple[float, ...]:
         try:
             v = float(line)
         except ValueError as exc:
-            raise NonFiniteSample(f"{p}:{lineno}: unparseable sample {line!r}") from exc
+            raise NonFiniteSample(f"{p}:{lineno}: unparseable sample {shown(line)}") from exc
         if not math.isfinite(v):
-            raise NonFiniteSample(f"{p}:{lineno}: non-finite sample {line!r}")
+            raise NonFiniteSample(f"{p}:{lineno}: non-finite sample {shown(line)}")
         values.append(v)
     if not values:
         raise PtogError(f"{p}: series file is empty")

@@ -128,6 +128,55 @@ def test_replay_halt_on_stop(cli_env, tmp_path):
     assert doc["epochs"][-1]["decision"] == "Stop"
 
 
+def test_replay_halt_on_stop_spends_no_llm_request_past_the_stop(
+    cli_env, tmp_path, stub_llm, api_key_env
+):
+    """Under `llm_http` with halt_on_stop, the replay forecasts one epoch at a
+    time: epoch 4's Stop ends the requests after its own 10 attempts."""
+    from gendt.controller import ControlThresholds
+    from gendt.forecast import BackendConfig
+
+    near, far = (stub_llm.completion(",".join([v] * 600)) for v in ("1.00", "1000.00"))
+    stub_llm.script = [(200, near)] * 30 + [(200, far)]  # the last entry repeats
+    config_path = tmp_path / "llm_halt.json"
+    backend = BackendConfig(kind="llm_http", endpoint=stub_llm.endpoint, max_retries=0)
+    save_config(make_config(backend=backend, thresholds=ControlThresholds(100.0, 100.0, 1e6),
+                            halt_on_stop=True), config_path)
+    out = tmp_path / "llm_halted.json"
+    code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                 "--out", str(out)])
+    assert code == EXIT_HALTED
+    decisions = [e["decision"] for e in json.loads(out.read_text())["epochs"]]
+    assert decisions == ["Continue"] * 3 + ["Stop"]
+    assert len(stub_llm.requests) == 4 * 10
+
+
+@pytest.mark.parametrize("min_history", [4, 99])
+def test_report_holds_one_line_per_epoch(cli_env, tmp_path, min_history):
+    """The report body holds each epoch record on one line of its own, which
+    parses as that record; the rest of the document is indented. A replay
+    with no epoch (every run has fewer than min_history prior runs) writes
+    `"epochs": []` on one line."""
+    config = tmp_path / "cfg.json"
+    save_config(make_config("persistence", min_history=min_history), config)
+    out = tmp_path / "layout.json"
+    code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config),
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    text = out.read_text()
+    doc = json.loads(text)
+    lines = text.splitlines()
+    assert lines[:2] == ["{", '  "config": {']
+    if min_history == 99:
+        assert doc["epochs"] == [] and '  "epochs": [],' in lines and "" not in lines
+        return
+    start = lines.index('  "epochs": [')
+    body = lines[start + 1:start + 1 + len(doc["epochs"])]
+    assert lines[start + 1 + len(doc["epochs"])] == "  ],"
+    assert [json.loads(line.strip().rstrip(",")) for line in body] == doc["epochs"]
+    assert all(line.startswith("    {") for line in body)
+
+
 def test_replay_missing_ptog(cli_env):
     code = main(
         ["replay", "--ptog", "nowhere.json", "--config", str(cli_env["config"]), "--out", "x.json"]
@@ -403,6 +452,11 @@ def _metadata_as_list(doc):
     return doc
 
 
+def _undeclared_state(doc):
+    doc["series"][0]["state"] = 9
+    return doc
+
+
 def _nested_samples(doc):
     doc["series"][0]["samples"] = [doc["series"][0]["samples"][:2]]
     return doc
@@ -452,10 +506,14 @@ _UNCOERCED_GRAPH_VALUES = {
         pytest.param(_graph_as_list, "graph document must be a JSON object, got list",
                      id="_graph_as_list"),
         pytest.param(_metadata_as_list,
-                     "malformed graph document: 'list' object has no attribute 'items'",
+                     "run 1: metadata must be a JSON object, got list",
                      id="_metadata_as_list"),
         pytest.param(_nested_samples, "samples of run 1 P1 must be a flat list, got 2 dimensions",
                      id="_nested_samples"),
+        pytest.param(_undeclared_state, "run 1: state index 9 is not declared",
+                     id="_undeclared_state"),
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "states"},
+                     "malformed graph document: missing field 'states'", id="_missing_states"),
     ]
     + [pytest.param(_set_graph_value(path, value), message, id=name)
        for name, (path, value, message) in _UNCOERCED_GRAPH_VALUES.items()],
@@ -662,6 +720,46 @@ def test_non_utf8_input_file_exits_with_one_error_line(
         path.write_bytes(payload)
         assert main(args[command]) == code
         assert len(_error_lines(capsys.readouterr().err)) == 1
+
+
+_HUGE = "9" * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("cfg.json", ("history_depth",), _HUGE),
+        ("cfg.json", ("backend",), [_HUGE]),
+        ("g.json", ("series", 0, "sample_rate_hz"), _HUGE),
+        ("g.json", ("runs", 0, "metadata"), {_HUGE: "0.1"}),
+        ("g.json", ("states", 0, "label"), 10**4000),
+        ("fixture/fixture.json", ("sample_rate_hz",), _HUGE),
+        ("fixture/fixture.json", ("boundaries", _HUGE), [0, 1, 2, 3]),
+        ("fixture/fixture.json", ("wear_points",), [[1, _HUGE]]),
+    ],
+    ids=["config-field", "config-section", "graph-sample-rate", "graph-metadata-key",
+         "graph-state-label", "fixture-sample-rate", "fixture-boundaries-key", "fixture-wear-point"],
+)
+def test_error_line_caps_the_offending_value(cli_env, tmp_path, capsys, name, path, value):
+    """A huge value in a config, graph or fixture.json file is shown cut short:
+    the command exits with one `error:` line under 200 characters."""
+    import shutil
+
+    fixture = _broken_fixture(cli_env, tmp_path)
+    shutil.copy(cli_env["ptog"], tmp_path / "g.json")
+    shutil.copy(cli_env["config"], tmp_path / "cfg.json")
+    target = tmp_path / name
+    doc = json.loads(target.read_text())
+    _set_graph_value(path, value)(doc)
+    target.write_text(json.dumps(doc))
+    if name.startswith("fixture"):
+        args, expected = ["ingest", "--fixture", str(fixture)], EXIT_INPUT
+    else:
+        args = ["replay", "--ptog", str(tmp_path / "g.json"), "--config", str(tmp_path / "cfg.json")]
+        expected = EXIT_CONFIG if name == "cfg.json" else EXIT_INPUT
+    assert main([*args, "--out", str(tmp_path / "out.json")]) == expected
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert len(line) < 200, line[:300]
 
 
 def test_replay_graph_with_nan_sample_rate_exits_input(cli_env, tmp_path, capsys):

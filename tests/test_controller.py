@@ -204,7 +204,14 @@ def test_replay_health_scope_run(milling_ptog, persistence_config):
     assert per_run.reports[-1].cumulative_rmse < result.reports[-1].cumulative_rmse
 
 
-def test_replay_halt_on_stop(milling_ptog, persistence_config):
+def test_replay_halt_on_stop(milling_ptog, persistence_config, monkeypatch):
+    """The replay stops at the first Stop and forecasts no epoch past it."""
+    import gendt.controller as controller_mod
+
+    forecast = []
+    run_epoch = controller_mod.run_epoch
+    monkeypatch.setattr(controller_mod, "run_epoch",
+                        lambda epoch, *a: forecast.append(epoch) or run_epoch(epoch, *a))
     eager = replace(
         persistence_config,
         thresholds=ControlThresholds(t_low=0.001, t_high=0.002, t_health=15.0),
@@ -214,6 +221,7 @@ def test_replay_halt_on_stop(milling_ptog, persistence_config):
     assert result.halted
     assert len(result.reports) < 30
     assert result.reports[-1].decision == "Stop"
+    assert len(forecast) == len(result.reports)
 
 
 def test_replay_summary_table(milling_ptog, persistence_config):

@@ -164,3 +164,45 @@ def test_max_error_bounds_err_avg():
     truth = rng.normal(0, 1, 50).tolist()
     err_avg, _ = error_stats(np.subtract(truth, median))
     assert max(abs(t - m) for t, m in zip(truth, median)) >= err_avg
+
+
+def random_stack(rng, s: int) -> np.ndarray:
+    """A (batch, s, h) stack of attempt matrices, h from 1 to 40."""
+    return rng.normal(0, 10, (int(rng.integers(1, 8)), s, int(rng.integers(1, 41))))
+
+
+@pytest.mark.parametrize("s", range(1, 11))
+def test_batched_results_equal_per_matrix_results_bitwise(s):
+    """A replay scores a stack of alike epochs in one pass; each epoch's
+    aggregate, RMSEs and error stats must be its own matrix's, bit for bit."""
+    rng = np.random.default_rng(100 + s)
+    for _ in range(20):
+        stack = random_stack(rng, s)
+        est = aggregate(stack)
+        q = rmse(stack)
+        err_avg, err_std = error_stats(stack[:, 0])
+        for i, matrix in enumerate(stack):
+            alone = aggregate(matrix)
+            assert est.median[i].tobytes() == alone.median.tobytes()
+            assert est.sd[i].tobytes() == alone.sd.tobytes()
+            assert q[i].tobytes() == rmse(matrix).tobytes()
+            assert (err_avg[i].item(), err_std[i].item()) == error_stats(matrix[0])
+
+
+@pytest.mark.parametrize("s", [2, 3, 9, 10])
+def test_batched_median_invariant_under_attempt_permutation(s):
+    """Permuting the attempts of each stacked matrix, each in its own order,
+    leaves every median and SD unchanged bit for bit."""
+    rng = np.random.default_rng(200 + s)
+    for _ in range(20):
+        stack = random_stack(rng, s)
+        shuffled = np.stack([m[rng.permutation(s)] for m in stack])
+        est, est_shuffled = aggregate(stack), aggregate(shuffled)
+        assert est_shuffled.median.tobytes() == est.median.tobytes()
+        assert est_shuffled.sd.tobytes() == est.sd.tobytes()
+
+
+def test_batched_error_stats_rejects_empty_arrays():
+    for empty in (np.empty(0), np.empty((3, 0)), np.empty((0, 5))):
+        with pytest.raises(EmptyInput):
+            error_stats(empty)

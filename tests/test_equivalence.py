@@ -11,7 +11,9 @@ show that skipped, series-less and halted epochs shift no attempt's stream.
 Each report digest was first recorded before the restructuring it guards
 (each vertex prepared once per replay, health folded once per replay, every
 seed hashed in one pass), and all were recorded again, with no other byte
-changed, when the report's `config` lost its top-level `rng_seed`. The
+changed, when the report's `config` lost its top-level `rng_seed`, and once
+more when the report took one line per epoch record (each new report parsed
+equal to the old one, and every epoch is now scored in batches). The
 ingest digests are SHA-256 sums of the graph file written by `gendt ingest`
 for the same fixture and of the `--workdir` dump (manifest and one segment
 CSV); they were recorded while ingest still re-read its segment dump to build
@@ -33,36 +35,36 @@ from gendt.controller import ControlThresholds
 from gendt.dataset import write_synthetic_fixture
 
 REPORT_SHA256 = {
-    "persistence": "2ad31c7d4e3a6061b37971b5db828e4ce86cf17321c4ae89817e55273f05b498",
-    "mock_noise": "374230929f84c9d30e1287823b0571bd5afe89aa4dcc312d7ec1c7d42e88a983",
-    "oracle": "c9ce47f5f2f03935c1931c63522010247eb90afdd987eb70081bd5b0db61d3d2",
+    "persistence": "1bb6e1cb8b3bf6ee3d8f4d3b4d82edc9aff8e9c6dfbe0e2974e53a2cfde1455e",
+    "mock_noise": "21ac101fbe59a87d4c69095d1da7747e6b0a2554a1967b3f2bc0800bc6de61a7",
+    "oracle": "86d0918478a96238c83b757a3c4f9998a7ebcc9fbd93c264fd1008a10aeff276",
 }
 
 # name -> (graph, backend, thresholds, other config fields, exit code, digest)
 VARIANTS = {
     "health_scope_run": (
         "full", "persistence", (0.5, 1.5, 0.5), {"health_scope": "run"}, EXIT_OK,
-        "7b29dba52b04def514f35553ae711075e5c280b63ca625f69e45e3e4dfbad6e2",
+        "2c773f735b5386a46f4032276316e3c8652de0663db34c228016a537d45b7116",
     ),
     "halt_on_stop": (
         "full", "persistence", (0.2, 0.4, 1.0), {"halt_on_stop": True}, EXIT_HALTED,
-        "8d02b12c3a6266cf65d4636a571a40d87d7448fe367b7c4665b8bd944e88d94c",
+        "c3cbf27aff26eb842ba4da27c7c4baf7b37c6a34cc9565baa0e9a934d5f4c784",
     ),
     "sparse_oracle": (
         "sparse", "oracle", (0.5, 1.5, 3.0), {}, EXIT_OK,
-        "6db0f52b2850fee6a7a12fab1b1952b95275c7070a67d836e989559ad40fb0ed",
+        "49f3845da777d291067b2b292ef1969688389111df913c6b51d76b4be65010b3",
     ),
     "sparse_persistence": (
         "sparse", "persistence", (0.5, 1.5, 3.0), {}, EXIT_OK,
-        "b39dea09701022569300b6b40bd393c18ca899b1971a7f4508f7fab50dfdeddc",
+        "efec0317d01b17cdc7fd1e63f413eb52ecc29148c222f477113e242053021472",
     ),
     "sparse_mock_noise": (
         "sparse", "mock_noise", (0.5, 1.5, 3.0), {}, EXIT_OK,
-        "73e51cfc15cf4c66fc0e2df0b95815576cb0ee9e77661d49c422de2af54f6d6b",
+        "128e1dd3144e1a822226ba3d97ed14e850cfd70030cc9f27b1d6f2a017d46843",
     ),
     "halt_on_stop_mock_noise": (
         "full", "mock_noise", (0.2, 0.4, 1.0), {"halt_on_stop": True}, EXIT_HALTED,
-        "862d3e363b982cb4044053061ea090fd7d5de14ac5a93f1f06b176f75876dfef",
+        "dcdfd98d9c75a9cdc759440abdab8c96d40f276450ccb7bd0e72812237985731",
     ),
 }
 
