@@ -117,7 +117,7 @@ _SECTIONS = {
 
 def _check_types(where: str, cls: type, doc: Mapping) -> None:
     """Each value of `doc` has the JSON type of its field of `cls`: an integer
-    is a valid float, a boolean is not a number. Unknown keys are left to `cls`."""
+    is a valid float, a boolean is not a number. Keys `cls` lacks are skipped."""
     hints = get_type_hints(cls)
     for key, value in doc.items():
         if key not in hints:
@@ -131,9 +131,14 @@ def _check_types(where: str, cls: type, doc: Mapping) -> None:
 
 
 def _section(name: str, cls: type, doc):
-    """The config section `name` as a `cls`, once its value types hold."""
+    """The config section `name` as a `cls`, once its keys are fields of `cls`
+    and its value types hold."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be an object, got {shown(doc)}")
+    known = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{name} has no field {shown(key)}")
     _check_types(name, cls, doc)
     return cls(**doc)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from copy import copy
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
@@ -137,36 +136,54 @@ class EpochReport:
     errors: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {f.name: copy(getattr(self, f.name)) for f in fields(self) if f.name != "errors"}
+        """The record's fields; its lists are shared with the report, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "errors"}
 
 
 @dataclass(frozen=True)
 class PreparedVertex:
-    """One vertex's series after filter and decimate; its wire text is encoded
-    on first use, so an encode error surfaces at the first epoch that reads it."""
+    """One vertex's series after filter and decimate, with its wire text and
+    the values that text decodes to. `_prepare` cuts both from one encode pass
+    over the replay's vertices; when that pass fails, each vertex encodes
+    itself at first use, so an encode error surfaces only at the epochs that
+    read it."""
 
     values: np.ndarray
     encoding: codec.EncodingSpec
+    encoded: Optional[tuple[str, np.ndarray]] = None  # cut from the replay's one pass
 
     @cached_property
-    def text(self) -> str:
-        return codec.encode(self.values.tolist(), self.encoding).text
+    def wire(self) -> tuple[str, np.ndarray]:
+        """(text, decoded): the wire text and the values it decodes to."""
+        return self.encoded or _encode_all([self.values], self.encoding)[0]
+
+
+def _encode_all(values: list[np.ndarray], spec: codec.EncodingSpec) -> list[tuple[str, np.ndarray]]:
+    """Each array's wire text and the values it decodes to, cut from one encode
+    pass over their concatenation (no token holds the separator)."""
+    tokens = codec.encode(np.concatenate(values), spec).text.split(spec.separator)
+    decoded = np.array([float(t) for t in tokens]) * spec.scale
+    decoded.flags.writeable = False
+    ends = np.cumsum([len(v) for v in values]).tolist()
+    return [(spec.separator.join(tokens[a:b]), decoded[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _prepare(series: Iterable[Optional[MeasurementSeries]], config: "RunConfig") -> dict:
     """A table of prepared vertices keyed by (run, state): the given series
-    (None entries skipped), filtered and decimated in one batch per sample rate."""
+    (None entries skipped), filtered and decimated in one batch per sample
+    rate, and encoded in one pass."""
     todo = {(s.run, s.state): s for s in series if s is not None}
     values = dsp.preprocess_many(list(todo.values()), config.filter, config.downsample)
-    return {key: PreparedVertex(v, config.encoding) for key, v in zip(todo, values)}
+    try:
+        encoded = _encode_all(values, config.encoding) if values else []
+    except codec.CodecError:
+        encoded = [None] * len(values)  # each vertex encodes itself at first use
+    return {key: PreparedVertex(v, config.encoding, e) for key, v, e in zip(todo, values, encoded)}
 
 
-def _truth(table: dict, target: Optional[MeasurementSeries], spec: codec.EncodingSpec):
+def _truth(table: dict, target: Optional[MeasurementSeries]) -> Optional[np.ndarray]:
     """The target's decoded wire text, so truth and forecast compare like with like."""
-    if target is None:
-        return None
-    text = table[(target.run, target.state)].text
-    return np.array([float(t) for t in text.split(spec.separator)]) * spec.scale
+    return None if target is None else table[(target.run, target.state)].wire[1]
 
 
 def run_epoch(
@@ -183,10 +200,11 @@ def run_epoch(
     `window` is the epoch's history, oldest first; `target` is its own series,
     None when the graph carries none; `table` holds every one of them
     prepared; `seeds` is the epoch's `mock_noise` seed rows (None under the
-    other backends). Encode the history, run the forecast ensemble, then read
-    the identically prepared ground truth; the target is consulted only after
-    the forecast is fixed (except for the oracle backend, which is defined to
-    receive it), and cut to the horizon; it is None without ground truth.
+    other backends). Join the history's wire text, run the forecast
+    ensemble, then read the identically prepared ground truth; the target is
+    consulted only after the forecast is fixed (except for the oracle
+    backend, which is defined to receive it), and cut to the horizon; it is
+    None without ground truth.
     Raises AllAttemptsFailed, and a CodecError when a window or target vertex
     cannot be encoded; the replay records both as a failed epoch.
     """
@@ -196,7 +214,7 @@ def run_epoch(
     history = [table[(s.run, s.state)] for s in window]
     horizon = len(history[-1].values)
     # the join of per-vertex encodings is the encoding of the concatenation
-    sensor_text = config.encoding.separator.join(v.text for v in history)
+    sensor_text = config.encoding.separator.join(v.wire[0] for v in history)
     prompt = codec.build_prompt(sensor_text, config.prompt_template)
     request = ForecastRequest(
         prompt=prompt,
@@ -208,13 +226,13 @@ def run_epoch(
     )
 
     oracle = config.backend.kind == "oracle"
-    truth = _truth(table, target, config.encoding) if oracle else None
+    truth = _truth(table, target) if oracle else None
     inputs = EnsembleInputs(last_history=history[-1].values, seeds=seeds, truth=truth)
     attempts, rows = forecast_ensemble(config.backend, request, inputs)
     if len(rows) < len(attempts):
         flags.append("failed_attempts")
     if not oracle:
-        truth = _truth(table, target, config.encoding)
+        truth = _truth(table, target)
     if truth is None:
         flags.append("no_ground_truth")
     elif len(truth) != horizon:
@@ -294,11 +312,12 @@ def run_replay(
 
     The plan, made before any forecast, holds each epoch's window and target,
     every series they read filtered and decimated in one batch per sample
-    rate, and under `mock_noise` every attempt's seed hashed in one pass (an
-    epoch without history raises NoHistory here). `run_epoch` forecasts each
-    epoch, `_score` scores them in batches, and the fold takes decisions and
-    health in epoch order. Failed epochs are recorded and the replay goes on;
-    they, and epochs without ground truth, add 0 to the fold. With
+    rate and encoded in one pass, and under `mock_noise` every attempt's seed
+    hashed in one pass (an epoch without history raises NoHistory here).
+    `run_epoch` forecasts each epoch, `_score` scores them in batches, and
+    the fold takes decisions and health in epoch order. Failed epochs are
+    recorded and the replay goes on; they, and epochs without ground truth,
+    add 0 to the fold. With
     config.halt_on_stop the fold stops at the first Stop decision, emulating
     a live control loop, and epochs are forecast and scored one at a time, so
     that none past the Stop is forecast; otherwise all are scored at once.

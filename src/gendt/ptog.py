@@ -269,7 +269,7 @@ class Ptog:
         try:
             states = {}
             sensors = {}
-            for s in doc["states"]:
+            for s in _listed(doc["states"], "states", _OBJECT):
                 sid = StateId(_checked(int, s["index"], "state index"),
                               _checked(str, s["label"], "state label"))
                 if sid.index in states:
@@ -281,7 +281,7 @@ class Ptog:
                 sensors[sid] = SensorId(_checked(str, sensor["name"], "sensor name"),
                                         _checked(str, sensor["unit"], "sensor unit"))
             metadata = {}
-            for r in doc["runs"]:
+            for r in _listed(doc["runs"], "runs", _OBJECT):
                 run = _checked(int, r["index"], "run index")
                 meta = r.get("metadata", {})
                 if not isinstance(meta, dict):
@@ -298,11 +298,11 @@ class Ptog:
             series = [
                 MeasurementSeries(*vertex(e["run"], e["state"]),
                                   _checked(float, e["sample_rate_hz"], "sample_rate_hz"), e["samples"])
-                for e in doc["series"]
+                for e in _listed(doc["series"], "series", _OBJECT)
             ]
-            extra = [vertex(r, s) for r, s in doc.get("extra_vertices", [])]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # AttributeError: a list or a scalar where the document needs an object
+            pairs = _listed(doc.get("extra_vertices", []), "extra_vertices", _PAIR)
+            extra = [vertex(r, s) for r, s in pairs]
+        except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise PtogError(f"malformed graph document: {reason}") from exc
         return cls.from_series(series, run_metadata=metadata, empty_vertices=extra)
@@ -311,6 +311,22 @@ class Ptog:
 def is_finite_number(value) -> bool:
     """A JSON number within float range; a boolean is not a number."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+_OBJECT = ("a JSON object", lambda entry: isinstance(entry, dict))
+_PAIR = ("a [run, state] pair", lambda entry: isinstance(entry, list) and len(entry) == 2)
+
+
+def _listed(value, field: str, entry: tuple) -> list:
+    """`value`, the graph document's `field`, if it is a list whose every item
+    is `entry`, a (description, test) pair; otherwise an error naming the field."""
+    what, test = entry
+    if not isinstance(value, list):
+        raise PtogError(f"{field} must be a JSON list, got {type(value).__name__}")
+    for i, item in enumerate(value):
+        if not test(item):
+            raise PtogError(f"{field}[{i}] must be {what}, got {shown(item)}")
+    return value
 
 
 def _checked(kind: type, value, what: str):

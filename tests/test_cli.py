@@ -514,6 +514,18 @@ _UNCOERCED_GRAPH_VALUES = {
                      id="_undeclared_state"),
         pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "states"},
                      "malformed graph document: missing field 'states'", id="_missing_states"),
+        pytest.param(_set_graph_value(("states",), {"a": 1}),
+                     "states must be a JSON list, got dict", id="_states_as_object"),
+        pytest.param(_set_graph_value(("runs", 0), 5), "runs[0] must be a JSON object, got 5",
+                     id="_run_as_number"),
+        pytest.param(_set_graph_value(("series", 1), "x"),
+                     "series[1] must be a JSON object, got 'x'", id="_series_entry_as_text"),
+        pytest.param(_set_graph_value(("extra_vertices",), [[1, 2, 3]]),
+                     "extra_vertices[0] must be a [run, state] pair, got [1, 2, 3]",
+                     id="_extra_vertex_triple"),
+        pytest.param(_set_graph_value(("extra_vertices",), {"1": 2}),
+                     "extra_vertices must be a JSON list, got dict",
+                     id="_extra_vertices_as_object"),
     ]
     + [pytest.param(_set_graph_value(path, value), message, id=name)
        for name, (path, value, message) in _UNCOERCED_GRAPH_VALUES.items()],
@@ -730,6 +742,7 @@ _HUGE = "9" * 1_000_000
     [
         ("cfg.json", ("history_depth",), _HUGE),
         ("cfg.json", ("backend",), [_HUGE]),
+        ("cfg.json", ("backend", "k" * 100_000), 1),
         ("g.json", ("series", 0, "sample_rate_hz"), _HUGE),
         ("g.json", ("runs", 0, "metadata"), {_HUGE: "0.1"}),
         ("g.json", ("states", 0, "label"), 10**4000),
@@ -737,8 +750,9 @@ _HUGE = "9" * 1_000_000
         ("fixture/fixture.json", ("boundaries", _HUGE), [0, 1, 2, 3]),
         ("fixture/fixture.json", ("wear_points",), [[1, _HUGE]]),
     ],
-    ids=["config-field", "config-section", "graph-sample-rate", "graph-metadata-key",
-         "graph-state-label", "fixture-sample-rate", "fixture-boundaries-key", "fixture-wear-point"],
+    ids=["config-field", "config-section", "config-section-key", "graph-sample-rate",
+         "graph-metadata-key", "graph-state-label", "fixture-sample-rate",
+         "fixture-boundaries-key", "fixture-wear-point"],
 )
 def test_error_line_caps_the_offending_value(cli_env, tmp_path, capsys, name, path, value):
     """A huge value in a config, graph or fixture.json file is shown cut short:

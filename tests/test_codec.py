@@ -6,8 +6,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from gendt import codec
 from gendt.codec import (
     DEFAULT_PROMPT_TEMPLATE,
     PLACEHOLDER,
@@ -18,6 +20,7 @@ from gendt.codec import (
     NonFiniteValue,
     Overflow,
     SensorString,
+    _format_value,
     build_prompt,
     decode,
     encode,
@@ -68,6 +71,61 @@ def test_encode_overflow():
         encode([1e9], SPEC)
     with pytest.raises(Overflow):
         encode([5.0], EncodingSpec(scale=1e-10))
+
+
+def _oracle_text(values, spec: EncodingSpec) -> str:
+    return spec.separator.join(_format_value(v, spec) for v in values)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, 4.0])
+@pytest.mark.parametrize("decimals", range(11))
+def test_vectorised_encode_matches_the_decimal_oracle(monkeypatch, decimals, scale):
+    """`encode` gives `_format_value`'s text byte for byte: on random values, on
+    values near and at exact binary ties (which alone take the Decimal path),
+    on negative zero, and at magnitudes just under the overflow limit or at and
+    above 2**52 / 10**d."""
+    rng = np.random.default_rng(decimals)
+    spec = EncodingSpec(decimals=decimals, separator=";", scale=scale)
+    q = 10.0**-decimals
+    bound = 2 ** min(40, 29 + decimals)  # the ties stay under 2**29
+    scaled = [
+        *rng.normal(0, 10, 400), *rng.uniform(-1e9, 1e9, 100),
+        *((np.arange(-50, 50) + 0.5) * q),  # the decimal ties (k + 0.5) / 10**d
+        *((2 * rng.integers(-bound, bound, 100) + 1) / 2.0 ** (decimals + 1)),  # exact binary ties
+        0.125, -0.125, 2.675, 0.0, -0.0, -0.4 * q, -1e-12,  # the last three format as -0
+        math.nextafter(1e9, 0), -math.nextafter(1e9, 0), 2.0**52 * q, 2.0**53 * q, -(2.0**52) * q,
+    ]
+    values = [v * scale for v in scaled if abs(v) < 1e9]
+    decimal_path = []
+    monkeypatch.setattr(
+        codec, "_format_value", lambda v, s: decimal_path.append(v) or _format_value(v, s)
+    )
+    assert encode(values, spec) == SensorString(_oracle_text(values, spec), len(values))
+    if scale != 0.37:  # values / 0.37 are no longer the constructed ties
+        assert len(decimal_path) >= 100
+
+
+@pytest.mark.parametrize(
+    "bad, spec",
+    [
+        (float("nan"), SPEC),
+        (float("inf"), SPEC),
+        (-float("inf"), SPEC),
+        (1e9, SPEC),
+        (-1e9, SPEC),
+        (5.0, EncodingSpec(scale=1e-10)),
+        (1e300, EncodingSpec(scale=1e-10)),  # scaled past the float range
+    ],
+)
+def test_vectorised_encode_raises_as_the_oracle(bad, spec):
+    """The first value that cannot be encoded raises the class and message it
+    raises alone."""
+    with pytest.raises(CodecError) as alone:
+        _format_value(bad, spec)
+    with pytest.raises(CodecError) as batch:
+        encode([1e-12, bad, float("nan"), 1e10], spec)
+    assert type(batch.value) is type(alone.value)
+    assert str(batch.value) == str(alone.value)
 
 
 def test_encode_character_set():

@@ -321,6 +321,13 @@ def test_replay_of_chosen_epochs_matches_the_full_replay(milling_ptog, mock_conf
         assert alone == shared
 
 
+def test_replay_without_epochs_prepares_nothing(milling_ptog, persistence_config):
+    """A graph with fewer runs than `min_history` replays no epoch, and the
+    one encode pass has no vertex to encode."""
+    result = run_replay(milling_ptog, replace(persistence_config, min_history=99))
+    assert result.reports == [] and result.summary["session"]["epochs"] == 0
+
+
 def test_replay_of_an_epoch_without_history_raises(milling_ptog, persistence_config):
     first = EpochPoint(RunId(1), milling_ptog.state_by_label("P1"))
     with pytest.raises(NoHistory):
@@ -338,5 +345,22 @@ def test_truth_equals_quantized_target(milling_ptog, persistence_config, spec):
     config = replace(persistence_config, encoding=codec.EncodingSpec(**spec))
     series = milling_ptog.get_series(RunId(7), milling_ptog.state_by_label("P2"))
     table = _prepare([series], config)
-    truth = _truth(table, series, config.encoding)
+    truth = _truth(table, series)
     assert truth.tolist() == codec.quantize(table[(series.run, series.state)].values, config.encoding)
+
+
+@pytest.mark.parametrize("spec", [{}, {"decimals": 3, "separator": ";", "scale": 0.5}])
+def test_truth_from_the_one_pass_is_the_parsed_wire_text(milling_ptog, persistence_config, spec):
+    """Each vertex's text, cut from the one encode pass over every vertex, is
+    its own encoding, and its truth is bit for bit float(token) * scale."""
+    from gendt import codec
+
+    config = replace(persistence_config, encoding=codec.EncodingSpec(**spec))
+    table = _prepare(milling_ptog.series.values(), config)
+    sep, scale = config.encoding.separator, config.encoding.scale
+    for (run, state), vertex in table.items():
+        text = codec.encode(vertex.values, config.encoding).text
+        assert vertex.wire[0] == text
+        parsed = np.array([float(token) * scale for token in text.split(sep)])
+        truth = _truth(table, milling_ptog.get_series(run, state))
+        assert truth.tobytes() == parsed.tobytes()
