@@ -19,6 +19,7 @@ from .controller import ControlThresholds
 from .dsp import DownsampleSpec, FilterSpec
 from .errors import GendtError, read_json, shown
 from .forecast import BackendConfig
+from .ptog import is_finite_number
 
 HEALTH_SCOPES = ("session", "run")
 
@@ -116,8 +117,8 @@ _SECTIONS = {
 
 
 def _check_types(where: str, cls: type, doc: Mapping) -> None:
-    """Each value of `doc` has the JSON type of its field of `cls`: an integer
-    is a valid float, a boolean is not a number. Keys `cls` lacks are skipped."""
+    """Each value of `doc` has the JSON type of its field of `cls` (an integer is
+    a float, a boolean is not a number) and a float is finite; other keys pass."""
     hints = get_type_hints(cls)
     for key, value in doc.items():
         if key not in hints:
@@ -128,6 +129,8 @@ def _check_types(where: str, cls: type, doc: Mapping) -> None:
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
             names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise ConfigError(f"{where}.{key} must be {names}, got {shown(value)}")
+        if float in allowed and value is not None and not is_finite_number(value):
+            raise ConfigError(f"{where}.{key} must be a finite number, got {shown(value)}")
 
 
 def _section(name: str, cls: type, doc):

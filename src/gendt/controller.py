@@ -228,8 +228,8 @@ def run_epoch(
     oracle = config.backend.kind == "oracle"
     truth = _truth(table, target) if oracle else None
     inputs = EnsembleInputs(last_history=history[-1].values, seeds=seeds, truth=truth)
-    attempts, rows = forecast_ensemble(config.backend, request, inputs)
-    if len(rows) < len(attempts):
+    _, rows = forecast_ensemble(config.backend, request, inputs)
+    if len(rows) < config.ensemble.attempts:
         flags.append("failed_attempts")
     if not oracle:
         truth = _truth(table, target)

@@ -9,8 +9,10 @@ an epoch fails only when every attempt fails.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import random
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +34,8 @@ DEFAULT_API_KEY_ENV = "GENDT_API_KEY"
 _RETRYABLE_STATUS = frozenset({429})
 _AUTH_STATUS = frozenset({401, 403})
 _JITTER_SPREAD = 0.25  # multiplicative, on top of the doubling base
+# time.sleep takes at most about 9.2e9 s (int64 ns); every backoff sleep is held to this
+RETRY_SLEEP_MAX_S = 1e9
 # far below 1e154, where squaring a mock_noise error overflows a float64
 NOISE_SIGMA_MAX = 1e100
 # a reply holds a few numbers per horizon step, so this is far above any honest one
@@ -88,6 +92,13 @@ class BackendConfig:
             raise ValueError(f"noise_sigma must be in [0, {NOISE_SIGMA_MAX:g}], got {self.noise_sigma}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        try:  # the last backoff sleep, the base delay doubled max_retries - 1 times
+            largest = math.ldexp(self.retry_base_delay_s, self.max_retries - 1) * (1 + _JITTER_SPREAD)
+        except OverflowError:  # past the float range
+            largest = math.inf
+        if self.max_retries and not largest <= RETRY_SLEEP_MAX_S:
+            raise ValueError(f"retry_base_delay_s {self.retry_base_delay_s} doubled over max_retries "
+                             f"{shown(self.max_retries)} sleeps past {RETRY_SLEEP_MAX_S:g} s")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 
@@ -124,19 +135,13 @@ class EnsembleInputs:
 
 @dataclass(frozen=True)
 class ForecastAttempt:
+    """The outcome of one `llm_http` attempt; with no failure, its reply was
+    decoded into its row of the attempt matrix."""
+
     index: int
-    values: Optional[np.ndarray]
-    failure: Optional[DecodeFailure]
+    failure: Optional[DecodeFailure] = None
     raw_text: str = ""
     latency_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if (self.values is None) == (self.failure is None):
-            raise ValueError("attempt must carry exactly one of values or failure")
-
-    @property
-    def ok(self) -> bool:
-        return self.values is not None
 
 
 def llm_http_call(
@@ -162,7 +167,7 @@ def llm_http_call(
     last_error = "no request made"
     for attempt in range(config.max_retries + 1):
         if attempt:
-            delay = config.retry_base_delay_s * (2 ** (attempt - 1))
+            delay = math.ldexp(config.retry_base_delay_s, attempt - 1)  # no overflow: checked at load
             time.sleep(delay * (1.0 + _JITTER_SPREAD * random.random()))
         try:
             with requests.post(config.endpoint, json=body, headers=headers,
@@ -298,19 +303,14 @@ class _SeedRow(ISeedSequence):
         return self.words
 
 
-def _local_attempts(
-    config: BackendConfig, request: ForecastRequest, inputs: EnsembleInputs
-) -> tuple[list[ForecastAttempt], np.ndarray]:
-    """Every attempt of a local baseline, its values written straight into one
-    (attempts, horizon) matrix."""
-    indices = range(1, request.attempts + 1)
+def _local_matrix(config: BackendConfig, request: ForecastRequest, inputs: EnsembleInputs) -> np.ndarray:
+    """Every attempt of a local baseline, written into one (attempts, horizon) matrix."""
     oracle = config.kind == "oracle"
     source = inputs.truth if oracle else inputs.last_history
     if source is None:
         raise AllAttemptsFailed("oracle backend needs the target series, which is absent")
     if not oracle and len(source) < request.horizon:
-        failure = DecodeFailure("short", len(source), "history series shorter than horizon")
-        return [ForecastAttempt(i, None, failure) for i in indices], np.empty((0, request.horizon))
+        raise AllAttemptsFailed(f"all {request.attempts} attempts failed (short: history series shorter than horizon)")
     n = min(len(source), request.horizon)
     rows = np.empty((request.attempts, request.horizon))
     rows[:, :n] = source[:n]
@@ -321,30 +321,7 @@ def _local_attempts(
         for row, words in zip(rows, inputs.seeds, strict=True):
             rng = Generator(PCG64(_SeedRow(words)))
             row += rng.normal(0.0, config.noise_sigma, request.horizon)
-    return [ForecastAttempt(i, row, None) for i, row in zip(indices, rows)], rows
-
-
-def _llm_attempt(config: BackendConfig, request: ForecastRequest, index: int) -> ForecastAttempt:
-    start = time.perf_counter()
-    try:
-        text = llm_http_call(config, request.prompt, request.temperature, request.top_p)
-    except (BackendUnreachable, MalformedResponse) as exc:
-        latency = (time.perf_counter() - start) * 1000.0
-        return ForecastAttempt(index, None, DecodeFailure("backend", index, str(exc)), "", latency)
-    latency = (time.perf_counter() - start) * 1000.0
-    decoded = decode(text, request.encoding, request.horizon)
-    if isinstance(decoded, DecodeFailure):
-        return ForecastAttempt(index, None, decoded, text, latency)
-    return ForecastAttempt(index, np.array(decoded), None, text, latency)
-
-
-def _llm_attempts(config: BackendConfig, request: ForecastRequest) -> list[ForecastAttempt]:
-    indices = range(1, request.attempts + 1)
-    if config.max_in_flight > 1:
-        workers = min(config.max_in_flight, request.attempts)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda i: _llm_attempt(config, request, i), indices))
-    return [_llm_attempt(config, request, i) for i in indices]
+    return rows
 
 
 def forecast_ensemble(
@@ -352,19 +329,39 @@ def forecast_ensemble(
 ) -> tuple[list[ForecastAttempt], np.ndarray]:
     """Run exactly `request.attempts` independent attempts.
 
-    Returns all attempts in index order, failures included, and the successful
-    attempts' values as one (successes, horizon) matrix in the same order.
-    Raises AllAttemptsFailed when no attempt succeeded, and AuthError
-    immediately on a rejected or missing credential (retrying cannot help).
+    Returns the outcome of each `llm_http` attempt in index order (none for a
+    local baseline) and the successful attempts' values as one (successes,
+    horizon) matrix in that order; `llm_http` runs one pool of
+    `min(max_in_flight, attempts)` workers and decodes each reply into its row.
+    Raises AllAttemptsFailed when no attempt succeeded, and AuthError on a
+    rejected or missing credential, after which no attempt is sent.
     """
-    if config.kind == "llm_http":
-        attempts = _llm_attempts(config, request)
-        rows = np.array([a.values for a in attempts if a.ok])
-    else:
-        attempts, rows = _local_attempts(config, request, inputs)
-    if not len(rows):
-        first = next(a.failure for a in attempts)
-        raise AllAttemptsFailed(
-            f"all {request.attempts} attempts failed ({first.reason}: {first.message})"
-        )
-    return attempts, rows
+    if config.kind != "llm_http":
+        return [], _local_matrix(config, request, inputs)
+    rows = np.empty((request.attempts, request.horizon))
+    rejected = threading.Event()
+
+    def attempt(index: int) -> Optional[ForecastAttempt]:
+        if rejected.is_set():
+            return None  # the rejection itself is raised below
+        start = time.perf_counter()
+        try:
+            text = llm_http_call(config, request.prompt, request.temperature, request.top_p)
+            decoded = decode(text, request.encoding, request.horizon)
+        except AuthError:
+            rejected.set()
+            raise
+        except (BackendUnreachable, MalformedResponse) as exc:
+            text, decoded = "", DecodeFailure("backend", index, str(exc))
+        failure = decoded if isinstance(decoded, DecodeFailure) else None
+        if failure is None:
+            rows[index - 1] = decoded
+        return ForecastAttempt(index, failure, text, (time.perf_counter() - start) * 1000.0)
+
+    with ThreadPoolExecutor(max_workers=min(config.max_in_flight, request.attempts)) as pool:
+        attempts = list(pool.map(attempt, range(1, request.attempts + 1)))
+    ok = [a.failure is None for a in attempts]
+    if not any(ok):
+        first = attempts[0].failure
+        raise AllAttemptsFailed(f"all {request.attempts} attempts failed ({first.reason}: {first.message})")
+    return attempts, rows[ok]

@@ -277,15 +277,13 @@ class Ptog:
                 if any(known.label == sid.label for known in states.values()):
                     raise PtogError(f"state label {shown(sid.label)} declared twice")
                 states[sid.index] = sid
-                sensor = s["sensor"]
+                sensor = _checked(dict, s["sensor"], f"state {sid.label}: sensor")
                 sensors[sid] = SensorId(_checked(str, sensor["name"], "sensor name"),
                                         _checked(str, sensor["unit"], "sensor unit"))
             metadata = {}
             for r in _listed(doc["runs"], "runs", _OBJECT):
                 run = _checked(int, r["index"], "run index")
-                meta = r.get("metadata", {})
-                if not isinstance(meta, dict):
-                    raise PtogError(f"run {run}: metadata must be a JSON object, got {type(meta).__name__}")
+                meta = _checked(dict, r.get("metadata", {}), f"run {run}: metadata")
                 metadata[run] = {k: _checked(float, v, f"metadata {shown(k)}") for k, v in meta.items()}
 
             def vertex(run, state) -> tuple[RunId, StateId, SensorId]:
@@ -313,6 +311,7 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+_JSON_NAMES = {int: "integer", str: "string", dict: "object"}
 _OBJECT = ("a JSON object", lambda entry: isinstance(entry, dict))
 _PAIR = ("a [run, state] pair", lambda entry: isinstance(entry, list) and len(entry) == 2)
 
@@ -331,13 +330,13 @@ def _listed(value, field: str, entry: tuple) -> list:
 
 def _checked(kind: type, value, what: str):
     """`value` if it has the JSON type `kind`, where `float` means a finite
-    number; `int` and `str` are exact, so a boolean is not an integer."""
+    number; `int`, `str` and `dict` are exact, so a boolean is not an integer."""
     if kind is float:
         if not is_finite_number(value):
             raise PtogError(f"{what} must be a finite number, got {shown(value)}")
         return float(value)
     if type(value) is not kind:
-        raise PtogError(f"{what} must be a JSON {'integer' if kind is int else 'string'}, got {shown(value)}")
+        raise PtogError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {shown(value)}")
     return value
 
 
@@ -367,7 +366,7 @@ class ManifestEntry:
                 sample_rate_hz=_checked(float, doc["sample_rate_hz"], "sample_rate_hz"),
                 csv_path=None if csv_path is None else _checked(str, csv_path, "csv_path"),
                 metadata={k: _checked(float, v, f"metadata {shown(k)}")
-                          for k, v in doc.get("metadata", {}).items()},
+                          for k, v in _checked(dict, doc.get("metadata", {}), "manifest entry metadata").items()},
             )
         except (AttributeError, KeyError, TypeError) as exc:
             raise PtogError(f"malformed manifest entry: {exc}") from exc

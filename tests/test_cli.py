@@ -344,6 +344,32 @@ def test_replay_survives_hostile_replies(cli_env, tmp_path, stub_llm, api_key_en
     assert len(stub_llm.requests) == 300
 
 
+def test_reproducible_report_does_not_depend_on_max_in_flight(cli_env, tmp_path, stub_llm,
+                                                              api_key_env):
+    """`llm_http` has one attempt path for every in-flight budget: against a
+    stub with a single reply, the reproducible reports of max_in_flight 1, 2
+    and 4 are byte-identical but for the config's own max_in_flight."""
+    from gendt.config import EnsembleParams
+    from gendt.forecast import BackendConfig
+
+    stub_llm.script = [(200, stub_llm.completion(",".join(f"{i % 7}.25" for i in range(600))))]
+    texts = []
+    for budget in (1, 2, 4):
+        backend = BackendConfig(kind="llm_http", endpoint=stub_llm.endpoint, max_retries=0,
+                                max_in_flight=budget)
+        config_path = tmp_path / f"llm_{budget}.json"
+        save_config(make_config(backend=backend, ensemble=EnsembleParams(attempts=5)), config_path)
+        out = tmp_path / f"report_{budget}.json"
+        code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                     "--reproducible", "--out", str(out)])
+        assert code == EXIT_OK
+        text, n = re.subn(r'"max_in_flight": \d+', '"max_in_flight": _', out.read_text())
+        assert n == 1
+        texts.append(text)
+    assert texts[0] == texts[1] == texts[2]
+    assert len(stub_llm.requests) == 3 * 30 * 5
+
+
 @pytest.mark.parametrize("command", ["replay", "report"])
 def test_unwritable_output_path_exits_input(cli_env, tmp_path, capsys, command):
     """An output path that runs through a file exits 2 with one `error:` line."""
@@ -506,7 +532,7 @@ _UNCOERCED_GRAPH_VALUES = {
         pytest.param(_graph_as_list, "graph document must be a JSON object, got list",
                      id="_graph_as_list"),
         pytest.param(_metadata_as_list,
-                     "run 1: metadata must be a JSON object, got list",
+                     "run 1: metadata must be a JSON object, got [['flank_wear_mm', 0.1]]",
                      id="_metadata_as_list"),
         pytest.param(_nested_samples, "samples of run 1 P1 must be a flat list, got 2 dimensions",
                      id="_nested_samples"),
@@ -518,6 +544,10 @@ _UNCOERCED_GRAPH_VALUES = {
                      "states must be a JSON list, got dict", id="_states_as_object"),
         pytest.param(_set_graph_value(("runs", 0), 5), "runs[0] must be a JSON object, got 5",
                      id="_run_as_number"),
+        pytest.param(_set_graph_value(("states", 0, "sensor"), "x"),
+                     "state P1: sensor must be a JSON object, got 'x'", id="_sensor_as_text"),
+        pytest.param(_set_graph_value(("states", 1, "sensor"), ["a"]),
+                     "state P2: sensor must be a JSON object, got ['a']", id="_sensor_as_list"),
         pytest.param(_set_graph_value(("series", 1), "x"),
                      "series[1] must be a JSON object, got 'x'", id="_series_entry_as_text"),
         pytest.param(_set_graph_value(("extra_vertices",), [[1, 2, 3]]),
@@ -799,6 +829,9 @@ def test_replay_graph_with_nan_sample_rate_exits_input(cli_env, tmp_path, capsys
         ("ensemble", {"attempts": 0}),
         ("ensemble", {"top_p": 0}),
         ("ensemble", {"temperature": -1}),
+        # a non-finite float is written as JSON's `Infinity` or `NaN`
+        ("backend", {"kind": "persistence", "retry_base_delay_s": float("inf")}),
+        ("thresholds", {"t_low": float("nan"), "t_high": 1.5, "t_health": 15.0}),
     ],
 )
 def test_replay_out_of_range_dsp_config_exits_config(cli_env, tmp_path, capsys, section, params):
@@ -813,6 +846,23 @@ def test_replay_out_of_range_dsp_config_exits_config(cli_env, tmp_path, capsys, 
     assert code == EXIT_CONFIG
     assert len(_error_lines(capsys.readouterr().err)) == 1
     assert not (tmp_path / "x.json").exists()
+
+
+def test_replay_backoff_past_sleep_range_exits_config(cli_env, tmp_path, capsys, stub_llm,
+                                                      api_key_env):
+    """A retry backoff that time.sleep cannot take is a config error at load,
+    before the first request, not an OverflowError at the first retry."""
+    stub_llm.script = [(503, {})]
+    doc = make_config("persistence").to_dict()
+    doc["backend"].update(kind="llm_http", endpoint=stub_llm.endpoint, retry_base_delay_s=1e10)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                 "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_CONFIG
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "retry_base_delay_s 10000000000.0" in line and "1e+09 s" in line
+    assert stub_llm.requests == []
 
 
 @pytest.mark.parametrize("cutoff_hz", [125.0, 400.0])
@@ -1015,6 +1065,73 @@ def test_ingest_contract_under_fixture_meta_mutations(cli_env):
             assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
         else:
             json.loads(graph.read_text(), parse_constant=_reject_constant)
+
+    check()
+
+
+def _graph_paths(doc: dict) -> list[tuple]:
+    """Item paths of a graph file: its fields, and for the first two states,
+    runs and series entries each entry and its fields, a state's sensor
+    fields, a run's metadata value and a series' first two samples."""
+    paths = [(key,) for key in doc]
+    for i in (0, 1):
+        paths += [("states", i), ("runs", i), ("series", i)]
+        paths += [("states", i, key) for key in ("index", "label", "sensor")]
+        paths += [("states", i, "sensor", key) for key in ("name", "unit")]
+        paths += [("runs", i, "index"), ("runs", i, "metadata"), ("runs", i, "metadata", "flank_wear_mm")]
+        paths += [("series", i, key) for key in ("run", "state", "sample_rate_hz", "samples")]
+        paths += [("series", i, "samples", j) for j in (0, 1)]
+    return paths
+
+
+def test_replay_contract_under_graph_mutations(cli_env):
+    """Whatever a graph file holds, replay exits 0, 2, 3 or 4 and never
+    raises; a failing exit prints exactly one `error:` line."""
+    hypothesis = pytest.importorskip("hypothesis")
+    import contextlib
+    import io
+
+    from hypothesis import strategies as st
+
+    root = cli_env["root"] / "graph_contract"
+    root.mkdir(exist_ok=True)
+    base = json.loads(cli_env["ptog"].read_text())
+    assert base["states"][1] and base["runs"][1] and base["series"][1]
+    edges = [None, True, False, -1, 0, 1, 2, 0.5, 250.0, float("nan"), float("inf"), 1e-300,
+             1e300, 1e308, 2**64, 10**400, "", "P1", [], [1.5], [1, True], [[1, 1]], [[99, 2]],
+             [[1, 1, 1]], {}, {"name": "x", "unit": "A"}, {"flank_wear_mm": 0.2}]
+    values = st.one_of(
+        st.sampled_from(edges), st.integers(-3, 20), st.floats(), st.text(max_size=3)
+    )
+    mutation = st.tuples(
+        st.sampled_from(_graph_paths(base)), st.sampled_from(["set", "delete", "rename"]), values
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(mutations=st.lists(mutation, min_size=1, max_size=3))
+    def check(mutations):
+        doc = json.loads(json.dumps(base))
+        for path, op, value in mutations:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key] if _holds(parent, key) else None
+            if not _holds(parent, path[-1]):
+                continue
+            if op == "delete":
+                del parent[path[-1]]
+            elif op == "rename" and isinstance(parent, dict):
+                parent[str(value)] = parent.pop(path[-1])
+            else:
+                parent[path[-1]] = value
+        graph = root / "g.json"
+        graph.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["replay", "--ptog", str(graph), "--config", str(cli_env["config"]),
+                         "--reproducible", "--out", str(root / "report.json")])
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG, EXIT_HALTED)
+        if code in (EXIT_INPUT, EXIT_CONFIG):
+            assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
 
     check()
 

@@ -107,6 +107,23 @@ def test_field_of_wrong_json_type_raises_config_error(path, value):
         RunConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "path",
+    [("backend", "timeout_s"), ("backend", "retry_base_delay_s"), ("backend", "noise_sigma"),
+     ("thresholds", "t_health"), ("filter", "cutoff_hz"), ("downsample", "target_rate_hz"),
+     ("encoding", "scale"), ("ensemble", "temperature"), ("ensemble", "top_p")],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+def test_non_finite_float_raises_config_error(path, value):
+    """Every float field takes finite numbers only, checked with the graph's rule."""
+    doc = make_config("persistence").to_dict()
+    doc[path[0]][path[1]] = value
+    message = rf"^invalid run configuration: {'.'.join(path)} must be a finite number"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(doc)
+
+
 def test_integer_is_a_valid_float():
     doc = make_config("persistence").to_dict()
     doc["filter"]["cutoff_hz"] = 8

@@ -16,9 +16,9 @@ from gendt.forecast import (
     BackendConfig,
     BackendUnreachable,
     EnsembleInputs,
-    ForecastAttempt,
     ForecastRequest,
     MAX_REPLY_BYTES,
+    RETRY_SLEEP_MAX_S,
     MalformedResponse,
     forecast_ensemble,
     llm_http_call,
@@ -45,11 +45,6 @@ def mock_inputs(cfg, attempts=3, key=(5, 1)):
     return inputs(seeds=noise_seeds(cfg.rng_seed, [key], attempts)[0])
 
 
-def values(attempts) -> list:
-    """Each attempt's values as a list, None for a failed attempt."""
-    return [None if a.values is None else a.values.tolist() for a in attempts]
-
-
 def http_config(stub, **kw):
     defaults = dict(
         kind="llm_http",
@@ -70,61 +65,63 @@ def test_oracle_attempts_equal_truth():
     cfg = BackendConfig(kind="oracle")
     truth = (1.25, 2.5, 3.75, 5.0)
     attempts, rows = forecast_ensemble(cfg, request(), inputs(truth=truth))
-    assert values(attempts) == [list(truth)] * 3 == rows.tolist()
+    assert rows.tolist() == [list(truth)] * 3
+    assert attempts == []  # a local baseline keeps no per-attempt records
 
 
 def test_oracle_pads_short_truth():
     cfg = BackendConfig(kind="oracle")
-    attempts, _ = forecast_ensemble(cfg, request(horizon=4), inputs(truth=(1.0, 2.0)))
-    assert values(attempts)[0] == [1.0, 2.0, 2.0, 2.0]
+    _, rows = forecast_ensemble(cfg, request(horizon=4), inputs(truth=(1.0, 2.0)))
+    assert rows[0].tolist() == [1.0, 2.0, 2.0, 2.0]
 
 
 def test_oracle_without_truth_fails():
     cfg = BackendConfig(kind="oracle")
-    with pytest.raises(AllAttemptsFailed):
+    with pytest.raises(AllAttemptsFailed, match="oracle backend needs the target series"):
         forecast_ensemble(cfg, request(), inputs(truth=None))
 
 
 def test_persistence_repeats_last_series():
     cfg = BackendConfig(kind="persistence")
-    attempts, _ = forecast_ensemble(cfg, request(), inputs(last=(5.0, 6.0, 7.0, 8.0)))
-    assert values(attempts) == [[5.0, 6.0, 7.0, 8.0]] * 3
+    _, rows = forecast_ensemble(cfg, request(), inputs(last=(5.0, 6.0, 7.0, 8.0)))
+    assert rows.tolist() == [[5.0, 6.0, 7.0, 8.0]] * 3
 
 
 def test_persistence_truncates_to_horizon():
     cfg = BackendConfig(kind="persistence")
-    attempts, _ = forecast_ensemble(cfg, request(horizon=2), inputs(last=(5.0, 6.0, 7.0)))
-    assert values(attempts)[0] == [5.0, 6.0]
+    _, rows = forecast_ensemble(cfg, request(horizon=2), inputs(last=(5.0, 6.0, 7.0)))
+    assert rows[0].tolist() == [5.0, 6.0]
 
 
 def test_persistence_short_history_fails():
     cfg = BackendConfig(kind="persistence")
-    with pytest.raises(AllAttemptsFailed):
+    message = r"all 3 attempts failed \(short: history series shorter than horizon\)"
+    with pytest.raises(AllAttemptsFailed, match=message):
         forecast_ensemble(cfg, request(horizon=10), inputs(last=(1.0, 2.0)))
 
 
 def test_mock_noise_is_persistence_plus_seeded_noise():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42, noise_sigma=0.1)
-    a1, rows = forecast_ensemble(cfg, request(), mock_inputs(cfg))
-    a2, _ = forecast_ensemble(cfg, request(), mock_inputs(cfg))
-    assert values(a1) == values(a2) == rows.tolist()  # bitwise reproducible
+    _, rows = forecast_ensemble(cfg, request(), mock_inputs(cfg))
+    _, again = forecast_ensemble(cfg, request(), mock_inputs(cfg))
+    assert rows.tolist() == again.tolist()  # bitwise reproducible
     base = np.array([1.0, 2.0, 3.0, 4.0])
-    for a in a1:
-        assert not np.array_equal(a.values, base)
-        assert np.max(np.abs(a.values - base)) < 1.0
+    for row in rows:
+        assert not np.array_equal(row, base)
+        assert np.max(np.abs(row - base)) < 1.0
 
 
 def test_mock_noise_attempts_differ_from_each_other():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42)
-    attempts, _ = forecast_ensemble(cfg, request(attempts=5), mock_inputs(cfg, 5))
-    assert len({tuple(v) for v in values(attempts)}) == 5
+    _, rows = forecast_ensemble(cfg, request(attempts=5), mock_inputs(cfg, 5))
+    assert len({tuple(row) for row in rows.tolist()}) == 5
 
 
 def test_mock_noise_depends_on_epoch_key():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42)
-    a, _ = forecast_ensemble(cfg, request(), mock_inputs(cfg, key=(5, 1)))
-    b, _ = forecast_ensemble(cfg, request(), mock_inputs(cfg, key=(5, 2)))
-    assert values(a) != values(b)
+    _, a = forecast_ensemble(cfg, request(), mock_inputs(cfg, key=(5, 1)))
+    _, b = forecast_ensemble(cfg, request(), mock_inputs(cfg, key=(5, 2)))
+    assert a.tolist() != b.tolist()
 
 
 def test_mock_noise_without_seed_rows_fails():
@@ -188,11 +185,12 @@ def test_permuting_attempts_leaves_median_unchanged():
 
 def test_local_matrix_is_taken_without_a_copy():
     """The local backends write every attempt into one float64 attempt
-    matrix, and the attempts view its rows."""
+    matrix, which is returned as it is, with no per-attempt record."""
     cfg = BackendConfig(kind="mock_noise", rng_seed=7)
     attempts, rows = forecast_ensemble(cfg, request(attempts=4), mock_inputs(cfg, 4))
     assert rows.shape == (4, 4) and rows.dtype == np.float64
-    assert all(a.values.base is rows for a in attempts)
+    assert rows.base is None and rows.flags.owndata
+    assert attempts == []
 
 
 # ---------------------------------------------------------------- HTTP client
@@ -328,8 +326,11 @@ def test_http_unreachable_endpoint(api_key_env):
 def test_ensemble_decodes_llm_output(stub_llm, api_key_env):
     stub_llm.script = [(200, stub_llm.completion("1.00,2.00,3.00,4.00"))]
     attempts, rows = forecast_ensemble(http_config(stub_llm), request(), inputs())
-    assert values(attempts) == [[1.0, 2.0, 3.0, 4.0]] * 3 == rows.tolist()
-    assert all(a.raw_text == "1.00,2.00,3.00,4.00" for a in attempts)
+    assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0]] * 3
+    assert rows.dtype == np.float64
+    assert [a.index for a in attempts] == [1, 2, 3]
+    assert all(a.failure is None and a.raw_text == "1.00,2.00,3.00,4.00" for a in attempts)
+    assert all(a.latency_ms > 0 for a in attempts)
 
 
 def test_ensemble_carries_failed_attempts(stub_llm, api_key_env):
@@ -343,9 +344,10 @@ def test_ensemble_carries_failed_attempts(stub_llm, api_key_env):
     # the successes form one rectangular float64 attempt matrix, longer replies truncated
     assert rows.dtype == np.float64
     assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
-    assert attempts[0].ok
+    assert attempts[0].failure is None and attempts[3].failure is None
     assert attempts[1].failure.reason == "malformed"
     assert attempts[2].failure == DecodeFailure("short", 2)
+    assert attempts[2].raw_text == "1.00,2.00"  # a failed reply keeps its text
 
 
 def test_ensemble_all_failed_raises(stub_llm, api_key_env):
@@ -362,17 +364,74 @@ def test_ensemble_transport_failures_counted_not_dropped(stub_llm, api_key_env):
     cfg = http_config(stub_llm, max_retries=0)
     attempts, rows = forecast_ensemble(cfg, request(attempts=2), inputs())
     assert len(rows) == 1
-    assert attempts[0].ok
-    assert not attempts[1].ok
+    assert attempts[0].failure is None
     assert attempts[1].failure.reason == "backend"
+    assert attempts[1].raw_text == ""
 
 
 def test_ensemble_parallel_attempts(stub_llm, api_key_env):
     stub_llm.script = [(200, stub_llm.completion("1.00,2.00,3.00,4.00"))]
     cfg = http_config(stub_llm, max_in_flight=4)
-    attempts, _ = forecast_ensemble(cfg, request(attempts=8), inputs())
+    attempts, rows = forecast_ensemble(cfg, request(attempts=8), inputs())
     assert [a.index for a in attempts] == list(range(1, 9))
-    assert all(a.ok for a in attempts)
+    assert all(a.failure is None for a in attempts)
+    assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0]] * 8
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+def test_rejected_credential_stops_unsent_attempts(stub_llm, api_key_env, max_in_flight):
+    """Once the endpoint rejects the credential, no attempt is sent: of 10
+    attempts, at most one per worker reaches the endpoint, and the rejection
+    itself is raised with its HTTP status."""
+    stub_llm.script = [(401, {"error": "revoked"})]
+    cfg = http_config(stub_llm, max_in_flight=max_in_flight)
+    with pytest.raises(AuthError, match=r"rejected credential \(HTTP 401\)"):
+        forecast_ensemble(cfg, request(attempts=10), inputs())
+    assert 1 <= len(stub_llm.requests) <= max_in_flight
+
+
+def test_backoff_of_many_retries_does_not_overflow(monkeypatch, api_key_env):
+    """A zero base delay doubles to zero however many retries there are; the
+    delay is never computed as an integer power that overflows a float."""
+    import requests
+
+    sleeps = []
+    monkeypatch.setattr("gendt.forecast.time.sleep", sleeps.append)
+
+    def refuse(*args, **kwargs):
+        raise requests.ConnectionError("refused")
+
+    monkeypatch.setattr("gendt.forecast.requests.post", refuse)
+    cfg = BackendConfig(kind="llm_http", endpoint="http://127.0.0.1:9/v1",
+                        max_retries=1100, retry_base_delay_s=0.0)
+    with pytest.raises(BackendUnreachable, match="gave up after 1101 calls"):
+        llm_http_call(cfg, "p", 0.7, 1.0)
+    assert sleeps == [0.0] * 1100
+
+
+@pytest.mark.parametrize(
+    "base, retries, ok",
+    [
+        (RETRY_SLEEP_MAX_S / 1.25, 1, True),  # the largest jittered sleep is the bound itself
+        (RETRY_SLEEP_MAX_S / 1.25, 2, False),
+        (1e10, 3, False),
+        (1e10, 0, True),  # no retry, no sleep
+        (1.0, 30, True),
+        (1.0, 31, False),
+        (5e-324, 1200, False),
+        (1.0, 10**30, False),  # past the float range
+        (0.0, 10**30, True),
+    ],
+)
+def test_backoff_bound(base, retries, ok):
+    """Every backoff sleep, jitter included, stays within RETRY_SLEEP_MAX_S,
+    the range time.sleep accepts; a config past it is rejected at load."""
+    fields = dict(kind="persistence", retry_base_delay_s=base, max_retries=retries)
+    if ok:
+        BackendConfig(**fields)
+    else:
+        with pytest.raises(ValueError, match="retry_base_delay_s"):
+            BackendConfig(**fields)
 
 
 def test_no_credential_in_attempt_failures(stub_llm, api_key_env):
@@ -405,10 +464,3 @@ def test_backend_config_validation():
 def test_backend_config_ranges(field, value):
     with pytest.raises(ValueError, match=field):
         BackendConfig(kind="mock_noise", **{"rng_seed": 1, field: value})
-
-
-def test_attempt_invariant():
-    with pytest.raises(ValueError):
-        ForecastAttempt(1, (1.0,), DecodeFailure("short", 0))
-    with pytest.raises(ValueError):
-        ForecastAttempt(1, None, None)

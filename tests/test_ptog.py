@@ -201,11 +201,18 @@ def test_manifest_entry_validation():
         ("unit", 1),
         ("sample_rate_hz", "250"),
         ("metadata", {"w": "0.5"}),
+        ("metadata", ["w"]),
     ],
 )
 def test_manifest_values_checked_not_coerced(tmp_path, field, value):
     (tmp_path / "s.csv").write_text("1.0\n")
-    with pytest.raises(PtogError, match=field if field != "metadata" else "metadata 'w'"):
+    if field != "metadata":
+        message = field
+    elif isinstance(value, dict):
+        message = "metadata 'w'"
+    else:
+        message = r"^manifest entry metadata must be a JSON object, got \['w'\]$"
+    with pytest.raises(PtogError, match=message):
         build_ptog([dict(entry(3), **{field: value})], base_dir=tmp_path)
 
 
