@@ -24,7 +24,6 @@ from .ensemble import aggregate, error_stats, rmse
 from .errors import GendtError
 from .forecast import (
     AllAttemptsFailed,
-    EnsembleInputs,
     ForecastRequest,
     forecast_ensemble,
     noise_seeds,
@@ -216,6 +215,8 @@ def run_epoch(
     # the join of per-vertex encodings is the encoding of the concatenation
     sensor_text = config.encoding.separator.join(v.wire[0] for v in history)
     prompt = codec.build_prompt(sensor_text, config.prompt_template)
+    oracle = config.backend.kind == "oracle"
+    truth = _truth(table, target) if oracle else None
     request = ForecastRequest(
         prompt=prompt,
         temperature=config.resolved_temperature(),
@@ -223,12 +224,11 @@ def run_epoch(
         attempts=config.ensemble.attempts,
         horizon=horizon,
         encoding=config.encoding,
+        last_history=history[-1].values,
+        seeds=seeds,
+        truth=truth,
     )
-
-    oracle = config.backend.kind == "oracle"
-    truth = _truth(table, target) if oracle else None
-    inputs = EnsembleInputs(last_history=history[-1].values, seeds=seeds, truth=truth)
-    _, rows = forecast_ensemble(config.backend, request, inputs)
+    _, rows = forecast_ensemble(config.backend, request)
     if len(rows) < config.ensemble.attempts:
         flags.append("failed_attempts")
     if not oracle:

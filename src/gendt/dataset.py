@@ -4,9 +4,10 @@ observation graph.
 
 `fixture.json` gives each run's `[start, p1_end, p2_end, end]` sample
 indices, and a run is cut there and nowhere else. Data whose states are not
-labeled this way is segmented outside gendt and enters as a graph file or a
-manifest; `Ptog.from_series` validates it either way. A synthetic fixture
-generator ships here so tests never need external files.
+labeled this way is segmented outside gendt and enters as a graph file or as
+the manifest file `ptog.save_manifest` writes; `Ptog.from_series` validates
+it either way. A synthetic fixture generator ships here so tests never need
+external files.
 """
 
 from __future__ import annotations

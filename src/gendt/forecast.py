@@ -105,22 +105,8 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class ForecastRequest:
-    prompt: str
-    temperature: float
-    top_p: float
-    attempts: int
-    horizon: int
-    encoding: EncodingSpec
-
-    def __post_init__(self) -> None:
-        # attempts, temperature and top_p come from a validated EnsembleParams
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-
-
-@dataclass(frozen=True)
-class EnsembleInputs:
-    """Preprocessed window material the local baselines consume.
+    """One epoch's forecast: the prompt and sampling settings `llm_http`
+    sends, and the preprocessed window material the local baselines consume.
 
     `last_history` is the most recent prior-run series after preprocessing;
     `truth` is the identically preprocessed target series, provided only to
@@ -128,9 +114,20 @@ class EnsembleInputs:
     `noise_seeds` words, which only `mock_noise` reads.
     """
 
+    prompt: str
+    temperature: float
+    top_p: float
+    attempts: int
+    horizon: int
+    encoding: EncodingSpec
     last_history: np.ndarray
     seeds: Optional[np.ndarray] = None
     truth: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        # attempts, temperature and top_p come from a validated EnsembleParams
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -303,10 +300,10 @@ class _SeedRow(ISeedSequence):
         return self.words
 
 
-def _local_matrix(config: BackendConfig, request: ForecastRequest, inputs: EnsembleInputs) -> np.ndarray:
+def _local_matrix(config: BackendConfig, request: ForecastRequest) -> np.ndarray:
     """Every attempt of a local baseline, written into one (attempts, horizon) matrix."""
     oracle = config.kind == "oracle"
-    source = inputs.truth if oracle else inputs.last_history
+    source = request.truth if oracle else request.last_history
     if source is None:
         raise AllAttemptsFailed("oracle backend needs the target series, which is absent")
     if not oracle and len(source) < request.horizon:
@@ -316,16 +313,16 @@ def _local_matrix(config: BackendConfig, request: ForecastRequest, inputs: Ensem
     rows[:, :n] = source[:n]
     rows[:, n:] = source[n - 1]  # the oracle pads with its final value; scoring truncates it away
     if config.kind == "mock_noise":
-        if inputs.seeds is None:
+        if request.seeds is None:
             raise ValueError("mock_noise needs the epoch's attempt seed rows")
-        for row, words in zip(rows, inputs.seeds, strict=True):
+        for row, words in zip(rows, request.seeds, strict=True):
             rng = Generator(PCG64(_SeedRow(words)))
             row += rng.normal(0.0, config.noise_sigma, request.horizon)
     return rows
 
 
 def forecast_ensemble(
-    config: BackendConfig, request: ForecastRequest, inputs: EnsembleInputs
+    config: BackendConfig, request: ForecastRequest
 ) -> tuple[list[ForecastAttempt], np.ndarray]:
     """Run exactly `request.attempts` independent attempts.
 
@@ -337,7 +334,7 @@ def forecast_ensemble(
     rejected or missing credential, after which no attempt is sent.
     """
     if config.kind != "llm_http":
-        return [], _local_matrix(config, request, inputs)
+        return [], _local_matrix(config, request)
     rows = np.empty((request.attempts, request.horizon))
     rejected = threading.Event()
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -144,6 +144,7 @@ class Ptog:
         process timeline but carry no measurement yet; absence stays explicit
         instead of being modeled as an empty series. Every vertex, with or
         without a series, is checked for duplicates and for its state's sensor.
+        `run_metadata` maps a run index to values its caller already checked.
         """
         series_map: dict[tuple[RunId, StateId], MeasurementSeries] = {}
         vertices: set[tuple[RunId, StateId]] = set()
@@ -180,10 +181,10 @@ class Ptog:
         for run_index, meta in (run_metadata or {}).items():
             if not meta:
                 continue
-            rid = run_index if isinstance(run_index, RunId) else RunId(int(run_index))
-            if rid not in run_set:
-                raise PtogError(f"metadata for unknown run {rid.index}")
-            metadata[rid] = {str(k): float(v) for k, v in meta.items()}
+            run = RunId(run_index)
+            if run not in run_set:
+                raise PtogError(f"metadata for unknown run {run_index}")
+            metadata[run] = dict(meta)
 
         return cls(
             runs=tuple(sorted(run_set)),
@@ -317,8 +318,8 @@ _PAIR = ("a [run, state] pair", lambda entry: isinstance(entry, list) and len(en
 
 
 def _listed(value, field: str, entry: tuple) -> list:
-    """`value`, the graph document's `field`, if it is a list whose every item
-    is `entry`, a (description, test) pair; otherwise an error naming the field."""
+    """`value`, a graph or manifest document's `field`, if it is a list whose
+    every item is `entry`, a (description, test) pair; else an error naming it."""
     what, test = entry
     if not isinstance(value, list):
         raise PtogError(f"{field} must be a JSON list, got {type(value).__name__}")
@@ -338,46 +339,6 @@ def _checked(kind: type, value, what: str):
     if type(value) is not kind:
         raise PtogError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {shown(value)}")
     return value
-
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One dataset-manifest row; csv_path None declares a series-less vertex."""
-
-    run: int
-    state_label: str
-    sensor: str
-    unit: str
-    sample_rate_hz: float
-    csv_path: Optional[str]
-    metadata: Mapping[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_mapping(cls, doc: Mapping) -> "ManifestEntry":
-        """An entry, its values checked, not coerced, as `Ptog.from_dict` checks
-        a graph document's."""
-        try:
-            csv_path = doc.get("csv_path")
-            return cls(
-                run=_checked(int, doc["run"], "run"),
-                state_label=_checked(str, doc["state_label"], "state_label"),
-                sensor=_checked(str, doc["sensor"], "sensor"),
-                unit=_checked(str, doc["unit"], "unit"),
-                sample_rate_hz=_checked(float, doc["sample_rate_hz"], "sample_rate_hz"),
-                csv_path=None if csv_path is None else _checked(str, csv_path, "csv_path"),
-                metadata={k: _checked(float, v, f"metadata {shown(k)}")
-                          for k, v in _checked(dict, doc.get("metadata", {}), "manifest entry metadata").items()},
-            )
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise PtogError(f"malformed manifest entry: {exc}") from exc
-
-
-def load_manifest(path: Union[str, Path]) -> list[ManifestEntry]:
-    doc = read_json(path, PtogError)
-    entries = doc.get("entries") if isinstance(doc, dict) else doc
-    if not isinstance(entries, list):
-        raise PtogError("manifest must be a list of entries or {'entries': [...]}")
-    return [ManifestEntry.from_mapping(e) for e in entries]
 
 
 def read_samples_csv(path: Union[str, Path]) -> tuple[float, ...]:
@@ -403,41 +364,43 @@ def read_samples_csv(path: Union[str, Path]) -> tuple[float, ...]:
     return tuple(values)
 
 
-def build_ptog(
-    manifest: Union[str, Path, Sequence[Union[ManifestEntry, Mapping]]],
-    base_dir: Optional[Union[str, Path]] = None,
-) -> Ptog:
-    """Parse a dataset manifest into a graph; `Ptog.from_series` validates it.
+def build_ptog(path: Union[str, Path]) -> Ptog:
+    """Read the manifest `save_manifest` writes, `{"entries": [...]}`, into a
+    graph; `Ptog.from_series` validates it.
 
-    `manifest` is a JSON file path or an in-memory entry list. Relative
-    csv_path values resolve against the manifest's directory (or `base_dir`).
-    State indices are assigned by first appearance, runs sorted chronologically.
+    Each entry's values are checked, not coerced, as `Ptog.from_dict` checks a
+    graph document's. A relative `csv_path` resolves against the manifest's
+    directory, and a null one declares a vertex without a series. State
+    indices are assigned by first appearance, runs sorted chronologically.
     """
-    if isinstance(manifest, (str, Path)):
-        if base_dir is None:
-            base_dir = Path(manifest).parent
-        entries = load_manifest(manifest)
-    else:
-        entries = [e if isinstance(e, ManifestEntry) else ManifestEntry.from_mapping(e) for e in manifest]
-    base = Path(base_dir) if base_dir is not None else Path(".")
-
+    doc = _checked(dict, read_json(path, PtogError), "manifest")
+    base = Path(path).parent
     state_ids: dict[str, StateId] = {}
     series: list[MeasurementSeries] = []
     empty_vertices: list[tuple[RunId, StateId, SensorId]] = []
     metadata: dict[int, dict[str, float]] = {}
-    for e in entries:
-        if e.state_label not in state_ids:
-            state_ids[e.state_label] = StateId(len(state_ids) + 1, e.state_label)
-        run, state, sensor = RunId(e.run), state_ids[e.state_label], SensorId(e.sensor, e.unit)
-        if e.csv_path is None:
-            empty_vertices.append((run, state, sensor))
-        else:
-            # an absolute csv_path replaces the base
-            samples = read_samples_csv(base / e.csv_path)
-            series.append(MeasurementSeries(run, state, sensor, e.sample_rate_hz, samples))
-        if e.metadata:
-            metadata.setdefault(e.run, {}).update(e.metadata)
-
+    try:
+        for e in _listed(doc["entries"], "entries", _OBJECT):
+            run = _checked(int, e["run"], "run")
+            label = _checked(str, e["state_label"], "state_label")
+            sensor = SensorId(_checked(str, e["sensor"], "sensor"), _checked(str, e["unit"], "unit"))
+            rate = _checked(float, e["sample_rate_hz"], "sample_rate_hz")
+            csv_path = e.get("csv_path")
+            meta = {k: _checked(float, v, f"metadata {shown(k)}")
+                    for k, v in _checked(dict, e.get("metadata", {}), "manifest entry metadata").items()}
+            if label not in state_ids:
+                state_ids[label] = StateId(len(state_ids) + 1, label)
+            vertex = (RunId(run), state_ids[label], sensor)
+            if csv_path is None:
+                empty_vertices.append(vertex)
+            else:
+                # an absolute csv_path replaces the base
+                samples = read_samples_csv(base / _checked(str, csv_path, "csv_path"))
+                series.append(MeasurementSeries(*vertex, rate, samples))
+            if meta:
+                metadata.setdefault(run, {}).update(meta)
+    except KeyError as exc:
+        raise PtogError(f"malformed manifest: missing field {exc}") from exc
     return Ptog.from_series(series, run_metadata=metadata, empty_vertices=empty_vertices)
 
 
@@ -453,10 +416,9 @@ def save_manifest(ptog: Ptog, out_dir: Union[str, Path]) -> Path:
     for (run, state), s in sorted(ptog.series.items(), key=lambda kv: (kv[0][0], kv[0][1].index)):
         csv_path = f"segments/run_{run.index}_{state.label}.csv"
         (out_dir / csv_path).write_text("\n".join(map(repr, s.samples.tolist())) + "\n")
-        meta = ptog.run_metadata.get(run, {})
-        entry = ManifestEntry(run.index, state.label, s.sensor.name, s.sensor.unit,
-                              s.sample_rate_hz, csv_path, meta)
-        entries.append(asdict(entry))
+        entries.append({"run": run.index, "state_label": state.label, "sensor": s.sensor.name,
+                        "unit": s.sensor.unit, "sample_rate_hz": s.sample_rate_hz,
+                        "csv_path": csv_path, "metadata": dict(ptog.run_metadata.get(run, {}))})
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(canonical_json({"entries": entries}) + "\n")
     return manifest_path

@@ -19,11 +19,22 @@ from gendt.controller import (
     decide,
     run_replay,
 )
-from gendt.ptog import RunId, build_ptog
+from gendt.ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId
 from gendt.windowing import EpochPoint, NoHistory
 
 TH = ControlThresholds(t_low=0.5, t_high=1.5, t_health=15.0)
 EPS = 1e-9
+P1 = StateId(1, "P1")
+SENSOR = SensorId("spindle_current", "A")
+
+
+def one_state_graph(samples, runs, truth_run=None):
+    """Runs 1..`runs` of state P1, each carrying `samples`, except that
+    `truth_run` is a vertex without a series."""
+    series = [MeasurementSeries(RunId(r), P1, SENSOR, 100.0, samples)
+              for r in range(1, runs + 1) if r != truth_run]
+    empty = [(RunId(truth_run), P1, SENSOR)] if truth_run else []
+    return Ptog.from_series(series, empty_vertices=empty)
 
 
 def replay_one(ptog, epoch, config):
@@ -112,22 +123,9 @@ def test_epoch_history_and_horizon(milling_ptog, persistence_config):
     assert report.q_rmse is not None and math.isfinite(report.q_rmse)
 
 
-def test_epoch_without_ground_truth_no_action(tmp_path, persistence_config):
-    (tmp_path / "s.csv").write_text("\n".join(str(v) for v in range(1, 80)) + "\n")
-    entries = [
-        {
-            "run": r,
-            "state_label": "P1",
-            "sensor": "spindle_current",
-            "unit": "A",
-            "sample_rate_hz": 100.0,
-            "csv_path": "s.csv" if r < 5 else None,
-            "metadata": {},
-        }
-        for r in range(1, 6)
-    ]
-    ptog = build_ptog(entries, base_dir=tmp_path)
-    epoch = EpochPoint(RunId(5), ptog.state_by_label("P1"))
+def test_epoch_without_ground_truth_no_action(persistence_config):
+    ptog = one_state_graph([float(v) for v in range(1, 80)], runs=5, truth_run=5)
+    epoch = EpochPoint(RunId(5), P1)
     report = replay_one(ptog, epoch, persistence_config)
     assert report.decision == "no action"
     assert report.q_rmse is None
@@ -135,34 +133,16 @@ def test_epoch_without_ground_truth_no_action(tmp_path, persistence_config):
     assert report.median  # the forecast itself still exists
 
 
-def test_forecast_blind_to_ground_truth(tmp_path, persistence_config, mock_config):
+def test_forecast_blind_to_ground_truth(persistence_config, mock_config):
     """Information flow: removing the target's own series must not change the
     forecast (it may only remove the evaluation)."""
-    samples = "\n".join(f"{1.0 + 0.01 * i:.4f}" for i in range(200)) + "\n"
-    for name in ("a.csv", "b.csv", "c.csv", "d.csv", "e.csv"):
-        (tmp_path / name).write_text(samples)
-
-    def graph(with_truth: bool):
-        entries = []
-        for r, name in enumerate(("a.csv", "b.csv", "c.csv", "d.csv", "e.csv"), start=1):
-            entries.append(
-                {
-                    "run": r,
-                    "state_label": "P1",
-                    "sensor": "spindle_current",
-                    "unit": "A",
-                    "sample_rate_hz": 100.0,
-                    "csv_path": name if (r < 5 or with_truth) else None,
-                    "metadata": {},
-                }
-            )
-        return build_ptog(entries, base_dir=tmp_path)
+    samples = [round(1.0 + 0.01 * i, 4) for i in range(200)]
 
     for config in (persistence_config, mock_config):
         reports = []
         for with_truth in (True, False):
-            ptog = graph(with_truth)
-            epoch = EpochPoint(RunId(5), ptog.state_by_label("P1"))
+            ptog = one_state_graph(samples, runs=5, truth_run=None if with_truth else 5)
+            epoch = EpochPoint(RunId(5), P1)
             reports.append(replay_one(ptog, epoch, config))
         assert reports[0].median == reports[1].median
         assert reports[0].q_rmse is not None and reports[1].q_rmse is None
@@ -243,13 +223,13 @@ def test_replay_records_failed_epochs(milling_ptog, oracle_config, monkeypatch):
     calls = {"n": 0}
     original = controller_mod.forecast_ensemble
 
-    def flaky(config, request, inputs):
+    def flaky(config, request):
         calls["n"] += 1
         if calls["n"] == 2:
             from gendt.forecast import AllAttemptsFailed
 
             raise AllAttemptsFailed("synthetic outage")
-        return original(config, request, inputs)
+        return original(config, request)
 
     monkeypatch.setattr(controller_mod, "forecast_ensemble", flaky)
     result = run_replay(milling_ptog, oracle_config)

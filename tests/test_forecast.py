@@ -15,7 +15,6 @@ from gendt.forecast import (
     AuthError,
     BackendConfig,
     BackendUnreachable,
-    EnsembleInputs,
     ForecastRequest,
     MAX_REPLY_BYTES,
     RETRY_SLEEP_MAX_S,
@@ -28,21 +27,17 @@ from gendt.forecast import (
 ENC = EncodingSpec()
 
 
-def request(attempts=3, horizon=4, prompt="Sequence: 1.00."):
+def request(attempts=3, horizon=4, prompt="Sequence: 1.00.", last=(1.0, 2.0, 3.0, 4.0),
+            truth=None, seeds=None):
     return ForecastRequest(
-        prompt=prompt, temperature=0.7, top_p=1.0, attempts=attempts, horizon=horizon, encoding=ENC
+        prompt=prompt, temperature=0.7, top_p=1.0, attempts=attempts, horizon=horizon, encoding=ENC,
+        last_history=np.array(last), seeds=seeds, truth=None if truth is None else np.array(truth),
     )
 
 
-def inputs(last=(1.0, 2.0, 3.0, 4.0), truth=None, seeds=None):
-    return EnsembleInputs(
-        last_history=np.array(last), seeds=seeds, truth=None if truth is None else np.array(truth)
-    )
-
-
-def mock_inputs(cfg, attempts=3, key=(5, 1)):
-    """Inputs of a mock_noise ensemble: the seed rows of epoch `key`."""
-    return inputs(seeds=noise_seeds(cfg.rng_seed, [key], attempts)[0])
+def mock_request(cfg, attempts=3, key=(5, 1)):
+    """A mock_noise ensemble's request: the seed rows of epoch `key`."""
+    return request(attempts=attempts, seeds=noise_seeds(cfg.rng_seed, [key], attempts)[0])
 
 
 def http_config(stub, **kw):
@@ -64,32 +59,32 @@ def http_config(stub, **kw):
 def test_oracle_attempts_equal_truth():
     cfg = BackendConfig(kind="oracle")
     truth = (1.25, 2.5, 3.75, 5.0)
-    attempts, rows = forecast_ensemble(cfg, request(), inputs(truth=truth))
+    attempts, rows = forecast_ensemble(cfg, request(truth=truth))
     assert rows.tolist() == [list(truth)] * 3
     assert attempts == []  # a local baseline keeps no per-attempt records
 
 
 def test_oracle_pads_short_truth():
     cfg = BackendConfig(kind="oracle")
-    _, rows = forecast_ensemble(cfg, request(horizon=4), inputs(truth=(1.0, 2.0)))
+    _, rows = forecast_ensemble(cfg, request(horizon=4, truth=(1.0, 2.0)))
     assert rows[0].tolist() == [1.0, 2.0, 2.0, 2.0]
 
 
 def test_oracle_without_truth_fails():
     cfg = BackendConfig(kind="oracle")
     with pytest.raises(AllAttemptsFailed, match="oracle backend needs the target series"):
-        forecast_ensemble(cfg, request(), inputs(truth=None))
+        forecast_ensemble(cfg, request(truth=None))
 
 
 def test_persistence_repeats_last_series():
     cfg = BackendConfig(kind="persistence")
-    _, rows = forecast_ensemble(cfg, request(), inputs(last=(5.0, 6.0, 7.0, 8.0)))
+    _, rows = forecast_ensemble(cfg, request(last=(5.0, 6.0, 7.0, 8.0)))
     assert rows.tolist() == [[5.0, 6.0, 7.0, 8.0]] * 3
 
 
 def test_persistence_truncates_to_horizon():
     cfg = BackendConfig(kind="persistence")
-    _, rows = forecast_ensemble(cfg, request(horizon=2), inputs(last=(5.0, 6.0, 7.0)))
+    _, rows = forecast_ensemble(cfg, request(horizon=2, last=(5.0, 6.0, 7.0)))
     assert rows[0].tolist() == [5.0, 6.0]
 
 
@@ -97,13 +92,13 @@ def test_persistence_short_history_fails():
     cfg = BackendConfig(kind="persistence")
     message = r"all 3 attempts failed \(short: history series shorter than horizon\)"
     with pytest.raises(AllAttemptsFailed, match=message):
-        forecast_ensemble(cfg, request(horizon=10), inputs(last=(1.0, 2.0)))
+        forecast_ensemble(cfg, request(horizon=10, last=(1.0, 2.0)))
 
 
 def test_mock_noise_is_persistence_plus_seeded_noise():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42, noise_sigma=0.1)
-    _, rows = forecast_ensemble(cfg, request(), mock_inputs(cfg))
-    _, again = forecast_ensemble(cfg, request(), mock_inputs(cfg))
+    _, rows = forecast_ensemble(cfg, mock_request(cfg))
+    _, again = forecast_ensemble(cfg, mock_request(cfg))
     assert rows.tolist() == again.tolist()  # bitwise reproducible
     base = np.array([1.0, 2.0, 3.0, 4.0])
     for row in rows:
@@ -113,21 +108,21 @@ def test_mock_noise_is_persistence_plus_seeded_noise():
 
 def test_mock_noise_attempts_differ_from_each_other():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42)
-    _, rows = forecast_ensemble(cfg, request(attempts=5), mock_inputs(cfg, 5))
+    _, rows = forecast_ensemble(cfg, mock_request(cfg, 5))
     assert len({tuple(row) for row in rows.tolist()}) == 5
 
 
 def test_mock_noise_depends_on_epoch_key():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42)
-    _, a = forecast_ensemble(cfg, request(), mock_inputs(cfg, key=(5, 1)))
-    _, b = forecast_ensemble(cfg, request(), mock_inputs(cfg, key=(5, 2)))
+    _, a = forecast_ensemble(cfg, mock_request(cfg, key=(5, 1)))
+    _, b = forecast_ensemble(cfg, mock_request(cfg, key=(5, 2)))
     assert a.tolist() != b.tolist()
 
 
 def test_mock_noise_without_seed_rows_fails():
     cfg = BackendConfig(kind="mock_noise", rng_seed=42)
     with pytest.raises(ValueError, match="seed rows"):
-        forecast_ensemble(cfg, request(), inputs())
+        forecast_ensemble(cfg, request())
 
 
 def _random_index(rnd: random.Random) -> int:
@@ -161,7 +156,7 @@ def test_mock_noise_streams_equal_default_rng():
     """Each attempt draws the normal stream of `default_rng([seed, run, state, i])`."""
     cfg = BackendConfig(kind="mock_noise", rng_seed=2**64 + 3, noise_sigma=0.25)
     key = (2**33 + 1, 2)
-    _, rows = forecast_ensemble(cfg, request(attempts=6), mock_inputs(cfg, 6, key))
+    _, rows = forecast_ensemble(cfg, mock_request(cfg, 6, key))
     base = np.array([1.0, 2.0, 3.0, 4.0])
     for i, row in enumerate(rows, 1):
         noise = np.random.default_rng([cfg.rng_seed, *key, i]).normal(0.0, 0.25, 4)
@@ -175,7 +170,7 @@ def test_mock_requires_seed():
 
 def test_permuting_attempts_leaves_median_unchanged():
     cfg = BackendConfig(kind="mock_noise", rng_seed=7)
-    _, rows = forecast_ensemble(cfg, request(attempts=8), mock_inputs(cfg, 8))
+    _, rows = forecast_ensemble(cfg, mock_request(cfg, 8))
     est = aggregate(rows)
     rng = np.random.default_rng(0)
     est_perm = aggregate(rows[rng.permutation(len(rows))])
@@ -187,7 +182,7 @@ def test_local_matrix_is_taken_without_a_copy():
     """The local backends write every attempt into one float64 attempt
     matrix, which is returned as it is, with no per-attempt record."""
     cfg = BackendConfig(kind="mock_noise", rng_seed=7)
-    attempts, rows = forecast_ensemble(cfg, request(attempts=4), mock_inputs(cfg, 4))
+    attempts, rows = forecast_ensemble(cfg, mock_request(cfg, 4))
     assert rows.shape == (4, 4) and rows.dtype == np.float64
     assert rows.base is None and rows.flags.owndata
     assert attempts == []
@@ -260,7 +255,7 @@ def test_hostile_replies_are_failed_backend_attempts(stub_llm, api_key_env):
         (200, "this is not json"),
         (200, stub_llm.completion("1.00,2.00,3.00,4.00")),
     ]
-    attempts, rows = forecast_ensemble(http_config(stub_llm), request(attempts=4), inputs())
+    attempts, rows = forecast_ensemble(http_config(stub_llm), request(attempts=4))
     assert [a.failure.reason for a in attempts[:3]] == ["backend"] * 3
     assert "recursion" in attempts[0].failure.message
     assert f"exceeds {MAX_REPLY_BYTES} bytes" in attempts[1].failure.message
@@ -325,7 +320,7 @@ def test_http_unreachable_endpoint(api_key_env):
 
 def test_ensemble_decodes_llm_output(stub_llm, api_key_env):
     stub_llm.script = [(200, stub_llm.completion("1.00,2.00,3.00,4.00"))]
-    attempts, rows = forecast_ensemble(http_config(stub_llm), request(), inputs())
+    attempts, rows = forecast_ensemble(http_config(stub_llm), request())
     assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0]] * 3
     assert rows.dtype == np.float64
     assert [a.index for a in attempts] == [1, 2, 3]
@@ -340,7 +335,7 @@ def test_ensemble_carries_failed_attempts(stub_llm, api_key_env):
         (200, stub_llm.completion("1.00,2.00")),
         (200, stub_llm.completion("5.00,6.00,7.00,8.00,9.00")),
     ]
-    attempts, rows = forecast_ensemble(http_config(stub_llm), request(attempts=4), inputs())
+    attempts, rows = forecast_ensemble(http_config(stub_llm), request(attempts=4))
     # the successes form one rectangular float64 attempt matrix, longer replies truncated
     assert rows.dtype == np.float64
     assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
@@ -353,7 +348,7 @@ def test_ensemble_carries_failed_attempts(stub_llm, api_key_env):
 def test_ensemble_all_failed_raises(stub_llm, api_key_env):
     stub_llm.script = [(200, stub_llm.completion("no numbers here"))]
     with pytest.raises(AllAttemptsFailed):
-        forecast_ensemble(http_config(stub_llm), request(), inputs())
+        forecast_ensemble(http_config(stub_llm), request())
 
 
 def test_ensemble_transport_failures_counted_not_dropped(stub_llm, api_key_env):
@@ -362,7 +357,7 @@ def test_ensemble_transport_failures_counted_not_dropped(stub_llm, api_key_env):
         (500, {}),
     ]
     cfg = http_config(stub_llm, max_retries=0)
-    attempts, rows = forecast_ensemble(cfg, request(attempts=2), inputs())
+    attempts, rows = forecast_ensemble(cfg, request(attempts=2))
     assert len(rows) == 1
     assert attempts[0].failure is None
     assert attempts[1].failure.reason == "backend"
@@ -372,7 +367,7 @@ def test_ensemble_transport_failures_counted_not_dropped(stub_llm, api_key_env):
 def test_ensemble_parallel_attempts(stub_llm, api_key_env):
     stub_llm.script = [(200, stub_llm.completion("1.00,2.00,3.00,4.00"))]
     cfg = http_config(stub_llm, max_in_flight=4)
-    attempts, rows = forecast_ensemble(cfg, request(attempts=8), inputs())
+    attempts, rows = forecast_ensemble(cfg, request(attempts=8))
     assert [a.index for a in attempts] == list(range(1, 9))
     assert all(a.failure is None for a in attempts)
     assert rows.tolist() == [[1.0, 2.0, 3.0, 4.0]] * 8
@@ -386,7 +381,7 @@ def test_rejected_credential_stops_unsent_attempts(stub_llm, api_key_env, max_in
     stub_llm.script = [(401, {"error": "revoked"})]
     cfg = http_config(stub_llm, max_in_flight=max_in_flight)
     with pytest.raises(AuthError, match=r"rejected credential \(HTTP 401\)"):
-        forecast_ensemble(cfg, request(attempts=10), inputs())
+        forecast_ensemble(cfg, request(attempts=10))
     assert 1 <= len(stub_llm.requests) <= max_in_flight
 
 
@@ -438,7 +433,7 @@ def test_no_credential_in_attempt_failures(stub_llm, api_key_env):
     stub_llm.script = [(500, {})]
     cfg = http_config(stub_llm, max_retries=0)
     try:
-        forecast_ensemble(cfg, request(), inputs())
+        forecast_ensemble(cfg, request())
     except AllAttemptsFailed as exc:
         assert api_key_env not in str(exc)
 

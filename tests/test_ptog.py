@@ -10,7 +10,6 @@ import pytest
 from conftest import make_random_ptog
 from gendt.ptog import (
     DuplicateVertex,
-    ManifestEntry,
     MeasurementSeries,
     MissingSeriesFile,
     NonFiniteSample,
@@ -47,6 +46,14 @@ def entry(run, state="P1", csv="s.csv", **kw):
     }
 
 
+def manifest(tmp_path, *entries):
+    """A manifest file in `tmp_path` holding `entries`, in the shape
+    `save_manifest` writes; a relative csv_path resolves against `tmp_path`."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": list(entries)}))
+    return path
+
+
 def test_milling_manifest_builds_42_vertices(milling_ptog):
     assert milling_ptog.n_vertices == 42
     assert milling_ptog.n_series == 42
@@ -54,8 +61,8 @@ def test_milling_manifest_builds_42_vertices(milling_ptog):
     assert [s.label for s in milling_ptog.states] == ["P1", "P2", "P3"]
 
 
-def test_empty_manifest_is_valid():
-    ptog = build_ptog([])
+def test_empty_manifest_is_valid(tmp_path):
+    ptog = build_ptog(manifest(tmp_path))
     assert ptog.n_vertices == 0
     assert ptog.get_series(RunId(1), S1) is None
 
@@ -64,25 +71,25 @@ def test_duplicate_vertex_rejected(tmp_path):
     (tmp_path / "s.csv").write_text("1.0\n2.0\n")
     entries = [entry(3), entry(3)]
     with pytest.raises(DuplicateVertex):
-        build_ptog(entries, base_dir=tmp_path)
+        build_ptog(manifest(tmp_path, *entries))
 
 
 def test_missing_series_file(tmp_path):
     with pytest.raises(MissingSeriesFile):
-        build_ptog([entry(1, csv="absent.csv")], base_dir=tmp_path)
+        build_ptog(manifest(tmp_path, entry(1, csv="absent.csv")))
 
 
 def test_non_finite_sample_rejected(tmp_path):
     (tmp_path / "s.csv").write_text("1.0\nnan\n")
     with pytest.raises(NonFiniteSample):
-        build_ptog([entry(1)], base_dir=tmp_path)
+        build_ptog(manifest(tmp_path, entry(1)))
 
 
 def test_sensor_mismatch(tmp_path):
     (tmp_path / "s.csv").write_text("1.0\n")
     entries = [entry(1), entry(2, sensor="acoustic_emission")]
     with pytest.raises(SensorMismatch):
-        build_ptog(entries, base_dir=tmp_path)
+        build_ptog(manifest(tmp_path, *entries))
 
 
 def test_direct_sensor_mismatch():
@@ -100,7 +107,7 @@ def test_get_series_present_and_absent(milling_ptog):
 def test_vertex_without_series(tmp_path):
     (tmp_path / "s.csv").write_text("1.0\n2.0\n")
     entries = [entry(1), entry(2, csv=None)]
-    ptog = build_ptog(entries, base_dir=tmp_path)
+    ptog = build_ptog(manifest(tmp_path, *entries))
     assert ptog.n_vertices == 2
     assert ptog.n_series == 1
     assert ptog.has_vertex(RunId(2), S1)
@@ -109,7 +116,7 @@ def test_vertex_without_series(tmp_path):
 
 def test_manifest_dump_rejects_series_less_vertex(tmp_path):
     (tmp_path / "s.csv").write_text("1.0\n2.0\n")
-    ptog = build_ptog([entry(1), entry(2, csv=None)], base_dir=tmp_path)
+    ptog = build_ptog(manifest(tmp_path, entry(1), entry(2, csv=None)))
     with pytest.raises(PtogError, match="empty vertices"):
         save_manifest(ptog, tmp_path / "dump")
 
@@ -117,13 +124,13 @@ def test_manifest_dump_rejects_series_less_vertex(tmp_path):
 def test_runs_sorted_chronologically(tmp_path):
     (tmp_path / "s.csv").write_text("1.0\n")
     entries = [entry(9), entry(2), entry(5)]
-    ptog = build_ptog(entries, base_dir=tmp_path)
+    ptog = build_ptog(manifest(tmp_path, *entries))
     assert [r.index for r in ptog.runs] == [2, 5, 9]
 
 
 def test_metadata_attached(tmp_path):
     (tmp_path / "s.csv").write_text("1.0\n")
-    ptog = build_ptog([entry(1, metadata={"flank_wear_mm": 0.11})], base_dir=tmp_path)
+    ptog = build_ptog(manifest(tmp_path, entry(1, metadata={"flank_wear_mm": 0.11})))
     assert ptog.run_metadata[RunId(1)]["flank_wear_mm"] == 0.11
 
 
@@ -187,9 +194,9 @@ def test_empty_series_rejected():
         series(1, samples=())
 
 
-def test_manifest_entry_validation():
-    with pytest.raises(PtogError):
-        ManifestEntry.from_mapping({"run": "x"})
+def test_manifest_entry_validation(tmp_path):
+    with pytest.raises(PtogError, match="^run must be a JSON integer, got 'x'$"):
+        build_ptog(manifest(tmp_path, {"run": "x"}))
 
 
 @pytest.mark.parametrize(
@@ -213,14 +220,24 @@ def test_manifest_values_checked_not_coerced(tmp_path, field, value):
     else:
         message = r"^manifest entry metadata must be a JSON object, got \['w'\]$"
     with pytest.raises(PtogError, match=message):
-        build_ptog([dict(entry(3), **{field: value})], base_dir=tmp_path)
+        build_ptog(manifest(tmp_path, dict(entry(3), **{field: value})))
 
 
-@pytest.mark.parametrize("payload", [b"\xff[]", b"[" * 100_000, b'{"no": []}'],
-                         ids=["non-utf8", "nested", "no-entries"])
-def test_unreadable_manifest_file_raises_ptog_error(tmp_path, payload):
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"\xff[]", "^cannot read "),
+        (b"[" * 100_000, "^cannot read "),
+        (b'{"no": []}', "^malformed manifest: missing field 'entries'$"),
+        (b"[]", r"^manifest must be a JSON object, got \[\]$"),
+        (b'{"entries": [5]}', r"^entries\[0\] must be a JSON object, got 5$"),
+        (b'{"entries": [{"run": 1}]}', "^malformed manifest: missing field 'state_label'$"),
+    ],
+    ids=["non-utf8", "nested", "no-entries", "bare-list", "entry-not-object", "missing-field"],
+)
+def test_unreadable_manifest_file_raises_ptog_error(tmp_path, payload, message):
     (tmp_path / "manifest.json").write_bytes(payload)
-    with pytest.raises(PtogError):
+    with pytest.raises(PtogError, match=message):
         build_ptog(tmp_path / "manifest.json")
 
 
@@ -228,12 +245,12 @@ def test_two_states_may_share_one_sensor(tmp_path):
     # sensor uniqueness is a per-state assignment, not a global exclusivity
     (tmp_path / "s.csv").write_text("1.0\n")
     entries = [entry(1, state="P1"), entry(1, state="P2")]
-    ptog = build_ptog(entries, base_dir=tmp_path)
+    ptog = build_ptog(manifest(tmp_path, *entries))
     assert ptog.sensors[ptog.state_by_label("P1")] == ptog.sensors[ptog.state_by_label("P2")]
 
 
 def test_series_less_entry_keeps_its_sensor(tmp_path):
-    ptog = build_ptog([entry(1, state="P4", csv=None, sensor="vib", unit="g")], base_dir=tmp_path)
+    ptog = build_ptog(manifest(tmp_path, entry(1, state="P4", csv=None, sensor="vib", unit="g")))
     assert ptog.sensors[ptog.state_by_label("P4")] == SensorId("vib", "g")
     path = tmp_path / "g.json"
     save_ptog(ptog, path)
@@ -243,14 +260,14 @@ def test_series_less_entry_keeps_its_sensor(tmp_path):
 def test_series_less_entry_sensor_mismatch(tmp_path):
     (tmp_path / "s.csv").write_text("1.0\n")
     with pytest.raises(SensorMismatch):
-        build_ptog([entry(1), entry(2, csv=None, sensor="acoustic_emission")], base_dir=tmp_path)
+        build_ptog(manifest(tmp_path, entry(1), entry(2, csv=None, sensor="acoustic_emission")))
 
 
 @pytest.mark.parametrize("first_csv", [None, "s.csv"])
 def test_duplicate_empty_vertex_rejected_by_manifest(tmp_path, first_csv):
     (tmp_path / "s.csv").write_text("1.0\n")
     with pytest.raises(DuplicateVertex):
-        build_ptog([entry(2, csv=first_csv), entry(2, csv=None)], base_dir=tmp_path)
+        build_ptog(manifest(tmp_path, entry(2, csv=first_csv), entry(2, csv=None)))
 
 
 def _graph_doc_with_empty_vertex():
@@ -270,6 +287,13 @@ def test_duplicated_state_label_rejected_by_graph_file():
     doc = Ptog.from_series([series(1)]).to_dict()
     doc["states"].append({"index": 2, "label": "P1", "sensor": {"name": "other", "unit": "V"}})
     with pytest.raises(PtogError, match="state label 'P1'"):
+        Ptog.from_dict(doc)
+
+
+def test_metadata_for_unknown_run_rejected_by_graph_file():
+    doc = Ptog.from_series([series(1)]).to_dict()
+    doc["runs"].append({"index": 9, "metadata": {"flank_wear_mm": 0.5}})
+    with pytest.raises(PtogError, match="^metadata for unknown run 9$"):
         Ptog.from_dict(doc)
 
 
