@@ -8,18 +8,24 @@ an epoch fails only when every attempt fails.
 
 from __future__ import annotations
 
+import functools
+import http.client
+import json
 import logging
 import math
 import os
 import random
+import ssl
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
@@ -80,6 +86,8 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind {shown(self.kind)}, expected one of {BACKEND_KINDS}")
         if self.kind == "llm_http" and not self.endpoint:
             raise ValueError("llm_http backend requires an endpoint URL")
+        if self.kind == "llm_http" and not _is_http_url(self.endpoint):
+            raise ValueError(f"llm_http endpoint must be an http:// or https:// URL, got {shown(self.endpoint)}")
         if self.kind == "mock_noise" and self.rng_seed is None:
             raise ValueError("mock_noise backend requires rng_seed")
         if self.rng_seed is not None and self.rng_seed < 0:
@@ -141,6 +149,44 @@ class ForecastAttempt:
     latency_ms: float = 0.0
 
 
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urllib.parse.urlsplit(url)
+    except ValueError:  # a malformed IPv6 host among them
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.netloc)
+
+
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """One context for every HTTPS connection, made at the first one: loading
+    the system CA store (or `SSL_CERT_FILE`) takes tens of milliseconds."""
+    return ssl.create_default_context()
+
+
+class _HTTPSHandler(urllib.request.HTTPSHandler):
+    def https_open(self, req):
+        return self.do_open(http.client.HTTPSConnection, req, context=_tls_context())
+
+
+@functools.lru_cache(maxsize=8)
+def _opener(proxies: tuple[tuple[str, str], ...]) -> urllib.request.OpenerDirector:
+    """An opener through `proxies` with no redirect handler and no error
+    processor, so every status, a 3xx among them, comes back as a response."""
+    opener = urllib.request.OpenerDirector()
+    for handler in (urllib.request.ProxyHandler(dict(proxies)), urllib.request.HTTPHandler(),
+                    _HTTPSHandler(), urllib.request.UnknownHandler()):
+        opener.add_handler(handler)
+    return opener
+
+
+def _post(config: BackendConfig, data: bytes, headers: dict[str, str]) -> http.client.HTTPResponse:
+    """One POST on a fresh connection, through the proxy the environment
+    names at this moment (`no_proxy` is read per request too)."""
+    request = urllib.request.Request(config.endpoint, data, headers, method="POST")
+    return _opener(tuple(sorted(urllib.request.getproxies().items()))).open(request, timeout=config.timeout_s)
+
+
 def llm_http_call(
     config: BackendConfig, prompt: str, temperature: float, top_p: float
 ) -> str:
@@ -148,28 +194,28 @@ def llm_http_call(
 
     Retries transport errors, HTTP 429, and HTTP 5xx with exponential backoff
     (base delay doubling plus jitter) up to max_retries. 401/403 raise
-    AuthError immediately; other client errors are not retried. The credential
-    is read from the environment at call time and never stored or logged.
+    AuthError immediately; other statuses, redirects included, are not
+    retried or followed. The credential is read from the environment at call
+    time and never stored or logged; it is sent only as the `Bearer` header.
     """
     key = os.environ.get(config.api_key_env)
     if not key:
         raise AuthError(f"environment variable {config.api_key_env} is not set")
-    body = {
+    data = json.dumps({
         "model": config.model_name,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": temperature,
         "top_p": top_p,
-    }
-    headers = {"Authorization": f"Bearer {key}"}
+    }).encode()
+    headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
     last_error = "no request made"
     for attempt in range(config.max_retries + 1):
         if attempt:
             delay = math.ldexp(config.retry_base_delay_s, attempt - 1)  # no overflow: checked at load
             time.sleep(delay * (1.0 + _JITTER_SPREAD * random.random()))
         try:
-            with requests.post(config.endpoint, json=body, headers=headers,
-                               timeout=config.timeout_s, stream=True) as resp:
-                status = resp.status_code
+            with _post(config, data, headers) as resp:
+                status = resp.status
                 if status in _AUTH_STATUS:
                     raise AuthError(f"endpoint rejected credential (HTTP {status})")
                 if status in _RETRYABLE_STATUS or status >= 500:
@@ -179,21 +225,26 @@ def llm_http_call(
                 if status != 200:
                     raise BackendUnreachable(f"unexpected HTTP {status} from {config.endpoint}")
                 return _extract_content(_read_capped(resp))
-        except requests.RequestException as exc:  # a body cut short among them
-            last_error = f"transport error: {type(exc).__name__}"
+        except (OSError, http.client.HTTPException) as exc:  # a body cut short among them
+            # a URLError wraps the socket error of a failed connect or send
+            cause = exc.reason if isinstance(exc, urllib.error.URLError) else None
+            last_error = f"transport error: {type(cause if isinstance(cause, OSError) else exc).__name__}"
             log.debug("llm_http transport error (try %d): %s", attempt + 1, last_error)
     raise BackendUnreachable(
         f"gave up after {config.max_retries + 1} calls to {config.endpoint}: {last_error}"
     )
 
 
-def _read_capped(resp: requests.Response) -> bytes:
-    """The decoded body, read until it ends or exceeds MAX_REPLY_BYTES."""
+def _read_capped(resp: http.client.HTTPResponse) -> bytes:
+    """The body, read until it ends or exceeds MAX_REPLY_BYTES; one that ends
+    short of its Content-Length raises IncompleteRead."""
     body = bytearray()
-    for chunk in resp.iter_content(chunk_size=16 * 1024):
+    while chunk := resp.read(16 * 1024):
         body += chunk
         if len(body) > MAX_REPLY_BYTES:
             raise MalformedResponse(f"response body exceeds {MAX_REPLY_BYTES} bytes")
+    if resp.length:  # the bytes still owed; http.client does not raise for them
+        raise http.client.IncompleteRead(bytes(body), resp.length)
     return bytes(body)
 
 

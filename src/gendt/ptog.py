@@ -341,14 +341,33 @@ def _checked(kind: type, value, what: str):
     return value
 
 
-def read_samples_csv(path: Union[str, Path]) -> tuple[float, ...]:
-    """Single-column header-less CSV of decimal samples."""
+def read_samples_csv(path: Union[str, Path]) -> np.ndarray:
+    """Single-column header-less CSV of decimal samples, as a float64 array.
+
+    Every line is parsed in one pass (`float` strips the whitespace around a
+    number); only a file that fails that, by a blank line, a line that is not
+    one number, a non-finite value or no line at all, is read again line by
+    line, which skips blank lines and names the first bad one."""
     p = Path(path)
     if not p.exists():
         raise MissingSeriesFile(str(p))
-    values = []
     # an undecodable byte reads as U+FFFD, so its line fails as unparseable below
-    for lineno, line in enumerate(p.read_text(errors="replace").splitlines(), start=1):
+    lines = p.read_text(errors="replace").splitlines()
+    try:
+        values = np.fromiter(map(float, lines), np.float64, len(lines))
+    except ValueError:
+        pass
+    else:
+        if values.size and np.isfinite(values).all():
+            return values
+    return _read_samples_lines(p, lines)
+
+
+def _read_samples_lines(p: Path, lines: list[str]) -> np.ndarray:
+    """`read_samples_csv` one line at a time: the same values, or the error
+    that names the first bad line."""
+    values = []
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -361,7 +380,7 @@ def read_samples_csv(path: Union[str, Path]) -> tuple[float, ...]:
         values.append(v)
     if not values:
         raise PtogError(f"{p}: series file is empty")
-    return tuple(values)
+    return np.array(values)
 
 
 def build_ptog(path: Union[str, Path]) -> Ptog:

@@ -910,14 +910,19 @@ def test_replay_graph_with_duplicated_state_label_exits_input(cli_env, tmp_path,
     assert "state label 'P1'" in line
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
-    """`python -m gendt.cli ARGS` in a fresh interpreter, with src/ on the path."""
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter, with src/ on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "gendt.cli", *args],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
     )
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m gendt.cli ARGS` in a fresh interpreter, with src/ on the path."""
+    return _run_python("-m", "gendt.cli", *args)
 
 
 def test_module_entry_point(tmp_path):
@@ -929,6 +934,18 @@ def test_module_entry_point(tmp_path):
     assert ingest.returncode == EXIT_INPUT
     assert _error_lines(ingest.stderr) == [f"error: fixture directory {absent} does not exist"]
     assert not (tmp_path / "g.json").exists()
+
+
+def test_local_replay_imports_no_third_party_http_client(cli_env, tmp_path):
+    """The command line and a local replay leave `requests` and `urllib3`
+    unimported: `llm_http` speaks HTTP through the standard library."""
+    argv = ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
+            "--out", str(tmp_path / "report.json")]
+    script = (f"import sys\nfrom gendt.cli import main\nassert main({argv!r}) == 0\n"
+              "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    done = _run_python("-c", script)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def _config_leaves(doc: dict) -> list[tuple[str, ...]]:

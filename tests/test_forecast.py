@@ -3,11 +3,21 @@ ensemble failure policy."""
 
 from __future__ import annotations
 
+import contextlib
+import json
 import random
+import shutil
+import ssl
+import subprocess
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Optional
 
 import numpy as np
 import pytest
 
+from conftest import StubLlm
+from gendt import forecast
 from gendt.codec import DecodeFailure, EncodingSpec
 from gendt.ensemble import aggregate
 from gendt.forecast import (
@@ -264,46 +274,137 @@ def test_hostile_replies_are_failed_backend_attempts(stub_llm, api_key_env):
     assert len(stub_llm.requests) == 4
 
 
-def test_http_body_cut_short_is_a_retried_transport_error(api_key_env):
-    """A body shorter than its Content-Length is a transport error, retried,
-    and BackendUnreachable once the retries are spent."""
-    import threading
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    import urllib3
-
-    if int(urllib3.__version__.split(".")[0]) < 2:
-        pytest.skip("urllib3 before 2.0 does not enforce Content-Length by default")
-    served = []
-
-    class ShortBody(BaseHTTPRequestHandler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            served.append(self.path)
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", "1000")
-            self.end_headers()
-            self.wfile.write(b'{"choices": [')  # then the connection closes
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), ShortBody)
+@contextlib.contextmanager
+def _serving(do_post, tls: Optional[ssl.SSLContext] = None):
+    """A one-off HTTP server on 127.0.0.1 whose handler's `do_POST` is
+    `do_post`, HTTPS under `tls`; yields its endpoint, then stops and joins
+    its thread."""
+    handler = type("Handler", (BaseHTTPRequestHandler,),
+                   {"do_POST": do_post, "log_message": lambda self, *args: None})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         host, port = server.server_address[:2]
-        cfg = BackendConfig(kind="llm_http", endpoint=f"http://{host}:{port}/v1",
-                            max_retries=1, retry_base_delay_s=0.0, timeout_s=5.0)
-        with pytest.raises(BackendUnreachable, match="transport error: ChunkedEncodingError"):
-            llm_http_call(cfg, "p", 0.7, 1.0)
+        yield f"{'http' if tls is None else 'https'}://{host}:{port}/v1"
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_http_body_cut_short_is_a_retried_transport_error(api_key_env):
+    """A body shorter than its Content-Length is a transport error, retried,
+    and BackendUnreachable once the retries are spent."""
+    served = []
+
+    def short_body(handler):
+        handler.rfile.read(int(handler.headers["Content-Length"]))
+        served.append(handler.path)
+        handler.send_response(200)
+        handler.send_header("Content-Type", "application/json")
+        handler.send_header("Content-Length", "1000")
+        handler.end_headers()
+        handler.wfile.write(b'{"choices": [')  # then the connection closes
+
+    with _serving(short_body) as endpoint:
+        cfg = BackendConfig(kind="llm_http", endpoint=endpoint,
+                            max_retries=1, retry_base_delay_s=0.0, timeout_s=5.0)
+        with pytest.raises(BackendUnreachable, match="transport error: IncompleteRead"):
+            llm_http_call(cfg, "p", 0.7, 1.0)
     assert len(served) == 2
+
+
+def test_netrc_does_not_replace_the_bearer_credential(stub_llm, api_key_env, tmp_path, monkeypatch):
+    """A netrc file naming the endpoint's host is never read: the endpoint
+    receives the configured key as `Bearer`, not the file's Basic login."""
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login someone password netrc-pass\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    assert llm_http_call(http_config(stub_llm), "p", 0.7, 1.0) == "0.00"
+    assert [r["auth"] for r in stub_llm.requests] == [f"Bearer {api_key_env}"]
+
+
+def test_redirect_is_refused_not_followed(stub_llm, api_key_env):
+    """A 307 to another endpoint fails the call once, unretried, and the
+    redirect's target receives no request."""
+    served = []
+
+    def redirect(handler):
+        handler.rfile.read(int(handler.headers["Content-Length"]))
+        served.append(handler.path)
+        handler.send_response(307)
+        handler.send_header("Location", stub_llm.endpoint)
+        handler.send_header("Content-Length", "0")
+        handler.end_headers()
+
+    with _serving(redirect) as endpoint:
+        cfg = BackendConfig(kind="llm_http", endpoint=endpoint, max_retries=3, retry_base_delay_s=0.0)
+        with pytest.raises(BackendUnreachable, match="unexpected HTTP 307"):
+            llm_http_call(cfg, "p", 0.7, 1.0)
+    assert len(served) == 1
+    assert stub_llm.requests == []
+
+
+def test_https_certificate_is_checked_against_the_ca_store(api_key_env, tmp_path, monkeypatch):
+    """An HTTPS endpoint is trusted only through the CA store: its
+    self-signed certificate fails the handshake, retried as a transport
+    error, until `SSL_CERT_FILE` names it."""
+    if shutil.which("openssl") is None:
+        pytest.skip("needs the openssl command to make a certificate")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+                    "-nodes", "-days", "1", "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+                    "-keyout", str(key), "-out", str(cert)], check=True, capture_output=True, timeout=60)
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(cert, key)
+
+    def reply(handler):
+        handler.rfile.read(int(handler.headers["Content-Length"]))
+        data = json.dumps(StubLlm.completion("5.00")).encode()
+        handler.send_response(200)
+        handler.send_header("Content-Length", str(len(data)))
+        handler.end_headers()
+        handler.wfile.write(data)
+
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    _clear_proxy_env(monkeypatch)
+    try:
+        with _serving(reply, tls) as endpoint:
+            cfg = BackendConfig(kind="llm_http", endpoint=endpoint, max_retries=1, retry_base_delay_s=0.0)
+            monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+            forecast._tls_context.cache_clear()
+            with pytest.raises(BackendUnreachable, match="gave up after 2 calls.*SSLCertVerificationError"):
+                llm_http_call(cfg, "p", 0.7, 1.0)
+            monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+            forecast._tls_context.cache_clear()
+            assert llm_http_call(cfg, "p", 0.7, 1.0) == "5.00"
+    finally:
+        forecast._tls_context.cache_clear()  # the next HTTPS request reads the store again
+
+
+def _clear_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+def test_http_proxy_from_the_environment(stub_llm, api_key_env, monkeypatch):
+    """`http_proxy` routes the request through the proxy it names, read at
+    each call; `no_proxy` naming the endpoint's host sends it direct."""
+    with StubLlm() as proxy:
+        proxy.script = [(200, proxy.completion("9.00"))]
+        _clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("http_proxy", proxy.endpoint.rsplit("/v1", 1)[0])
+        assert llm_http_call(http_config(stub_llm), "p", 0.7, 1.0) == "9.00"
+        assert (len(proxy.requests), len(stub_llm.requests)) == (1, 0)
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert llm_http_call(http_config(stub_llm), "p", 0.7, 1.0) == "0.00"
+        assert (len(proxy.requests), len(stub_llm.requests)) == (1, 1)
 
 
 def test_http_unreachable_endpoint(api_key_env):
@@ -388,15 +489,13 @@ def test_rejected_credential_stops_unsent_attempts(stub_llm, api_key_env, max_in
 def test_backoff_of_many_retries_does_not_overflow(monkeypatch, api_key_env):
     """A zero base delay doubles to zero however many retries there are; the
     delay is never computed as an integer power that overflows a float."""
-    import requests
-
     sleeps = []
     monkeypatch.setattr("gendt.forecast.time.sleep", sleeps.append)
 
     def refuse(*args, **kwargs):
-        raise requests.ConnectionError("refused")
+        raise ConnectionRefusedError("refused")
 
-    monkeypatch.setattr("gendt.forecast.requests.post", refuse)
+    monkeypatch.setattr("gendt.forecast._post", refuse)
     cfg = BackendConfig(kind="llm_http", endpoint="http://127.0.0.1:9/v1",
                         max_retries=1100, retry_base_delay_s=0.0)
     with pytest.raises(BackendUnreachable, match="gave up after 1101 calls"):
@@ -443,6 +542,12 @@ def test_backend_config_validation():
         BackendConfig(kind="nonsense")
     with pytest.raises(ValueError):
         BackendConfig(kind="llm_http")  # endpoint required
+    # an http:// or https:// URL with a host; urllib would raise a bare ValueError at the first call
+    for endpoint in ("127.0.0.1:9/v1", "localhost:8080/v1", "ftp://127.0.0.1/v1", "http://[::1/v1",
+                     "http:///v1"):
+        with pytest.raises(ValueError, match="endpoint must be an http"):
+            BackendConfig(kind="llm_http", endpoint=endpoint)
+    BackendConfig(kind="llm_http", endpoint="https://api.example.com/v1/chat/completions")
 
 
 @pytest.mark.parametrize(

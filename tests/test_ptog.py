@@ -22,6 +22,7 @@ from gendt.ptog import (
     StateId,
     build_ptog,
     load_ptog,
+    read_samples_csv,
     save_manifest,
     save_ptog,
 )
@@ -83,6 +84,49 @@ def test_non_finite_sample_rejected(tmp_path):
     (tmp_path / "s.csv").write_text("1.0\nnan\n")
     with pytest.raises(NonFiniteSample):
         build_ptog(manifest(tmp_path, entry(1)))
+
+
+def test_samples_csv_one_pass_parse_equals_the_line_loop(tmp_path):
+    """`read_samples_csv` parses every line in one pass and falls back to the
+    line loop: for any mix of lines, it gives the loop's values, or its error
+    type and text, and a file whose every line `float` parses never reaches
+    the loop."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from unittest import mock
+
+    from hypothesis import strategies as st
+
+    from gendt import ptog
+
+    pieces = [b"", b"  ", b"1.5", b" -2e3 ", b"\t7\t", b"1 2", b"1_0", b"nan", b"-inf", b"1e999",
+              b"0x1", b"\xff", "\ufffd".encode(), "\u00a03\u00a0".encode(), b"\x1f4", b"\x0c"]
+    path = tmp_path / "s.csv"
+
+    def parses(line):
+        try:
+            float(line)
+        except ValueError:
+            return False
+        return True
+
+    def outcome(read):
+        try:
+            return ("ok", read().tolist())
+        except PtogError as exc:
+            return (type(exc).__name__, str(exc))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(lines=st.lists(st.tuples(st.sampled_from(pieces),
+                                               st.sampled_from([b"\n", b"\r\n", b"\r", b""]))))
+    def check(lines):
+        path.write_bytes(b"".join(line + end for line, end in lines))
+        loop = outcome(lambda: ptog._read_samples_lines(path, path.read_text(errors="replace").splitlines()))
+        assert outcome(lambda: read_samples_csv(path)) == loop
+        if loop[0] == "ok" and all(map(parses, path.read_text(errors="replace").splitlines())):
+            with mock.patch.object(ptog, "_read_samples_lines", side_effect=AssertionError):
+                assert read_samples_csv(path).tolist() == loop[1]
+
+    check()
 
 
 def test_sensor_mismatch(tmp_path):
