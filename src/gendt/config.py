@@ -17,9 +17,8 @@ from typing import Mapping, Optional, Union, get_args, get_type_hints
 from .codec import DEFAULT_PROMPT_TEMPLATE, EncodingSpec, MissingPlaceholder, build_prompt
 from .controller import ControlThresholds
 from .dsp import DownsampleSpec, FilterSpec
-from .errors import GendtError, read_json, shown
+from .errors import BOOLEAN, INTEGER, NUMBER, OBJECT, STRING, GendtError, checked, optional, read_json, shown
 from .forecast import BackendConfig
-from .ptog import is_finite_number
 
 HEALTH_SCOPES = ("session", "run")
 
@@ -116,28 +115,24 @@ _SECTIONS = {
 }
 
 
+_KINDS = {float: NUMBER, int: INTEGER, str: STRING, bool: BOOLEAN}
+
+
 def _check_types(where: str, cls: type, doc: Mapping) -> None:
-    """Each value of `doc` has the JSON type of its field of `cls` (an integer is
-    a float, a boolean is not a number) and a float is finite; other keys pass."""
+    """Each value of `doc` is the JSON kind of its field's type hint in `cls`
+    (a float field takes any finite number); other keys pass."""
     hints = get_type_hints(cls)
     for key, value in doc.items():
-        if key not in hints:
-            continue
-        allowed = get_args(hints[key]) or (hints[key],)
-        if float in allowed:
-            allowed += (int,)
-        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-            raise ConfigError(f"{where}.{key} must be {names}, got {shown(value)}")
-        if float in allowed and value is not None and not is_finite_number(value):
-            raise ConfigError(f"{where}.{key} must be a finite number, got {shown(value)}")
+        if key in hints:
+            hint = get_args(hints[key])  # Optional[X] is (X, NoneType)
+            kind = optional(_KINDS[hint[0]]) if hint else _KINDS[hints[key]]
+            checked(ConfigError, value, kind, f"{where}.{key}")
 
 
 def _section(name: str, cls: type, doc):
     """The config section `name` as a `cls`, once its keys are fields of `cls`
     and its value types hold."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{name} must be an object, got {shown(doc)}")
+    checked(ConfigError, doc, OBJECT, name)
     known = {f.name for f in fields(cls)}
     for key in doc:
         if key not in known:

@@ -21,8 +21,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import GendtError, read_json, shown
-from .ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId, is_finite_number, read_samples_csv
+from .errors import INTEGER, NUMBER, OBJECT, GendtError, Kind, checked, list_of, read_json, shown
+from .ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId, read_samples_csv
 
 STATE_LABELS = ("P1", "P2", "P3")
 SENSOR_NAME = "spindle_current"
@@ -92,53 +92,45 @@ def interpolate_wear(
     return records
 
 
+_BOUNDARIES = Kind("a non-empty object of run -> bounds", lambda v: OBJECT.test(v) and bool(v))
+_BOUNDS = Kind("4 integers [start, p1_end, p2_end, end]",
+               lambda v: type(v) is list and len(v) == 4 and all(map(INTEGER.test, v)))
+_WEAR_POINTS = list_of(Kind("a [run, flank_wear_mm] pair of an integer and a finite number",
+                            lambda v: type(v) is list and len(v) == 2
+                            and INTEGER.test(v[0]) and NUMBER.test(v[1])))
+
+
 def load_fixture_meta(
     fixture_dir: Union[str, Path],
 ) -> tuple[float, dict[int, Bounds], list[tuple[int, float]]]:
     """Read and check `fixture.json`: the sample rate, each run's boundaries
-    and the known wear points. Values are checked, not coerced: a boundary or
-    a wear run is a JSON integer (a boolean is not one), and the rate and a
-    wear value are finite numbers."""
-    meta = read_json(Path(fixture_dir) / FIXTURE_META_NAME, DatasetError)
-
-    def bad(message: str) -> DatasetError:
-        return DatasetError(f"{FIXTURE_META_NAME}: {message}")
-
-    if not isinstance(meta, dict):
-        raise bad(f"must hold a JSON object, got {type(meta).__name__}")
-    rate = meta.get("sample_rate_hz")
-    if not is_finite_number(rate):
-        raise bad(f"sample_rate_hz must be a finite number, got {shown(rate)}")
+    and the known wear points. Values are checked, not coerced, by
+    `errors.checked`: a boundary or a wear run is a JSON integer, and the rate
+    and a wear value are finite numbers."""
+    name = FIXTURE_META_NAME
+    meta = checked(DatasetError, read_json(Path(fixture_dir) / name, DatasetError), OBJECT, name)
+    rate = checked(DatasetError, meta.get("sample_rate_hz"), NUMBER, f"{name}: sample_rate_hz")
     if "boundaries" not in meta:
-        raise bad("missing 'boundaries' (each run's [start, p1_end, p2_end, end]); "
-                  "data segmented outside gendt enters as a graph file or a manifest")
-    runs = meta["boundaries"]
-    if not isinstance(runs, dict) or not runs:
-        raise bad(f"boundaries must be a non-empty object of run -> bounds, got {shown(runs)}")
+        raise DatasetError(f"{name}: missing 'boundaries' (each run's [start, p1_end, p2_end, end]); "
+                           "data segmented outside gendt enters as a graph file or a manifest")
+    runs = checked(DatasetError, meta["boundaries"], _BOUNDARIES, f"{name}: boundaries")
     boundaries = {}
     for key, bounds in runs.items():
         if not re.fullmatch("[1-9][0-9]{0,17}", key):  # int() refuses over 4300 digits
-            raise bad(f"boundaries key {shown(key)} is not a run number below 10**18")
-        if not (isinstance(bounds, list) and len(bounds) == 4
-                and all(type(b) is int for b in bounds)):
-            raise bad(f"boundaries of run {key} must be 4 integers "
-                      f"[start, p1_end, p2_end, end], got {shown(bounds)}")
+            raise DatasetError(f"{name}: boundaries key {shown(key)} is not a run number below 10**18")
+        checked(DatasetError, bounds, _BOUNDS, lambda: f"{name}: boundaries of run {key}")
         boundaries[int(key)] = tuple(bounds)
-    wear = meta.get("wear_points", [])
-    for point in wear if isinstance(wear, list) else [wear]:
-        if not (isinstance(point, list) and len(point) == 2
-                and type(point[0]) is int and is_finite_number(point[1])):
-            raise bad(f"wear_points must be [run, flank_wear_mm] pairs of an integer "
-                      f"and a finite number, got {shown(point)}")
-    return float(rate), boundaries, [(run, float(w)) for run, w in wear]
+    wear = checked(DatasetError, meta.get("wear_points", []), _WEAR_POINTS, f"{name}: wear_points")
+    return rate, boundaries, [(run, float(w)) for run, w in wear]
 
 
 def ingest_fixture(fixture_dir: Union[str, Path]) -> Ptog:
     """Cut each run CSV at its boundaries into state series and build the
     observation graph.
 
-    Each run CSV is read once and nothing is written (`ptog.save_manifest`
-    dumps the graph). Ingestion is deterministic: same fixture, same graph.
+    Each run CSV is read once, into a read-only array that its three series
+    slice without a copy, and nothing is written (`ptog.save_manifest` dumps
+    the graph). Ingestion is deterministic: same fixture, same graph.
     """
     fixture_dir = Path(fixture_dir)
     sample_rate_hz, boundaries, wear = load_fixture_meta(fixture_dir)
@@ -152,6 +144,7 @@ def ingest_fixture(fixture_dir: Union[str, Path]) -> Ptog:
     series = []
     for run in runs:
         samples = read_samples_csv(fixture_dir / f"run_{run}.csv")
+        samples.flags.writeable = False  # so each series keeps its slice, not a copy
         for state, values in zip(states, segment(samples, boundaries[run])):
             series.append(MeasurementSeries(RunId(run), state, sensor, sample_rate_hz, values))
     return Ptog.from_series(series, run_metadata=metadata)

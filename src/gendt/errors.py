@@ -1,15 +1,20 @@
-"""Shared exception base classes, the one reader of untrusted JSON, and the
-one way an error line shows an offending value.
+"""Shared exception base classes, the one reader of untrusted JSON, the one
+checker of its values, and the one way an error line shows an offending value.
 
 Every JSON document gendt does not write itself in the same run, whether a
 graph, config, report, manifest or `fixture.json` file or the body of an HTTP
 reply, is parsed by `read_json`, so each failure to read it becomes the
-caller's error class and never a traceback.
+caller's error class and never a traceback. Each value of a graph, manifest,
+config, report or `fixture.json` document is then checked by `checked`
+against a `Kind`: an integer is a JSON integer (a boolean is not one), a
+number is finite (`abs(v) <= sys.float_info.max`), and a failure reads
+`<field> must be <what>, got <value>`. Range rules stay with each field.
 """
 
 import json
+import sys
 from pathlib import Path
-from typing import Union
+from typing import Callable, NamedTuple, Optional, Union
 
 
 class GendtError(Exception):
@@ -37,3 +42,48 @@ def read_json(source: Union[str, Path, bytes], error: type[GendtError], name: st
     except (OSError, ValueError, RecursionError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise error(f"cannot read {name or source}: {reason}") from exc
+
+
+class Kind(NamedTuple):
+    """What a JSON value must be, for an error line, and the `test` it passes;
+    `item` is the kind of each item of a list, and `cast` makes the value
+    that `checked` returns."""
+
+    what: str
+    test: Callable[[object], bool]
+    item: Optional["Kind"] = None
+    cast: Optional[Callable] = None
+
+
+def _finite(value) -> bool:  # NaN fails the comparison
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+INTEGER = Kind("a JSON integer", lambda v: type(v) is int)
+NUMBER = Kind("a finite number", _finite, cast=float)
+STRING = Kind("a JSON string", lambda v: type(v) is str)
+BOOLEAN = Kind("true or false", lambda v: type(v) is bool)
+OBJECT = Kind("a JSON object", lambda v: type(v) is dict)
+
+
+def optional(kind: Kind) -> Kind:
+    """`kind`, or null; `checked` returns the value as it is, uncast."""
+    return Kind(f"{kind.what} or null", lambda v: v is None or kind.test(v), kind.item)
+
+
+def list_of(item: Kind, what: str = "a JSON list") -> Kind:
+    """A list whose every item is `item`."""
+    return Kind(what, lambda v: type(v) is list and all(map(item.test, v)), item)
+
+
+def checked(error: type[GendtError], value, kind: Kind, field: Union[str, Callable[[], str]]):
+    """`value` (cast by `kind.cast`) if it is `kind`; else `error` naming
+    `field` and the value, or the first list item that is not `kind.item`.
+    `field` may be a function, so that a loop builds the name only for an error."""
+    if kind.test(value):
+        return value if kind.cast is None else kind.cast(value)
+    name = field if isinstance(field, str) else field()
+    if kind.item is not None and type(value) is list:
+        for i, item in enumerate(value):
+            checked(error, item, kind.item, f"{name}[{i}]")
+    raise error(f"{name} must be {kind.what}, got {shown(value)}")

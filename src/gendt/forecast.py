@@ -30,7 +30,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .codec import DecodeFailure, EncodingSpec, decode
-from .errors import GendtError, read_json, shown
+from .errors import STRING, GendtError, checked, read_json, shown
 
 log = logging.getLogger(__name__)
 
@@ -254,9 +254,7 @@ def _extract_content(body: bytes) -> str:
         content = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise MalformedResponse("response lacks choices[0].message.content") from exc
-    if not isinstance(content, str):
-        raise MalformedResponse(f"message content has type {type(content).__name__}")
-    return content
+    return checked(MalformedResponse, content, STRING, "message content")
 
 
 # O'Neill's seed_seq hash as numpy's SeedSequence runs it, pool size 4

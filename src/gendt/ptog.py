@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import GendtError, read_json, shown
+from .errors import INTEGER, NUMBER, OBJECT, STRING, GendtError, Kind, checked, list_of, read_json, shown
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +44,11 @@ class SensorMismatch(PtogError):
 
 class SchemaVersionMismatch(PtogError):
     """A persisted graph was written with an unsupported schema version."""
+
+
+_checked = partial(checked, PtogError)
+_OBJECTS = list_of(OBJECT)
+_PAIRS = list_of(Kind("a [run, state] pair", lambda v: type(v) is list and len(v) == 2))
 
 
 @dataclass(frozen=True, order=True)
@@ -81,9 +85,9 @@ class SensorId:
 @dataclass(frozen=True, eq=False)
 class MeasurementSeries:
     """One sensor trace for a single (run, state) vertex; `samples` is
-    checked once, here, and stored as a read-only 1-D float64 array. The
-    check reads the dtype numpy infers, without a loop over the samples: a
-    boolean among numbers is upcast, a list of only booleans is rejected."""
+    checked once, here, and stored as a read-only 1-D float64 array. A boolean
+    is not a number, alone or among numbers. A float64 array that nothing can
+    write through is kept as it is; any other array is copied."""
 
     run: RunId
     state: StateId
@@ -92,22 +96,30 @@ class MeasurementSeries:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        where = f"run {self.run.index} {self.state.label}"
-        raw = np.asarray(self.samples)
-        if raw.dtype.kind not in "iuf":  # booleans, text, nulls, integers beyond 64 bits
-            raise PtogError(f"samples of {where} must be floats or 64-bit integers, not {raw.dtype}")
-        samples = raw.astype(np.float64, copy=raw is self.samples)  # a caller's array is copied
+        given = self.samples
+        types = set(map(type, given)) if isinstance(given, (list, tuple)) else set()
+        # numpy reads a boolean among numbers as 0 or 1; a list of floats needs no dtype discovery
+        raw = np.fromiter(given, np.float64, len(given)) if types == {float} else np.asarray(given)
+        dtype = np.dtype(bool) if bool in types else raw.dtype
+        if dtype.kind not in "iuf":  # booleans, text, nulls, integers beyond 64 bits
+            raise PtogError(f"samples of {self._where()} must be floats or 64-bit integers, not {dtype}")
+        base = raw if raw.base is None else raw.base  # a bytearray or mmap base counts as writeable
+        frozen = isinstance(base, np.ndarray) and not (raw.flags.writeable or base.flags.writeable)
+        samples = raw.astype(np.float64, copy=raw is given and not frozen)
         if samples.ndim != 1:
-            raise PtogError(f"samples of {where} must be a flat list, got {samples.ndim} dimensions")
+            raise PtogError(f"samples of {self._where()} must be a flat list, got {samples.ndim} dimensions")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
             raise PtogError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if not samples.size:
-            raise PtogError(f"series for {where} has no samples")
-        bad = np.flatnonzero(~np.isfinite(samples))
-        if bad.size:
-            raise NonFiniteSample(f"non-finite sample at position {bad[0]} in {where}")
+            raise PtogError(f"series for {self._where()} has no samples")
+        finite = np.isfinite(samples)
+        if not finite.all():
+            raise NonFiniteSample(f"non-finite sample at position {finite.argmin()} in {self._where()}")
+
+    def _where(self) -> str:  # for an error line, so a valid series builds no text
+        return f"run {self.run.index} {self.state.label}"
 
     def _key(self) -> tuple:
         return (self.run, self.state, self.sensor, self.sample_rate_hz)
@@ -258,87 +270,53 @@ class Ptog:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Ptog":
-        """A graph document, its values checked, not coerced: an index is a JSON
-        integer (a boolean is not one), a label, sensor name or unit a string,
-        and a sample rate or metadata value a finite number. `MeasurementSeries`
+        """A graph document, its values checked, not coerced, by `errors.checked`:
+        an index is a JSON integer, a label, sensor name or unit a string, and a
+        sample rate or metadata value a finite number. `MeasurementSeries`
         checks the samples."""
-        if not isinstance(doc, Mapping):
-            raise PtogError(f"graph document must be a JSON object, got {type(doc).__name__}")
+        _checked(doc, OBJECT, "graph document")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaVersionMismatch(f"expected schema_version {SCHEMA_VERSION}, got {shown(version)}")
         try:
             states = {}
             sensors = {}
-            for s in _listed(doc["states"], "states", _OBJECT):
-                sid = StateId(_checked(int, s["index"], "state index"),
-                              _checked(str, s["label"], "state label"))
+            for s in _checked(doc["states"], _OBJECTS, "states"):
+                sid = StateId(_checked(s["index"], INTEGER, "state index"),
+                              _checked(s["label"], STRING, "state label"))
                 if sid.index in states:
                     raise PtogError(f"state index {sid.index} declared twice")
                 if any(known.label == sid.label for known in states.values()):
                     raise PtogError(f"state label {shown(sid.label)} declared twice")
                 states[sid.index] = sid
-                sensor = _checked(dict, s["sensor"], f"state {sid.label}: sensor")
-                sensors[sid] = SensorId(_checked(str, sensor["name"], "sensor name"),
-                                        _checked(str, sensor["unit"], "sensor unit"))
+                sensor = _checked(s["sensor"], OBJECT, lambda: f"state {sid.label}: sensor")
+                sensors[sid] = SensorId(_checked(sensor["name"], STRING, "sensor name"),
+                                        _checked(sensor["unit"], STRING, "sensor unit"))
             metadata = {}
-            for r in _listed(doc["runs"], "runs", _OBJECT):
-                run = _checked(int, r["index"], "run index")
-                meta = _checked(dict, r.get("metadata", {}), f"run {run}: metadata")
-                metadata[run] = {k: _checked(float, v, f"metadata {shown(k)}") for k, v in meta.items()}
+            for r in _checked(doc["runs"], _OBJECTS, "runs"):
+                run = _checked(r["index"], INTEGER, "run index")
+                meta = _checked(r.get("metadata", {}), OBJECT, lambda: f"run {run}: metadata")
+                metadata[run] = {k: _checked(v, NUMBER, lambda: f"metadata {shown(k)}")
+                                 for k, v in meta.items()}
 
             def vertex(run, state) -> tuple[RunId, StateId, SensorId]:
-                index = _checked(int, state, "state index")
-                run = RunId(_checked(int, run, "run index"))
+                index = _checked(state, INTEGER, "state index")
+                run = RunId(_checked(run, INTEGER, "run index"))
                 if index not in states:
                     raise PtogError(f"run {run.index}: state index {index} is not declared")
                 return run, states[index], sensors[states[index]]
 
             series = [
                 MeasurementSeries(*vertex(e["run"], e["state"]),
-                                  _checked(float, e["sample_rate_hz"], "sample_rate_hz"), e["samples"])
-                for e in _listed(doc["series"], "series", _OBJECT)
+                                  _checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz"), e["samples"])
+                for e in _checked(doc["series"], _OBJECTS, "series")
             ]
-            pairs = _listed(doc.get("extra_vertices", []), "extra_vertices", _PAIR)
+            pairs = _checked(doc.get("extra_vertices", []), _PAIRS, "extra_vertices")
             extra = [vertex(r, s) for r, s in pairs]
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise PtogError(f"malformed graph document: {reason}") from exc
         return cls.from_series(series, run_metadata=metadata, empty_vertices=extra)
-
-
-def is_finite_number(value) -> bool:
-    """A JSON number within float range; a boolean is not a number."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-_JSON_NAMES = {int: "integer", str: "string", dict: "object"}
-_OBJECT = ("a JSON object", lambda entry: isinstance(entry, dict))
-_PAIR = ("a [run, state] pair", lambda entry: isinstance(entry, list) and len(entry) == 2)
-
-
-def _listed(value, field: str, entry: tuple) -> list:
-    """`value`, a graph or manifest document's `field`, if it is a list whose
-    every item is `entry`, a (description, test) pair; else an error naming it."""
-    what, test = entry
-    if not isinstance(value, list):
-        raise PtogError(f"{field} must be a JSON list, got {type(value).__name__}")
-    for i, item in enumerate(value):
-        if not test(item):
-            raise PtogError(f"{field}[{i}] must be {what}, got {shown(item)}")
-    return value
-
-
-def _checked(kind: type, value, what: str):
-    """`value` if it has the JSON type `kind`, where `float` means a finite
-    number; `int`, `str` and `dict` are exact, so a boolean is not an integer."""
-    if kind is float:
-        if not is_finite_number(value):
-            raise PtogError(f"{what} must be a finite number, got {shown(value)}")
-        return float(value)
-    if type(value) is not kind:
-        raise PtogError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {shown(value)}")
-    return value
 
 
 def read_samples_csv(path: Union[str, Path]) -> np.ndarray:
@@ -392,21 +370,21 @@ def build_ptog(path: Union[str, Path]) -> Ptog:
     directory, and a null one declares a vertex without a series. State
     indices are assigned by first appearance, runs sorted chronologically.
     """
-    doc = _checked(dict, read_json(path, PtogError), "manifest")
+    doc = _checked(read_json(path, PtogError), OBJECT, "manifest")
     base = Path(path).parent
     state_ids: dict[str, StateId] = {}
     series: list[MeasurementSeries] = []
     empty_vertices: list[tuple[RunId, StateId, SensorId]] = []
     metadata: dict[int, dict[str, float]] = {}
     try:
-        for e in _listed(doc["entries"], "entries", _OBJECT):
-            run = _checked(int, e["run"], "run")
-            label = _checked(str, e["state_label"], "state_label")
-            sensor = SensorId(_checked(str, e["sensor"], "sensor"), _checked(str, e["unit"], "unit"))
-            rate = _checked(float, e["sample_rate_hz"], "sample_rate_hz")
+        for e in _checked(doc["entries"], _OBJECTS, "entries"):
+            run = _checked(e["run"], INTEGER, "run")
+            label = _checked(e["state_label"], STRING, "state_label")
+            sensor = SensorId(_checked(e["sensor"], STRING, "sensor"), _checked(e["unit"], STRING, "unit"))
+            rate = _checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz")
             csv_path = e.get("csv_path")
-            meta = {k: _checked(float, v, f"metadata {shown(k)}")
-                    for k, v in _checked(dict, e.get("metadata", {}), "manifest entry metadata").items()}
+            meta = {k: _checked(v, NUMBER, lambda: f"metadata {shown(k)}")
+                    for k, v in _checked(e.get("metadata", {}), OBJECT, "manifest entry metadata").items()}
             if label not in state_ids:
                 state_ids[label] = StateId(len(state_ids) + 1, label)
             vertex = (RunId(run), state_ids[label], sensor)
@@ -414,7 +392,7 @@ def build_ptog(path: Union[str, Path]) -> Ptog:
                 empty_vertices.append(vertex)
             else:
                 # an absolute csv_path replaces the base
-                samples = read_samples_csv(base / _checked(str, csv_path, "csv_path"))
+                samples = read_samples_csv(base / _checked(csv_path, STRING, "csv_path"))
                 series.append(MeasurementSeries(*vertex, rate, samples))
             if meta:
                 metadata.setdefault(run, {}).update(meta)

@@ -14,7 +14,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import GendtError
+from .errors import INTEGER, NUMBER, OBJECT, STRING, GendtError, Kind, checked, list_of, optional
 
 
 class ReportError(GendtError):
@@ -25,51 +25,33 @@ WIDTH, HEIGHT = 640, 360
 MARGIN = 46
 
 
-def _int(v) -> bool:
-    return type(v) is int and _number(v)
-
-
-def _number(v) -> bool:  # a finite float, or an int that fits one; NaN fails the comparison
-    return type(v) in (int, float) and -1e308 < v < 1e308
-
-
-def _numbers(v) -> bool:
-    return isinstance(v, list) and all(map(_number, v))
-
-
-def _rmses(v) -> bool:  # an RMSE is never negative
-    return _numbers(v) and all(x >= 0 for x in v)
-
-
-def _label(v) -> bool:  # it names an overlay file, and XML cannot hold a control character
-    return isinstance(v, str) and v.isprintable() and not set(v) & {"/", "\\"}
-
-
-def _optional(ok):
-    return lambda v: v is None or ok(v)
-
-
-_PER_RUN_FIELDS = {"run": _int, "flank_wear_mm": _optional(_number),
-                   "err_avg": _optional(_number), "err_std": _optional(_number)}
-_EPOCH_FIELDS = {"run": _int, "state": _label, "median": _numbers, "sd": _numbers,
-                 "truth": _optional(_numbers), "attempt_rmse": _optional(_rmses)}
+# a run and a state name an overlay file, and XML cannot hold a control character
+_RUN = Kind("an integer in [1, 10**18)", lambda v: INTEGER.test(v) and 0 < v < 10**18)
+_LABEL = Kind("a printable string without a path separator",
+              lambda v: STRING.test(v) and v.isprintable() and not set(v) & {"/", "\\"})
+_NUMBERS = list_of(NUMBER, "a list of finite numbers")
+_NON_NEGATIVE = Kind("a finite number >= 0", lambda v: NUMBER.test(v) and v >= 0)  # wear, an RMSE
+_RMSES = list_of(_NON_NEGATIVE, "a list of finite numbers >= 0")
+_PER_RUN_FIELDS = {"run": _RUN, "flank_wear_mm": optional(_NON_NEGATIVE),
+                   "err_avg": optional(NUMBER), "err_std": optional(NUMBER)}
+_EPOCH_FIELDS = {"run": _RUN, "state": _LABEL, "median": _NUMBERS, "sd": _NUMBERS,
+                 "truth": optional(_NUMBERS), "attempt_rmse": optional(_RMSES)}
 
 
 def _check_rows(rows, where: str, fields: dict) -> None:
-    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-        raise ReportError(f"report field {where} must be a list of objects")
+    checked(ReportError, rows, list_of(OBJECT), f"report field {where}")
     for i, row in enumerate(rows):
-        bad = [key for key, ok in fields.items() if key not in row or not ok(row[key])]
-        if bad:
-            raise ReportError(f"report field {where}[{i}].{bad[0]} is missing or ill-typed")
+        for key, kind in fields.items():
+            if key not in row:
+                raise ReportError(f"report field {where}[{i}].{key} is missing")
+            checked(ReportError, row[key], kind, lambda: f"report field {where}[{i}].{key}")
 
 
 def check_document(report) -> dict:
-    """The one check of a report document read from a file: every field the
-    views read is present and typed. Returns the document."""
-    summary = report.get("summary") if isinstance(report, dict) else None
-    if not isinstance(summary, dict):
-        raise ReportError("report document must be an object with a 'summary' object")
+    """The one check of a report document read from a file, by `errors.checked`:
+    every field the views read is present and of its kind. Returns the document."""
+    checked(ReportError, report, OBJECT, "report document")
+    summary = checked(ReportError, report.get("summary"), OBJECT, "report field summary")
     _check_rows(summary.get("per_run"), "summary.per_run", _PER_RUN_FIELDS)
     _check_rows(report.get("epochs"), "epochs", _EPOCH_FIELDS)
     for i, ep in enumerate(report["epochs"]):
@@ -91,16 +73,17 @@ def write_run_table_csv(report: dict, path: Union[str, Path]) -> Path:
 
 
 class _Scale:
-    """Data -> pixel mapping for one axis; a range that is empty in float
+    """Data -> pixel mapping for one axis, through halves so that the span of
+    any two finite values is finite; a range that is empty in float
     arithmetic, such as one value far from zero, spans 1."""
 
     def __init__(self, lo: float, hi: float, pix_lo: float, pix_hi: float):
-        span = float(hi) - float(lo)
-        self.lo, self.span = float(lo), span if span > 0 else 1.0
+        span = float(hi) / 2 - float(lo) / 2
+        self.lo, self.span = float(lo) / 2, span if span > 0 else 0.5
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
     def __call__(self, v: float) -> float:
-        frac = (v - self.lo) / self.span
+        frac = (v / 2 - self.lo) / self.span
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 
@@ -142,14 +125,14 @@ def write_overlay_svg(epoch: dict, path: Union[str, Path]) -> Path:
     if not median:
         raise ReportError(f"epoch run {epoch.get('run')} {epoch.get('state')} has no forecast")
     n = len(median)
-    series = [median]
-    if truth:
-        series.append(truth[:n])
-    # in floats: two integers of the document can add up beyond the float range
-    lo_band = [float(m) - s for m, s in zip(median, sd)]
-    hi_band = [float(m) + s for m, s in zip(median, sd)]
-    vmin = min(min(s) for s in series + [lo_band])
-    vmax = max(max(s) for s in series + [hi_band])
+    # the y axis holds halves, exact in binary floating point: a band edge
+    # m/2 +/- s/2 of finite numbers is finite, where m +/- s can overflow
+    median = [m / 2 for m in median]
+    truth = truth and [v / 2 for v in truth[:n]]
+    lo_band = [m - s / 2 for m, s in zip(median, sd)]
+    hi_band = [m + s / 2 for m, s in zip(median, sd)]
+    ys = [median, lo_band, hi_band] + ([truth] if truth else [])
+    vmin, vmax = min(map(min, ys)), max(map(max, ys))
     sx = _Scale(0, max(n - 1, 1), MARGIN, WIDTH - MARGIN)
     sy = _Scale(vmin, vmax, HEIGHT - MARGIN, MARGIN)
     xs = [sx(i) for i in range(n)]
@@ -163,14 +146,14 @@ def write_overlay_svg(epoch: dict, path: Union[str, Path]) -> Path:
         )
     ]
     if truth:
-        body.append(_polyline(xs[: len(truth)], [sy(v) for v in truth[:n]], "#222222", 1.5))
+        body.append(_polyline(xs[: len(truth)], [sy(v) for v in truth], "#222222", 1.5))
     body.append(_polyline(xs, [sy(v) for v in median], "#2255bb", 1.8))
     body.append(
         _text(MARGIN, MARGIN - 10, f"run {epoch.get('run')} {epoch.get('state')}: "
               f"median forecast vs observed, band = +/-1 SD")
     )
-    body.append(_text(MARGIN - 6, HEIGHT - MARGIN + 4, f"{vmin:.2f}", anchor="end"))
-    body.append(_text(MARGIN - 6, MARGIN + 4, f"{vmax:.2f}", anchor="end"))
+    body.append(_text(MARGIN - 6, HEIGHT - MARGIN + 4, f"{2 * vmin:.2f}", anchor="end"))
+    body.append(_text(MARGIN - 6, MARGIN + 4, f"{2 * vmax:.2f}", anchor="end"))
     path = Path(path)
     path.write_text(_svg(body))
     return path

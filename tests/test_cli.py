@@ -453,20 +453,43 @@ def _control_character_state(doc):
     doc["epochs"][0]["state"] = "P1\x00"
 
 
+def _negative_wear(doc):  # the box plot's wear axis starts at 0
+    doc["summary"]["per_run"][0]["flank_wear_mm"] = -0.99e308
+
+
+_HUGE_SHOWN = "1" + "0" * 79 + "…"  # 10**400 cut short in an error line
+# each report defect with the error line it gives
+_REPORT_DEFECTS = {
+    _break_per_run_row: "report field summary.per_run[0].run is missing",
+    _break_median: "report field epochs[0].median must be a list of finite numbers, got '1.0,2.0'",
+    _break_run: "report field epochs[0].run must be an integer in [1, 10**18), got '5'",
+    _break_sd: "report field epochs[0] has median and sd of unequal length",
+    _huge_median_value: f"report field epochs[0].median[0] must be a finite number, got {_HUGE_SHOWN}",
+    _huge_run: f"report field epochs[0].run must be an integer in [1, 10**18), got {_HUGE_SHOWN}",
+    _negative_attempt_rmse:
+        "report field epochs[0].attempt_rmse[0] must be a finite number >= 0, got -1.0",
+    _control_character_state:
+        "report field epochs[0].state must be a printable string without a path separator, "
+        "got 'P1\\x00'",
+    _negative_wear: "report field summary.per_run[0].flank_wear_mm must be a finite number >= 0 "
+                    "or null, got -9.9e+307",
+}
+
+
 @pytest.mark.parametrize(
-    "mutate", [_break_per_run_row, _break_median, _break_run, _break_sd, _huge_median_value,
-               _huge_run, _negative_attempt_rmse, _control_character_state]
+    "mutate, message",
+    [pytest.param(mutate, message, id=mutate.__name__) for mutate, message in _REPORT_DEFECTS.items()],
 )
-def test_report_malformed_document_exits_input(cli_env, tmp_path, capsys, mutate):
+def test_report_malformed_document_exits_input(cli_env, tmp_path, capsys, mutate, message):
     """A report document that parses but lacks or mistypes a field the views
-    read exits 2 with one error line, not a traceback."""
+    read exits 2 with one error line that names the field and the value."""
     doc = _replay_report_doc(cli_env)
     mutate(doc)
     bad = tmp_path / "bad_report.json"
     bad.write_text(json.dumps(doc))
     code = main(["report", "--report", str(bad), "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_INPUT
-    assert len(_error_lines(capsys.readouterr().err)) == 1
+    assert _error_lines(capsys.readouterr().err) == [f"error: {message}"]
 
 
 def _graph_as_list(doc):
@@ -523,13 +546,18 @@ _UNCOERCED_GRAPH_VALUES = {
                             "samples of run 1 P1 must be floats or 64-bit integers, not <U32"),
     "boolean-samples": (("series", 0, "samples"), [True, False] * 60,
                         "samples of run 1 P1 must be floats or 64-bit integers, not bool"),
+    "boolean-among-floats": (("series", 0, "samples"), [1.5, True],
+                             "samples of run 1 P1 must be floats or 64-bit integers, not bool"),
+    "boolean-among-integers": (("series", 0, "samples"), [1, True],
+                               "samples of run 1 P1 must be floats or 64-bit integers, not bool"),
 }
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        pytest.param(_graph_as_list, "graph document must be a JSON object, got list",
+        pytest.param(_graph_as_list, "graph document must be a JSON object, got [{'extra_vertices': "
+                     "[], 'runs': [{'index': 1, 'metadata': {'flank_wear_interpola…",
                      id="_graph_as_list"),
         pytest.param(_metadata_as_list,
                      "run 1: metadata must be a JSON object, got [['flank_wear_mm', 0.1]]",
@@ -541,7 +569,7 @@ _UNCOERCED_GRAPH_VALUES = {
         pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "states"},
                      "malformed graph document: missing field 'states'", id="_missing_states"),
         pytest.param(_set_graph_value(("states",), {"a": 1}),
-                     "states must be a JSON list, got dict", id="_states_as_object"),
+                     "states must be a JSON list, got {'a': 1}", id="_states_as_object"),
         pytest.param(_set_graph_value(("runs", 0), 5), "runs[0] must be a JSON object, got 5",
                      id="_run_as_number"),
         pytest.param(_set_graph_value(("states", 0, "sensor"), "x"),
@@ -554,7 +582,7 @@ _UNCOERCED_GRAPH_VALUES = {
                      "extra_vertices[0] must be a [run, state] pair, got [1, 2, 3]",
                      id="_extra_vertex_triple"),
         pytest.param(_set_graph_value(("extra_vertices",), {"1": 2}),
-                     "extra_vertices must be a JSON list, got dict",
+                     "extra_vertices must be a JSON list, got {'1': 2}",
                      id="_extra_vertices_as_object"),
     ]
     + [pytest.param(_set_graph_value(path, value), message, id=name)
@@ -571,6 +599,52 @@ def test_replay_malformed_graph_document_exits_input(cli_env, tmp_path, capsys, 
     assert code == EXIT_INPUT
     assert _error_lines(capsys.readouterr().err) == [f"error: {message}"]
     assert not (tmp_path / "x.json").exists()
+
+
+# one value in one number field of each document, and whether it is a number
+_NUMBER_FIELD_VALUES = {"boolean": (True, False), "numeric-text": ("1", False), "integer": (2, True),
+                        "fraction": (0.5, True), "near-float-max": (1.5e308, True),
+                        "past-float-range": (10**400, False)}
+
+
+@pytest.mark.parametrize("value, accepted", _NUMBER_FIELD_VALUES.values(), ids=_NUMBER_FIELD_VALUES)
+def test_every_document_agrees_on_what_a_number_is(cli_env, tmp_path, value, accepted):
+    """The graph, fixture.json, config and report readers give one verdict on
+    a value in a number field that has no range rule it breaks."""
+    from gendt.config import ConfigError, load_config
+    from gendt.dataset import DatasetError, load_fixture_meta
+    from gendt.errors import read_json
+    from gendt.ptog import PtogError, load_ptog
+    from gendt.report import ReportError, check_document
+
+    def verdict(doc, keys, name, load, error) -> bool:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(doc))
+        try:
+            load(path)
+        except error:
+            return False
+        return True
+
+    def read(path):
+        return json.loads(Path(path).read_text())
+
+    verdicts = {
+        "graph": verdict(read(cli_env["ptog"]), ("series", 0, "sample_rate_hz"), "graph.json",
+                         load_ptog, PtogError),
+        "fixture.json": verdict(read(cli_env["fixture"] / "fixture.json"), ("sample_rate_hz",),
+                                "fixture/fixture.json", lambda path: load_fixture_meta(path.parent), DatasetError),
+        "config": verdict(read(cli_env["config"]), ("thresholds", "t_health"), "config.json",
+                          load_config, ConfigError),
+        "report": verdict(_replay_report_doc(cli_env), ("epochs", 0, "median", 0), "report.json",
+                          lambda path: check_document(read_json(path, ReportError)), ReportError),
+    }
+    assert verdicts == dict.fromkeys(verdicts, accepted)
 
 
 def _error_lines(err: str) -> list[str]:

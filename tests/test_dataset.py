@@ -141,6 +141,19 @@ def test_ingest_writes_42_entries(milling_ptog):
     assert milling_ptog.run_metadata[RunId(4)]["flank_wear_interpolated"] == 0.0
 
 
+def test_ingested_series_share_their_run_array(milling_ptog, fixture_dir):
+    """Each ingested series is a read-only view of the one array its run CSV
+    was read into, not a copy."""
+    run = RunId(1)
+    parts = [milling_ptog.get_series(run, state).samples for state in milling_ptog.states]
+    whole = parts[0].base
+    assert whole is not None and not whole.flags.writeable
+    np.testing.assert_array_equal(whole, read_samples_csv(fixture_dir / "run_1.csv"))
+    for part in parts:
+        assert part.base is whole and np.shares_memory(part, whole)
+        assert not part.flags.writeable
+
+
 def test_ingest_round_trips_through_manifest(milling_ptog, tmp_path):
     manifest = save_manifest(milling_ptog, tmp_path / "work")
     assert build_ptog(manifest) == milling_ptog

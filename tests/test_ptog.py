@@ -351,15 +351,21 @@ def test_duplicated_state_index_rejected_by_graph_file():
 def test_samples_are_one_read_only_float64_array(milling_ptog, tmp_path):
     """Samples are checked once at construction and stored as a read-only 1-D
     float64 array; graphs with equal series still compare and hash equal."""
-    s = series(1, samples=[1, 2.5, True])
+    s = series(1, samples=[1, 2.5, 4])
     assert s.samples.dtype == np.float64 and s.samples.ndim == 1
-    assert s.samples.tolist() == [1.0, 2.5, 1.0]
+    assert s.samples.tolist() == [1.0, 2.5, 4.0]
+    for samples in ([1, 2.5, True], (1, True)):  # numpy would read the boolean as 1
+        with pytest.raises(PtogError, match="must be floats or 64-bit integers, not bool$"):
+            series(1, samples=samples)
     with pytest.raises(ValueError):
         s.samples[0] = 9.0
     source = np.array([1.0, 2.0])
     copied = series(1, samples=source)
     source[0] = 9.0  # the series keeps its own copy
     assert copied.samples.tolist() == [1.0, 2.0]
+    view = source[:]
+    view.flags.writeable = False  # read-only, but writeable through its base
+    assert not np.shares_memory(series(1, samples=view).samples, source)
 
     assert series(1, samples=[0.0, 2.0]) == series(1, samples=(-0.0, 2.0))
     assert hash(series(1, samples=[0.0, 2.0])) == hash(series(1, samples=(-0.0, 2.0)))

@@ -119,15 +119,24 @@ def test_svg_text_is_escaped(mock_report, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "median, sd",
-    [([1e20] * 3, [0.0] * 3), ([9 * 10**307] * 2, [9 * 10**307] * 2)],
-    ids=["flat-far-from-zero", "band-beyond-float-range"],
+    "median, sd, truth",
+    [([1e20] * 3, [0.0] * 3, None), ([9 * 10**307] * 2, [9 * 10**307] * 2, None),
+     ([0.99e308] * 3, [0.99e308] * 3, [1.0, 2.0, 3.0]), ([-0.99e308] * 3, [1.0] * 3, [0.99e308] * 3),
+     ([1.7e308] * 3, [1.7e308] * 3, [1.0, 2.0, 3.0]), ([-1.7e308] * 3, [1.7e308] * 3, [1.7e308] * 3)],
+    ids=["flat-far-from-zero", "band-beyond-float-range", "band-near-float-max",
+         "median-and-truth-near-float-max", "band-at-float-max", "band-and-truth-at-float-max"],
 )
-def test_overlay_of_extreme_values_is_drawn(tmp_path, median, sd):
+def test_overlay_of_extreme_values_is_drawn(tmp_path, median, sd, truth):
+    """Every finite number a report may hold is drawn at finite coordinates."""
     import xml.etree.ElementTree as ET
 
-    epoch = {"run": 5, "state": "P1", "median": median, "sd": sd, "truth": None}
-    ET.parse(write_overlay_svg(epoch, tmp_path / "overlay.svg"))
+    epoch = {"run": 5, "state": "P1", "median": median, "sd": sd, "truth": truth}
+    svg = ET.parse(write_overlay_svg(epoch, tmp_path / "overlay.svg"))
+    coordinates = [value for element in svg.iter() for name, value in element.attrib.items()
+                   if name in ("points", "x", "y")]
+    assert len(coordinates) >= 4
+    for value in coordinates:
+        assert "nan" not in value and "inf" not in value, value
 
 
 def test_boxplot_of_one_run_far_from_zero(tmp_path):
