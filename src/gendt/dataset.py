@@ -109,7 +109,7 @@ def load_fixture_meta(
     and a wear value are finite numbers."""
     name = FIXTURE_META_NAME
     meta = checked(DatasetError, read_json(Path(fixture_dir) / name, DatasetError), OBJECT, name)
-    rate = checked(DatasetError, meta.get("sample_rate_hz"), NUMBER, f"{name}: sample_rate_hz")
+    rate = float(checked(DatasetError, meta.get("sample_rate_hz"), NUMBER, f"{name}: sample_rate_hz"))
     if "boundaries" not in meta:
         raise DatasetError(f"{name}: missing 'boundaries' (each run's [start, p1_end, p2_end, end]); "
                            "data segmented outside gendt enters as a graph file or a manifest")

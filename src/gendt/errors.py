@@ -46,13 +46,11 @@ def read_json(source: Union[str, Path, bytes], error: type[GendtError], name: st
 
 class Kind(NamedTuple):
     """What a JSON value must be, for an error line, and the `test` it passes;
-    `item` is the kind of each item of a list, and `cast` makes the value
-    that `checked` returns."""
+    `item` is the kind of each item of a list."""
 
     what: str
     test: Callable[[object], bool]
     item: Optional["Kind"] = None
-    cast: Optional[Callable] = None
 
 
 def _finite(value) -> bool:  # NaN fails the comparison
@@ -60,14 +58,14 @@ def _finite(value) -> bool:  # NaN fails the comparison
 
 
 INTEGER = Kind("a JSON integer", lambda v: type(v) is int)
-NUMBER = Kind("a finite number", _finite, cast=float)
+NUMBER = Kind("a finite number", _finite)
 STRING = Kind("a JSON string", lambda v: type(v) is str)
 BOOLEAN = Kind("true or false", lambda v: type(v) is bool)
 OBJECT = Kind("a JSON object", lambda v: type(v) is dict)
 
 
 def optional(kind: Kind) -> Kind:
-    """`kind`, or null; `checked` returns the value as it is, uncast."""
+    """`kind`, or null."""
     return Kind(f"{kind.what} or null", lambda v: v is None or kind.test(v), kind.item)
 
 
@@ -77,11 +75,11 @@ def list_of(item: Kind, what: str = "a JSON list") -> Kind:
 
 
 def checked(error: type[GendtError], value, kind: Kind, field: Union[str, Callable[[], str]]):
-    """`value` (cast by `kind.cast`) if it is `kind`; else `error` naming
-    `field` and the value, or the first list item that is not `kind.item`.
-    `field` may be a function, so that a loop builds the name only for an error."""
+    """`value` if it is `kind`; else `error` naming `field` and the value, or
+    the first list item that is not `kind.item`. `field` may be a function, so
+    that a loop builds the name only for an error."""
     if kind.test(value):
-        return value if kind.cast is None else kind.cast(value)
+        return value
     name = field if isinstance(field, str) else field()
     if kind.item is not None and type(value) is list:
         for i, item in enumerate(value):

@@ -86,8 +86,9 @@ class SensorId:
 class MeasurementSeries:
     """One sensor trace for a single (run, state) vertex; `samples` is
     checked once, here, and stored as a read-only 1-D float64 array. A boolean
-    is not a number, alone or among numbers. A float64 array that nothing can
-    write through is kept as it is; any other array is copied."""
+    is not a number, alone or among numbers. A read-only float64 view of a
+    read-only array is kept as it is, so the holder of that base array must
+    not make it writeable again; any other array is copied."""
 
     run: RunId
     state: StateId
@@ -97,14 +98,14 @@ class MeasurementSeries:
 
     def __post_init__(self) -> None:
         given = self.samples
-        types = set(map(type, given)) if isinstance(given, (list, tuple)) else set()
-        # numpy reads a boolean among numbers as 0 or 1; a list of floats needs no dtype discovery
-        raw = np.fromiter(given, np.float64, len(given)) if types == {float} else np.asarray(given)
-        dtype = np.dtype(bool) if bool in types else raw.dtype
+        raw = np.asarray(given)
+        listed = isinstance(given, (list, tuple))  # numpy reads a boolean among numbers as 0 or 1
+        dtype = np.dtype(bool) if listed and bool in set(map(type, given)) else raw.dtype
         if dtype.kind not in "iuf":  # booleans, text, nulls, integers beyond 64 bits
             raise PtogError(f"samples of {self._where()} must be floats or 64-bit integers, not {dtype}")
-        base = raw if raw.base is None else raw.base  # a bytearray or mmap base counts as writeable
-        frozen = isinstance(base, np.ndarray) and not (raw.flags.writeable or base.flags.writeable)
+        base = raw.base  # kept: a read-only view of a read-only array that owns its memory
+        frozen = (isinstance(base, np.ndarray) and base.flags.owndata
+                  and not (raw.flags.writeable or base.flags.writeable))
         samples = raw.astype(np.float64, copy=raw is given and not frozen)
         if samples.ndim != 1:
             raise PtogError(f"samples of {self._where()} must be a flat list, got {samples.ndim} dimensions")
@@ -296,7 +297,7 @@ class Ptog:
             for r in _checked(doc["runs"], _OBJECTS, "runs"):
                 run = _checked(r["index"], INTEGER, "run index")
                 meta = _checked(r.get("metadata", {}), OBJECT, lambda: f"run {run}: metadata")
-                metadata[run] = {k: _checked(v, NUMBER, lambda: f"metadata {shown(k)}")
+                metadata[run] = {k: float(_checked(v, NUMBER, lambda: f"metadata {shown(k)}"))
                                  for k, v in meta.items()}
 
             def vertex(run, state) -> tuple[RunId, StateId, SensorId]:
@@ -308,7 +309,8 @@ class Ptog:
 
             series = [
                 MeasurementSeries(*vertex(e["run"], e["state"]),
-                                  _checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz"), e["samples"])
+                                  float(_checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz")),
+                                  e["samples"])
                 for e in _checked(doc["series"], _OBJECTS, "series")
             ]
             pairs = _checked(doc.get("extra_vertices", []), _PAIRS, "extra_vertices")
@@ -381,9 +383,9 @@ def build_ptog(path: Union[str, Path]) -> Ptog:
             run = _checked(e["run"], INTEGER, "run")
             label = _checked(e["state_label"], STRING, "state_label")
             sensor = SensorId(_checked(e["sensor"], STRING, "sensor"), _checked(e["unit"], STRING, "unit"))
-            rate = _checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz")
+            rate = float(_checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz"))
             csv_path = e.get("csv_path")
-            meta = {k: _checked(v, NUMBER, lambda: f"metadata {shown(k)}")
+            meta = {k: float(_checked(v, NUMBER, lambda: f"metadata {shown(k)}"))
                     for k, v in _checked(e.get("metadata", {}), OBJECT, "manifest entry metadata").items()}
             if label not in state_ids:
                 state_ids[label] = StateId(len(state_ids) + 1, label)

@@ -25,14 +25,14 @@ WIDTH, HEIGHT = 640, 360
 MARGIN = 46
 
 
-# a run and a state name an overlay file, and XML cannot hold a control character
-_RUN = Kind("an integer in [1, 10**18)", lambda v: INTEGER.test(v) and 0 < v < 10**18)
+_RUN = Kind("a JSON integer within the float range", lambda v: INTEGER.test(v) and NUMBER.test(v))
+# a state names an overlay file, and XML cannot hold a control character
 _LABEL = Kind("a printable string without a path separator",
               lambda v: STRING.test(v) and v.isprintable() and not set(v) & {"/", "\\"})
 _NUMBERS = list_of(NUMBER, "a list of finite numbers")
-_NON_NEGATIVE = Kind("a finite number >= 0", lambda v: NUMBER.test(v) and v >= 0)  # wear, an RMSE
-_RMSES = list_of(_NON_NEGATIVE, "a list of finite numbers >= 0")
-_PER_RUN_FIELDS = {"run": _RUN, "flank_wear_mm": optional(_NON_NEGATIVE),
+_RMSES = list_of(Kind("a finite number >= 0", lambda v: NUMBER.test(v) and v >= 0),
+                 "a list of finite numbers >= 0")
+_PER_RUN_FIELDS = {"run": _RUN, "flank_wear_mm": optional(NUMBER),
                    "err_avg": optional(NUMBER), "err_std": optional(NUMBER)}
 _EPOCH_FIELDS = {"run": _RUN, "state": _LABEL, "median": _NUMBERS, "sd": _NUMBERS,
                  "truth": optional(_NUMBERS), "attempt_rmse": optional(_RMSES)}
@@ -220,9 +220,10 @@ def write_boxplot_svg(report: dict, path: Union[str, Path]) -> Path:
     wear = _wear_by_run(report)
     wear_runs = [r for r in runs if r in wear]
     if wear_runs:
-        wy = _Scale(0.0, max(wear[r] for r in wear_runs), HEIGHT - MARGIN, MARGIN)
+        values = [wear[r] for r in wear_runs]
+        wy = _Scale(min(0.0, min(values)), max(values), HEIGHT - MARGIN, MARGIN)
         body.append(
-            _polyline([sx(r) for r in wear_runs], [wy(wear[r]) for r in wear_runs],
+            _polyline([sx(r) for r in wear_runs], [wy(v) for v in values],
                       "#cc3333", 1.5, dash="5,3")
         )
         body.append(_text(WIDTH - MARGIN, MARGIN - 10, "flank wear (dashed, right scale)", anchor="end"))

@@ -453,26 +453,21 @@ def _control_character_state(doc):
     doc["epochs"][0]["state"] = "P1\x00"
 
 
-def _negative_wear(doc):  # the box plot's wear axis starts at 0
-    doc["summary"]["per_run"][0]["flank_wear_mm"] = -0.99e308
-
-
 _HUGE_SHOWN = "1" + "0" * 79 + "…"  # 10**400 cut short in an error line
 # each report defect with the error line it gives
 _REPORT_DEFECTS = {
     _break_per_run_row: "report field summary.per_run[0].run is missing",
     _break_median: "report field epochs[0].median must be a list of finite numbers, got '1.0,2.0'",
-    _break_run: "report field epochs[0].run must be an integer in [1, 10**18), got '5'",
+    _break_run: "report field epochs[0].run must be a JSON integer within the float range, got '5'",
     _break_sd: "report field epochs[0] has median and sd of unequal length",
     _huge_median_value: f"report field epochs[0].median[0] must be a finite number, got {_HUGE_SHOWN}",
-    _huge_run: f"report field epochs[0].run must be an integer in [1, 10**18), got {_HUGE_SHOWN}",
+    _huge_run: f"report field epochs[0].run must be a JSON integer within the float range, "
+               f"got {_HUGE_SHOWN}",
     _negative_attempt_rmse:
         "report field epochs[0].attempt_rmse[0] must be a finite number >= 0, got -1.0",
     _control_character_state:
         "report field epochs[0].state must be a printable string without a path separator, "
         "got 'P1\\x00'",
-    _negative_wear: "report field summary.per_run[0].flank_wear_mm must be a finite number >= 0 "
-                    "or null, got -9.9e+307",
 }
 
 
@@ -490,6 +485,25 @@ def test_report_malformed_document_exits_input(cli_env, tmp_path, capsys, mutate
     code = main(["report", "--report", str(bad), "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_INPUT
     assert _error_lines(capsys.readouterr().err) == [f"error: {message}"]
+
+
+def test_report_draws_what_replay_writes(cli_env, tmp_path):
+    """A graph whose run metadata holds a negative wear replays, and its
+    report draws, with the wear axis reaching below zero."""
+    import xml.etree.ElementTree as ET
+
+    doc = json.loads(cli_env["ptog"].read_text())
+    for run in doc["runs"]:
+        run["metadata"]["flank_wear_mm"] = -0.1 * run["index"]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["replay", "--ptog", str(graph), "--config", str(cli_env["config"]),
+                 "--out", str(report)]) == EXIT_OK
+    assert main(["report", "--report", str(report), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    wear = ET.parse(tmp_path / "out" / "rmse_boxplot.svg").find("{*}polyline[@stroke-dasharray]")
+    heights = [float(point.split(",")[1]) for point in wear.get("points").split()]
+    assert heights == sorted(heights) and 46 <= min(heights) < max(heights) <= 314
 
 
 def _graph_as_list(doc):

@@ -359,13 +359,23 @@ def test_samples_are_one_read_only_float64_array(milling_ptog, tmp_path):
             series(1, samples=samples)
     with pytest.raises(ValueError):
         s.samples[0] = 9.0
+
+    def stored(array):  # the samples a series keeps of a caller's array
+        return MeasurementSeries(RunId(1), S1, SENSOR, 100.0, array).samples
+
     source = np.array([1.0, 2.0])
-    copied = series(1, samples=source)
+    copied = stored(source)
     source[0] = 9.0  # the series keeps its own copy
-    assert copied.samples.tolist() == [1.0, 2.0]
+    assert copied.tolist() == [1.0, 2.0]
     view = source[:]
     view.flags.writeable = False  # read-only, but writeable through its base
-    assert not np.shares_memory(series(1, samples=view).samples, source)
+    assert not np.shares_memory(stored(view), source)
+    source.flags.writeable = False  # its owner could make it writeable again
+    assert not np.shares_memory(stored(source), source)
+    assert np.shares_memory(stored(source[1:]), source)
+    buffer = np.frombuffer(bytearray(16))
+    buffer.flags.writeable = False  # read-only, but the bytearray is not
+    assert not np.shares_memory(stored(buffer[:]), buffer)
 
     assert series(1, samples=[0.0, 2.0]) == series(1, samples=(-0.0, 2.0))
     assert hash(series(1, samples=[0.0, 2.0])) == hash(series(1, samples=(-0.0, 2.0)))

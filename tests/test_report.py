@@ -139,6 +139,21 @@ def test_overlay_of_extreme_values_is_drawn(tmp_path, median, sd, truth):
         assert "nan" not in value and "inf" not in value, value
 
 
+def test_boxplot_of_wear_at_float_max_is_drawn(tmp_path):
+    """Wear of either sign, up to the float maximum, is drawn at finite coordinates."""
+    import xml.etree.ElementTree as ET
+
+    epochs = [{"run": r, "state": "P1", "median": [1.0], "sd": [0.0], "truth": None,
+               "attempt_rmse": [1.0]} for r in (1, 2, 3)]
+    per_run = [{"run": r, "flank_wear_mm": w, "err_avg": None, "err_std": None}
+               for r, w in ((1, -1.7e308), (2, 0.0), (3, 1.7e308))]
+    report = {"epochs": epochs, "summary": {"per_run": per_run}}
+    svg = ET.parse(write_boxplot_svg(check_document(report), tmp_path / "box.svg"))
+    wear = svg.find("{*}polyline[@stroke-dasharray]").get("points")
+    heights = [float(point.split(",")[1]) for point in wear.split()]
+    assert heights == [314.0, 180.0, 46.0]
+
+
 def test_boxplot_of_one_run_far_from_zero(tmp_path):
     import xml.etree.ElementTree as ET
 
