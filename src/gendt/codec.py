@@ -2,7 +2,8 @@
 
 The encoder produces the wire text embedded in the forecast prompt; the
 decoder parses untrusted model output and never raises on bad input, it
-returns a structured DecodeFailure instead.
+returns a structured DecodeFailure instead. No other module splits or
+parses wire text: `encode_many` gives each array's text and decoded values.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ class SensorString:
 
 
 @dataclass(frozen=True)
+class Wire:
+    """An array's wire text, and the values it decodes to: bit for bit
+    `float(token) * scale`, read-only."""
+
+    text: str
+    decoded: np.ndarray
+
+
+@dataclass(frozen=True)
 class DecodeFailure:
     """Attempt-level parse failure; a value, never an exception.
 
@@ -105,6 +115,14 @@ def _format_value(value: float, spec: EncodingSpec) -> str:
     return format(Decimal(scaled).quantize(_quantum(spec.decimals), rounding=ROUND_HALF_UP), "f")
 
 
+def _scaled(x: np.ndarray, spec: EncodingSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`x / spec.scale`, and the mask of the values `_format_value` rejects:
+    non-finite, or of a scaled magnitude of at least the overflow limit."""
+    with np.errstate(over="ignore"):  # a scaled value past the float range is an Overflow
+        scaled = x / spec.scale
+    return scaled, ~(np.abs(scaled) < _OVERFLOW_LIMIT)  # NaN compares false
+
+
 def encode(values: Sequence[float], spec: EncodingSpec) -> SensorString:
     """Render values at fixed precision, joined by the separator, in one
     vectorised pass; each token is byte for byte `_format_value`'s. Python's
@@ -113,17 +131,40 @@ def encode(values: Sequence[float], spec: EncodingSpec) -> SensorString:
     away from zero, so only ties take the `Decimal` path. The first value that
     cannot be encoded raises as it would alone."""
     x = np.asarray(values, dtype=np.float64)
-    with np.errstate(over="ignore"):  # a scaled value past the float range is an Overflow
-        scaled = x / spec.scale
-    bad = np.flatnonzero(~(np.abs(scaled) < _OVERFLOW_LIMIT))  # NaN compares false
-    if bad.size:
-        _format_value(x[bad[0]].item(), spec)  # raises NonFiniteValue or Overflow
+    scaled, bad = _scaled(x, spec)
+    if bad.any():
+        _format_value(x[bad.argmax()].item(), spec)  # raises NonFiniteValue or Overflow
     parts = list(map(f"{{:.{spec.decimals}f}}".format, scaled.tolist()))
     # scaled * 10**d is an exact tie k + 1/2 when scaled * 2**(d+1) is an odd
     # integer; a power of two scales without rounding, so no tie is missed
     for i in np.flatnonzero(np.abs(scaled) * 2.0 ** (spec.decimals + 1) % 2 == 1).tolist():
         parts[i] = _format_value(x[i].item(), spec)
     return SensorString(text=spec.separator.join(parts), count=len(parts))
+
+
+def encode_many(arrays: Sequence[np.ndarray], spec: EncodingSpec) -> list[Union[Wire, CodecError]]:
+    """Each array's `Wire`, or the CodecError that `encode` of that array
+    alone raises. One mask over every value finds the arrays that cannot be
+    encoded; one `encode` call formats all the others, and its tokens (none
+    holds the separator) are parsed once."""
+    sizes = [len(a) for a in arrays]
+    every = np.concatenate([np.empty(0), *arrays])
+    bad = np.flatnonzero(_scaled(every, spec)[1])
+    errors: dict[int, CodecError] = {}
+    for i, at in zip(np.searchsorted(np.cumsum(sizes), bad, side="right").tolist(), bad.tolist()):
+        if i not in errors:  # the array's first bad value raises, as in `encode`
+            try:
+                _format_value(every[at].item(), spec)
+            except CodecError as exc:
+                errors[i] = exc.with_traceback(None)  # keeps no frame of this pass alive
+    ok = np.array([i not in errors for i in range(len(sizes))], dtype=bool)
+    text = encode(every[np.repeat(ok, sizes)], spec).text
+    tokens = text.split(spec.separator) if text else []
+    decoded = np.fromiter(map(float, tokens), np.float64, len(tokens)) * spec.scale
+    decoded.flags.writeable = False
+    ends = np.cumsum(np.where(ok, sizes, 0)).tolist()  # each array's end among the tokens
+    return [Wire(spec.separator.join(tokens[e - n:e]), decoded[e - n:e]) if i not in errors
+            else errors[i] for i, (n, e) in enumerate(zip(sizes, ends))]
 
 
 def quantize(values: Sequence[float], spec: EncodingSpec) -> list[float]:

@@ -2,9 +2,11 @@
 
 A replay plans every epoch's inputs, forecasts each epoch (`run_epoch`),
 scores the forecasts in batches of alike epochs, then folds them in epoch
-order. Only the fold depends on earlier epochs: per-epoch control is a
-three-level policy on the forecast error, and production health folds epoch
-errors into a cumulative total checked against a budget.
+order. The plan holds each series it reads as a `PreparedVertex`, filtered,
+decimated and encoded once, and each epoch reads its vertices from it. Only
+the fold depends on earlier epochs: per-epoch control is a three-level
+policy on the forecast error, and production health folds epoch errors into
+a cumulative total checked against a budget.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -141,66 +142,48 @@ class EpochReport:
 
 @dataclass(frozen=True)
 class PreparedVertex:
-    """One vertex's series after filter and decimate, with its wire text and
-    the values that text decodes to. `_prepare` cuts both from one encode pass
-    over the replay's vertices; when that pass fails, each vertex encodes
-    itself at first use, so an encode error surfaces only at the epochs that
-    read it."""
+    """One series a replay reads, filtered and decimated (`values`), and what
+    `codec.encode_many` made of those values: their wire text and the values
+    that text decodes to, or the CodecError encoding them raises."""
 
+    series: MeasurementSeries
     values: np.ndarray
-    encoding: codec.EncodingSpec
-    encoded: Optional[tuple[str, np.ndarray]] = None  # cut from the replay's one pass
+    result: Union[codec.Wire, codec.CodecError]
 
-    @cached_property
-    def wire(self) -> tuple[str, np.ndarray]:
-        """(text, decoded): the wire text and the values it decodes to."""
-        return self.encoded or _encode_all([self.values], self.encoding)[0]
-
-
-def _encode_all(values: list[np.ndarray], spec: codec.EncodingSpec) -> list[tuple[str, np.ndarray]]:
-    """Each array's wire text and the values it decodes to, cut from one encode
-    pass over their concatenation (no token holds the separator)."""
-    tokens = codec.encode(np.concatenate(values), spec).text.split(spec.separator)
-    decoded = np.array([float(t) for t in tokens]) * spec.scale
-    decoded.flags.writeable = False
-    ends = np.cumsum([len(v) for v in values]).tolist()
-    return [(spec.separator.join(tokens[a:b]), decoded[a:b]) for a, b in zip([0, *ends], ends)]
+    def wire_or_raise(self) -> codec.Wire:
+        """The vertex's wire; its encode error is raised as a fresh exception,
+        so that a vertex read by many epochs does not grow one traceback."""
+        if isinstance(self.result, codec.CodecError):
+            raise type(self.result)(*self.result.args)
+        return self.result
 
 
 def _prepare(series: Iterable[Optional[MeasurementSeries]], config: "RunConfig") -> dict:
     """A table of prepared vertices keyed by (run, state): the given series
     (None entries skipped), filtered and decimated in one batch per sample
-    rate, and encoded in one pass."""
+    rate, and encoded by one `codec.encode_many` pass."""
     todo = {(s.run, s.state): s for s in series if s is not None}
     values = dsp.preprocess_many(list(todo.values()), config.filter, config.downsample)
-    try:
-        encoded = _encode_all(values, config.encoding) if values else []
-    except codec.CodecError:
-        encoded = [None] * len(values)  # each vertex encodes itself at first use
-    return {key: PreparedVertex(v, config.encoding, e) for key, v, e in zip(todo, values, encoded)}
-
-
-def _truth(table: dict, target: Optional[MeasurementSeries]) -> Optional[np.ndarray]:
-    """The target's decoded wire text, so truth and forecast compare like with like."""
-    return None if target is None else table[(target.run, target.state)].wire[1]
+    wires = codec.encode_many(values, config.encoding)
+    return {key: PreparedVertex(s, v, w) for (key, s), v, w in zip(todo.items(), values, wires)}
 
 
 def run_epoch(
     epoch: EpochPoint,
-    window: tuple[MeasurementSeries, ...],
-    target: Optional[MeasurementSeries],
-    table: dict,
+    window: tuple[PreparedVertex, ...],
+    target: Optional[PreparedVertex],
     seeds: Optional[np.ndarray],
     config: "RunConfig",
 ) -> tuple[EpochReport, np.ndarray, Optional[np.ndarray]]:
     """The forecast stage of one epoch whose inputs `run_replay` planned: its
     record (flags, history, horizon, timing), attempt matrix and truth.
 
-    `window` is the epoch's history, oldest first; `target` is its own series,
-    None when the graph carries none; `table` holds every one of them
-    prepared; `seeds` is the epoch's `mock_noise` seed rows (None under the
-    other backends). Join the history's wire text, run the forecast
-    ensemble, then read the identically prepared ground truth; the target is
+    `window` is the epoch's history, oldest first, and `target` its own
+    series, None when the graph carries none, each as its prepared vertex;
+    `seeds` is the epoch's `mock_noise` seed rows (None under the other
+    backends). Join the history's wire text, run the forecast ensemble, then
+    read the identically prepared ground truth, the target's decoded wire
+    text, so that truth and forecast compare like with like; the target is
     consulted only after the forecast is fixed (except for the oracle
     backend, which is defined to receive it), and cut to the horizon; it is
     None without ground truth.
@@ -210,13 +193,12 @@ def run_epoch(
     start = time.perf_counter()
     flags = ["short_history"] if len(window) < config.history_depth else []
 
-    history = [table[(s.run, s.state)] for s in window]
-    horizon = len(history[-1].values)
+    horizon = len(window[-1].values)
     # the join of per-vertex encodings is the encoding of the concatenation
-    sensor_text = config.encoding.separator.join(v.wire[0] for v in history)
+    sensor_text = config.encoding.separator.join(v.wire_or_raise().text for v in window)
     prompt = codec.build_prompt(sensor_text, config.prompt_template)
     oracle = config.backend.kind == "oracle"
-    truth = _truth(table, target) if oracle else None
+    truth = target.wire_or_raise().decoded if oracle and target is not None else None
     request = ForecastRequest(
         prompt=prompt,
         temperature=config.resolved_temperature(),
@@ -224,15 +206,15 @@ def run_epoch(
         attempts=config.ensemble.attempts,
         horizon=horizon,
         encoding=config.encoding,
-        last_history=history[-1].values,
+        last_history=window[-1].values,
         seeds=seeds,
         truth=truth,
     )
     _, rows = forecast_ensemble(config.backend, request)
     if len(rows) < config.ensemble.attempts:
         flags.append("failed_attempts")
-    if not oracle:
-        truth = _truth(table, target)
+    if target is not None and not oracle:
+        truth = target.wire_or_raise().decoded
     if truth is None:
         flags.append("no_ground_truth")
     elif len(truth) != horizon:
@@ -242,21 +224,21 @@ def run_epoch(
     report = EpochReport(
         run=epoch.run.index,
         state=epoch.state.label,
-        history_runs=[s.run.index for s in window],
+        history_runs=[v.series.run.index for v in window],
         horizon=horizon,
         attempts_used=len(rows),
         flags=flags,
         timing=(time.perf_counter() - start) * 1000.0,
-        downsample_factor=config.downsample.factor_for(window[-1].sample_rate_hz),
+        downsample_factor=config.downsample.factor_for(window[-1].series.sample_rate_hz),
     )
     return report, rows, truth
 
 
-def _forecast(table: dict, config: "RunConfig", epoch, window, target, seeds) -> tuple:
+def _forecast(config: "RunConfig", epoch, window, target, seeds) -> tuple:
     """`run_epoch`'s result, or a failed epoch's record without a matrix."""
     try:
         # through the module global, so a wrapper set on it sees every epoch
-        return run_epoch(epoch, window, target, table, seeds, config)
+        return run_epoch(epoch, window, target, seeds, config)
     except (AllAttemptsFailed, codec.CodecError) as exc:
         flags = ["epoch_failed", type(exc).__name__]
         return EpochReport(epoch.run.index, epoch.state.label, flags=flags), None, None
@@ -310,10 +292,11 @@ def run_replay(
     """Plan, forecast, score and fold `epochs`; by default every epoch with
     `config.min_history` prior runs, chronologically.
 
-    The plan, made before any forecast, holds each epoch's window and target,
-    every series they read filtered and decimated in one batch per sample
-    rate and encoded in one pass, and under `mock_noise` every attempt's seed
-    hashed in one pass (an epoch without history raises NoHistory here).
+    The plan, made before any forecast, holds each epoch's window and target
+    as prepared vertices, every series they read filtered and decimated in
+    one batch per sample rate and encoded by one `codec.encode_many` pass,
+    and under `mock_noise` every attempt's seed hashed in one pass (an epoch
+    without history raises NoHistory here).
     `run_epoch` forecasts each epoch, `_score` scores them in batches, and
     the fold takes decisions and health in epoch order. Failed epochs are
     recorded and the replay goes on; they, and epochs without ground truth,
@@ -327,6 +310,8 @@ def run_replay(
     windows = [extract_window(ptog, e, config.history_depth) for e in epochs]
     targets = [ptog.get_series(e.run, e.state) for e in epochs]
     table = _prepare((s for w, t in zip(windows, targets) for s in (*w, t)), config)
+    windows = [tuple(table[s.run, s.state] for s in w) for w in windows]
+    targets = [None if t is None else table[t.run, t.state] for t in targets]
     if config.backend.kind == "mock_noise":
         keys = [(e.run.index, e.state.index) for e in epochs]
         seeds = noise_seeds(config.backend.rng_seed, keys, config.ensemble.attempts)
@@ -336,7 +321,7 @@ def run_replay(
     # a halting replay forecasts one epoch at a time, so none past the Stop is
     # forecast (or, under llm_http, paid for); any other scores all at once
     size = 1 if config.halt_on_stop else max(len(plan), 1)
-    chunks = (_score([_forecast(table, config, *p) for p in plan[i:i + size]])
+    chunks = (_score([_forecast(config, *p) for p in plan[i:i + size]])
               for i in range(0, len(plan), size))
     reports: list[EpochReport] = []
     cumulative = 0.0

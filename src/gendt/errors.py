@@ -62,6 +62,8 @@ NUMBER = Kind("a finite number", _finite)
 STRING = Kind("a JSON string", lambda v: type(v) is str)
 BOOLEAN = Kind("true or false", lambda v: type(v) is bool)
 OBJECT = Kind("a JSON object", lambda v: type(v) is dict)
+# a run index names files (`run_<k>.csv`, `overlay_run<k>_<state>.svg`)
+RUN_INDEX = Kind("an integer in [1, 10**18)", lambda v: INTEGER.test(v) and 1 <= v < 10**18)
 
 
 def optional(kind: Kind) -> Kind:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import INTEGER, NUMBER, OBJECT, STRING, GendtError, Kind, checked, list_of, read_json, shown
+from .errors import INTEGER, NUMBER, OBJECT, RUN_INDEX, STRING, GendtError, Kind, checked, list_of, read_json, shown
 
 SCHEMA_VERSION = 1
 
@@ -53,13 +53,12 @@ _PAIRS = list_of(Kind("a [run, state] pair", lambda v: type(v) is list and len(v
 
 @dataclass(frozen=True, order=True)
 class RunId:
-    """1-based chronological run index."""
+    """1-based chronological run index, below 10**18 as it names files."""
 
     index: int
 
     def __post_init__(self) -> None:
-        if self.index < 1:
-            raise PtogError(f"run index must be >= 1, got {self.index}")
+        _checked(self.index, RUN_INDEX, "run index")
 
 
 @dataclass(frozen=True)

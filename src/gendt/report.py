@@ -8,13 +8,14 @@ enough that no plotting dependency is warranted.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Union
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import INTEGER, NUMBER, OBJECT, STRING, GendtError, Kind, checked, list_of, optional
+from .errors import NUMBER, OBJECT, RUN_INDEX, STRING, GendtError, Kind, checked, list_of, optional
 
 
 class ReportError(GendtError):
@@ -25,16 +26,15 @@ WIDTH, HEIGHT = 640, 360
 MARGIN = 46
 
 
-_RUN = Kind("a JSON integer within the float range", lambda v: INTEGER.test(v) and NUMBER.test(v))
 # a state names an overlay file, and XML cannot hold a control character
 _LABEL = Kind("a printable string without a path separator",
               lambda v: STRING.test(v) and v.isprintable() and not set(v) & {"/", "\\"})
 _NUMBERS = list_of(NUMBER, "a list of finite numbers")
 _RMSES = list_of(Kind("a finite number >= 0", lambda v: NUMBER.test(v) and v >= 0),
                  "a list of finite numbers >= 0")
-_PER_RUN_FIELDS = {"run": _RUN, "flank_wear_mm": optional(NUMBER),
+_PER_RUN_FIELDS = {"run": RUN_INDEX, "flank_wear_mm": optional(NUMBER),
                    "err_avg": optional(NUMBER), "err_std": optional(NUMBER)}
-_EPOCH_FIELDS = {"run": _RUN, "state": _LABEL, "median": _NUMBERS, "sd": _NUMBERS,
+_EPOCH_FIELDS = {"run": RUN_INDEX, "state": _LABEL, "median": _NUMBERS, "sd": _NUMBERS,
                  "truth": optional(_NUMBERS), "attempt_rmse": optional(_RMSES)}
 
 
@@ -152,8 +152,10 @@ def write_overlay_svg(epoch: dict, path: Union[str, Path]) -> Path:
         _text(MARGIN, MARGIN - 10, f"run {epoch.get('run')} {epoch.get('state')}: "
               f"median forecast vs observed, band = +/-1 SD")
     )
-    body.append(_text(MARGIN - 6, HEIGHT - MARGIN + 4, f"{2 * vmin:.2f}", anchor="end"))
-    body.append(_text(MARGIN - 6, MARGIN + 4, f"{2 * vmax:.2f}", anchor="end"))
+    # each axis label doubles a half; past the float range it shows the half and the factor
+    for y, half in ((HEIGHT - MARGIN + 4, vmin), (MARGIN + 4, vmax)):
+        label = f"{2 * half:.2f}" if math.isfinite(2 * half) else f"2 x {half:.6g}"
+        body.append(_text(MARGIN - 6, y, label, anchor="end"))
     path = Path(path)
     path.write_text(_svg(body))
     return path

@@ -458,11 +458,10 @@ _HUGE_SHOWN = "1" + "0" * 79 + "…"  # 10**400 cut short in an error line
 _REPORT_DEFECTS = {
     _break_per_run_row: "report field summary.per_run[0].run is missing",
     _break_median: "report field epochs[0].median must be a list of finite numbers, got '1.0,2.0'",
-    _break_run: "report field epochs[0].run must be a JSON integer within the float range, got '5'",
+    _break_run: "report field epochs[0].run must be an integer in [1, 10**18), got '5'",
     _break_sd: "report field epochs[0] has median and sd of unequal length",
     _huge_median_value: f"report field epochs[0].median[0] must be a finite number, got {_HUGE_SHOWN}",
-    _huge_run: f"report field epochs[0].run must be a JSON integer within the float range, "
-               f"got {_HUGE_SHOWN}",
+    _huge_run: f"report field epochs[0].run must be an integer in [1, 10**18), got {_HUGE_SHOWN}",
     _negative_attempt_rmse:
         "report field epochs[0].attempt_rmse[0] must be a finite number >= 0, got -1.0",
     _control_character_state:
@@ -485,6 +484,40 @@ def test_report_malformed_document_exits_input(cli_env, tmp_path, capsys, mutate
     code = main(["report", "--report", str(bad), "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_INPUT
     assert _error_lines(capsys.readouterr().err) == [f"error: {message}"]
+
+
+def test_report_of_a_run_past_the_bound_writes_nothing(cli_env, tmp_path, capsys):
+    """A run index of 10**300 names no file: the report check rejects it
+    before any artifact is written."""
+    doc = _replay_report_doc(cli_env)
+    doc["epochs"][0]["run"] = 10**300
+    big = tmp_path / "big_run.json"
+    big.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["report", "--report", str(big), "--out-dir", str(out_dir)]) == EXIT_INPUT
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: report field epochs[0].run must be an integer in [1, 10**18), got {_HUGE_SHOWN}"
+    ]
+    assert list(out_dir.iterdir()) == []
+
+
+def test_replay_of_a_run_past_the_bound_exits_input(cli_env, tmp_path, capsys):
+    """A graph whose run 1 is renumbered 10**300 is refused where it is read,
+    so no replay writes a report that `gendt report` would refuse."""
+    doc = json.loads(cli_env["ptog"].read_text())
+    for entry in (*doc["runs"], *doc["series"]):
+        key = "index" if "index" in entry else "run"
+        entry[key] = 10**300 if entry[key] == 1 else entry[key]
+    graph, report = tmp_path / "g.json", tmp_path / "report.json"
+    graph.write_text(json.dumps(doc))
+    code = main(["replay", "--ptog", str(graph), "--config", str(cli_env["config"]),
+                 "--out", str(report)])
+    assert code == EXIT_INPUT
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: run index must be an integer in [1, 10**18), got {_HUGE_SHOWN}"
+    ]
+    assert not report.exists()
 
 
 def test_report_draws_what_replay_writes(cli_env, tmp_path):
@@ -1170,6 +1203,104 @@ def test_ingest_contract_under_fixture_meta_mutations(cli_env):
             assert len(_error_lines(err.getvalue())) == 1, err.getvalue()
         else:
             json.loads(graph.read_text(), parse_constant=_reject_constant)
+
+    check()
+
+
+def _mutate_lines(data: bytes, kind: str, at: int, value: bytes) -> bytes:
+    """A run CSV's bytes after one mutation of the kind named, at line `at`
+    (modulo the line count)."""
+    lines = data.splitlines()
+    i = at % (len(lines) + 1)
+    if kind == "blank":
+        return b"\n".join(lines[:i] + [b""] * (1 + at % 3) + lines[i:]) + b"\n"
+    if kind == "crlf":
+        return b"\r\n".join(lines) + b"\r\n"
+    if kind == "value":
+        return b"\n".join(lines[:i] + [value] + lines[i + 1:]) + b"\n"
+    if kind == "byte":
+        return b"\n".join(lines[:i] + [b"\xff" + value] + lines[i:]) + b"\n"
+    if kind == "short":
+        return b"\n".join(lines[:i // 2]) + b"\n"
+    return b""
+
+
+def test_ingest_contract_under_run_csv_mutations(cli_env):
+    """Whatever a run CSV holds, or when it is missing, ingest exits 0 or 2
+    and never raises; a failing exit prints exactly one `error:` line."""
+    hypothesis = pytest.importorskip("hypothesis")
+    import contextlib
+    import io
+    import shutil
+
+    from hypothesis import strategies as st
+
+    root = cli_env["root"] / "csv_contract"
+    fixture = root / "fixture"
+    if not fixture.exists():
+        shutil.copytree(cli_env["fixture"], fixture)
+    names = sorted(path.name for path in fixture.glob("run_*.csv"))
+    kinds = ["blank", "crlf", "value", "byte", "short", "empty", "missing"]
+    values = [b"nan", b"NaN", b"inf", b"-inf", b"1e400", b"-1e400", b"1e300", b"", b" 1.5 ", b"1,5"]
+    mutation = st.tuples(st.sampled_from(names), st.sampled_from(kinds), st.integers(0, 10**6),
+                         st.sampled_from(values))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(mutations=st.lists(mutation, min_size=1, max_size=3))
+    def check(mutations):
+        for name in names:
+            shutil.copy(cli_env["fixture"] / name, fixture / name)
+        for name, kind, at, value in mutations:
+            path = fixture / name
+            if kind == "missing":
+                path.unlink(missing_ok=True)
+            elif path.exists():
+                path.write_bytes(_mutate_lines(path.read_bytes(), kind, at, value))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["ingest", "--fixture", str(fixture), "--out", str(root / "g.json")])
+        assert code in (EXIT_OK, EXIT_INPUT)
+        assert len(_error_lines(err.getvalue())) == (code == EXIT_INPUT), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+def test_forecast_contract_under_http_replies(cli_env, tmp_path, capsys, stub_llm, api_key_env):
+    """Whatever the endpoint replies, a one-epoch forecast without retries
+    exits 0, 2, 3 or 4, prints at most one `error:` line and no traceback, and
+    the credential appears in no output."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    from gendt.forecast import BackendConfig
+
+    backend = BackendConfig(kind="llm_http", endpoint=stub_llm.endpoint, max_retries=0,
+                            retry_base_delay_s=0.0)
+    config_path = tmp_path / "llm.json"
+    save_config(make_config(backend=backend), config_path)
+    tokens = st.sampled_from(["1.00", "-2.50", "NaN", "nan", "1e400", "1e300", "x", ""])
+    contents = st.one_of(
+        st.lists(tokens, max_size=40).map(",".join),  # too few, too many, or bad tokens
+        st.integers(0, 700).map(lambda n: ",".join(["0.50"] * n)),
+    )
+    shapes = st.sampled_from([{}, [], None, "not json", {"choices": []}, {"choices": [{}]},
+                              {"choices": [{"message": {"content": 5}}]}, {"choices": {"0": 1}},
+                              {"choices": [{"message": {"content": ["1.00"]}}]}])
+    statuses = st.one_of(st.just(200), st.sampled_from([200, 307, 401, 429, 500]))
+    replies = st.tuples(statuses, st.one_of(contents.map(stub_llm.completion), shapes))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(script=st.lists(replies, min_size=1, max_size=4))
+    def check(script):
+        stub_llm.script = list(script)
+        code = main(["forecast", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                     "--run", "7", "--state", "P1"])
+        out, err = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG, EXIT_HALTED)
+        assert len(_error_lines(err)) == (code != EXIT_OK), err
+        assert "Traceback" not in err
+        assert api_key_env not in out + err
 
     check()
 

@@ -24,6 +24,7 @@ from gendt.codec import (
     build_prompt,
     decode,
     encode,
+    encode_many,
     quantize,
 )
 
@@ -126,6 +127,33 @@ def test_vectorised_encode_raises_as_the_oracle(bad, spec):
         encode([1e-12, bad, float("nan"), 1e10], spec)
     assert type(batch.value) is type(alone.value)
     assert str(batch.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("spec", [SPEC, EncodingSpec(decimals=3, separator="; ", scale=0.37)])
+def test_encode_many_is_encode_of_each_array(monkeypatch, spec):
+    """Each array's text is `encode` of it alone and its values are bit for
+    bit float(token) * scale, read-only; an array that cannot be encoded gets
+    the error `encode` of it alone raises; and one `encode` call formats every
+    other array."""
+    rng = random.Random(6)
+    arrays = [np.array([rng.uniform(-50, 50) for _ in range(n)]) for n in (5, 0, 7, 3, 1)]
+    arrays[2][4] = float("nan")
+    arrays[3][1:] = [1e300, -float("inf")]
+    calls = []
+    monkeypatch.setattr(codec, "encode", lambda v, s: calls.append(len(v)) or encode(v, s))
+    wires = encode_many(arrays, spec)
+    assert calls == [6] and len(wires) == len(arrays)
+    for values, wire in zip(arrays, wires):
+        try:
+            text = encode(values, spec).text
+        except CodecError as alone:
+            assert type(wire) is type(alone) and str(wire) == str(alone)
+            continue
+        assert wire.text == text and not wire.decoded.flags.writeable
+        parsed = [float(token) * spec.scale for token in text.split(spec.separator) if token]
+        assert wire.decoded.tobytes() == np.array(parsed, dtype=np.float64).tobytes()
+    assert [type(w).__name__ for w in wires[2:4]] == ["NonFiniteValue", "Overflow"]
+    assert encode_many([], spec) == []
 
 
 def test_encode_character_set():

@@ -14,7 +14,6 @@ from gendt.controller import (
     ControlThresholds,
     NonFiniteQ,
     _prepare,
-    _truth,
     accumulate_health,
     decide,
     run_replay,
@@ -324,23 +323,66 @@ def test_truth_equals_quantized_target(milling_ptog, persistence_config, spec):
 
     config = replace(persistence_config, encoding=codec.EncodingSpec(**spec))
     series = milling_ptog.get_series(RunId(7), milling_ptog.state_by_label("P2"))
-    table = _prepare([series], config)
-    truth = _truth(table, series)
-    assert truth.tolist() == codec.quantize(table[(series.run, series.state)].values, config.encoding)
+    (vertex,) = _prepare([series], config).values()
+    truth = vertex.wire_or_raise().decoded
+    assert truth.tolist() == codec.quantize(vertex.values, config.encoding)
 
 
 @pytest.mark.parametrize("spec", [{}, {"decimals": 3, "separator": ";", "scale": 0.5}])
 def test_truth_from_the_one_pass_is_the_parsed_wire_text(milling_ptog, persistence_config, spec):
-    """Each vertex's text, cut from the one encode pass over every vertex, is
-    its own encoding, and its truth is bit for bit float(token) * scale."""
+    """Each vertex's text, cut from `codec.encode_many`'s one pass over every
+    vertex, is its own encoding, and its truth is bit for bit
+    float(token) * scale."""
     from gendt import codec
 
     config = replace(persistence_config, encoding=codec.EncodingSpec(**spec))
     table = _prepare(milling_ptog.series.values(), config)
     sep, scale = config.encoding.separator, config.encoding.scale
     for (run, state), vertex in table.items():
+        assert vertex.series is milling_ptog.get_series(run, state)
         text = codec.encode(vertex.values, config.encoding).text
-        assert vertex.wire[0] == text
+        assert vertex.result.text == text
         parsed = np.array([float(token) * scale for token in text.split(sep)])
-        truth = _truth(table, milling_ptog.get_series(run, state))
+        truth = vertex.wire_or_raise().decoded
         assert truth.tobytes() == parsed.tobytes()
+
+
+def test_unencodable_vertex_fails_only_its_epochs_in_one_encode_call(
+    milling_ptog, persistence_config, monkeypatch
+):
+    """A replay of a graph with one unencodable vertex calls `codec.encode`
+    once, as a clean replay does, and fails exactly the epochs whose window or
+    target reads that vertex, each with its own `Overflow`."""
+    from gendt import codec
+
+    p2 = milling_ptog.state_by_label("P2")
+    bad = milling_ptog.get_series(RunId(5), p2)
+    samples = bad.samples.copy()
+    samples[len(samples) // 2] = 1e300
+    graph = Ptog.from_series(
+        [replace(s, samples=samples) if s is bad else s for s in milling_ptog.series.values()]
+    )
+    calls = []
+    encode = codec.encode
+    monkeypatch.setattr(codec, "encode",
+                        lambda values, spec: calls.append(len(values)) or encode(values, spec))
+    clean = run_replay(milling_ptog, persistence_config).reports
+    assert len(calls) == 1
+    failed = run_replay(graph, persistence_config).reports
+    assert len(calls) == 2 and calls[1] < calls[0]
+    reads = [r.state == "P2" and 5 in (r.run, *clean_r.history_runs)
+             for r, clean_r in zip(failed, clean)]
+    assert sum(reads) > 1
+    for report, was, read in zip(failed, clean, reads):
+        if read:
+            assert report.flags == ["epoch_failed", "Overflow"]
+        else:
+            assert report.median == was.median and report.truth == was.truth
+            assert report.q_rmse == was.q_rmse and report.flags == was.flags
+    (vertex,) = _prepare([graph.get_series(RunId(5), p2)], persistence_config).values()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(codec.Overflow) as error:
+            vertex.wire_or_raise()
+        raised.append(error.value)
+    assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])

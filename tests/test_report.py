@@ -122,12 +122,15 @@ def test_svg_text_is_escaped(mock_report, tmp_path):
     "median, sd, truth",
     [([1e20] * 3, [0.0] * 3, None), ([9 * 10**307] * 2, [9 * 10**307] * 2, None),
      ([0.99e308] * 3, [0.99e308] * 3, [1.0, 2.0, 3.0]), ([-0.99e308] * 3, [1.0] * 3, [0.99e308] * 3),
-     ([1.7e308] * 3, [1.7e308] * 3, [1.0, 2.0, 3.0]), ([-1.7e308] * 3, [1.7e308] * 3, [1.7e308] * 3)],
+     ([1.7e308] * 3, [1.7e308] * 3, [1.0, 2.0, 3.0]), ([-1.7e308] * 3, [1.7e308] * 3, [1.7e308] * 3),
+     ([-0.99e308] * 3, [0.99e308] * 3, None)],
     ids=["flat-far-from-zero", "band-beyond-float-range", "band-near-float-max",
-         "median-and-truth-near-float-max", "band-at-float-max", "band-and-truth-at-float-max"],
+         "median-and-truth-near-float-max", "band-at-float-max", "band-and-truth-at-float-max",
+         "negative-band-near-float-max"],
 )
 def test_overlay_of_extreme_values_is_drawn(tmp_path, median, sd, truth):
-    """Every finite number a report may hold is drawn at finite coordinates."""
+    """Every finite number a report may hold is drawn at finite coordinates,
+    under finite axis labels."""
     import xml.etree.ElementTree as ET
 
     epoch = {"run": 5, "state": "P1", "median": median, "sd": sd, "truth": truth}
@@ -135,7 +138,9 @@ def test_overlay_of_extreme_values_is_drawn(tmp_path, median, sd, truth):
     coordinates = [value for element in svg.iter() for name, value in element.attrib.items()
                    if name in ("points", "x", "y")]
     assert len(coordinates) >= 4
-    for value in coordinates:
+    labels = [element.text for element in svg.findall(".//{*}text")]
+    assert len(labels) == 3
+    for value in coordinates + labels:
         assert "nan" not in value and "inf" not in value, value
 
 
