@@ -3,11 +3,15 @@
 The graph is immutable after construction and safe to share across concurrent
 readers. Vertices are (run, state) pairs; a vertex may exist without a stored
 measurement series (the measurement has not been received), but a stored
-series always implies a vertex.
+series always implies a vertex. A graph file is one JSON document of
+`schema_version` 2, the only version read: each series' `samples` is one
+base64 string of its little-endian IEEE-754 float64 bytes, so the file
+round-trips bit for bit and loads without parsing float text.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import INTEGER, NUMBER, OBJECT, RUN_INDEX, STRING, GendtError, Kind, checked, list_of, read_json, shown
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class PtogError(GendtError):
@@ -49,6 +53,7 @@ class SchemaVersionMismatch(PtogError):
 _checked = partial(checked, PtogError)
 _OBJECTS = list_of(OBJECT)
 _PAIRS = list_of(Kind("a [run, state] pair", lambda v: type(v) is list and len(v) == 2))
+_BLOCK = Kind("a base64 string of little-endian float64 bytes", lambda v: type(v) is str)
 
 
 @dataclass(frozen=True, order=True)
@@ -253,7 +258,7 @@ class Ptog:
                 "run": key[0].index,
                 "state": key[1].index,
                 "sample_rate_hz": s.sample_rate_hz,
-                "samples": s.samples.tolist(),
+                "samples": base64.b64encode(s.samples.astype("<f8", copy=False).tobytes()).decode(),
             }
             for key, s in sorted(self.series.items(), key=lambda kv: (kv[0][0], kv[0][1].index))
         ]
@@ -271,13 +276,14 @@ class Ptog:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Ptog":
         """A graph document, its values checked, not coerced, by `errors.checked`:
-        an index is a JSON integer, a label, sensor name or unit a string, and a
-        sample rate or metadata value a finite number. `MeasurementSeries`
-        checks the samples."""
+        an index is a JSON integer, a label, sensor name or unit a string, a
+        sample rate or metadata value a finite number, and a samples block a
+        base64 string. `MeasurementSeries` checks the values it decodes to."""
         _checked(doc, OBJECT, "graph document")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
-            raise SchemaVersionMismatch(f"expected schema_version {SCHEMA_VERSION}, got {shown(version)}")
+            raise SchemaVersionMismatch(f"expected schema_version {SCHEMA_VERSION}, got {shown(version)}: "
+                                        "re-run gendt ingest, or rewrite samples as base64 float64 (README)")
         try:
             states = {}
             sensors = {}
@@ -306,17 +312,22 @@ class Ptog:
                     raise PtogError(f"run {run.index}: state index {index} is not declared")
                 return run, states[index], sensors[states[index]]
 
-            series = [
-                MeasurementSeries(*vertex(e["run"], e["state"]),
-                                  float(_checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz")),
-                                  e["samples"])
-                for e in _checked(doc["series"], _OBJECTS, "series")
-            ]
+            def one_series(e) -> MeasurementSeries:
+                run, state, sensor = vertex(e["run"], e["state"])
+                rate = float(_checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz"))
+                name = f"samples of run {run.index} {state.label}"
+                try:  # strict base64: the alphabet and padding only, no line break
+                    raw = base64.b64decode(_checked(e["samples"], _BLOCK, name), validate=True)
+                    samples = np.frombuffer(raw, "<f8")  # a whole number of values, or ValueError
+                except ValueError as exc:  # also binascii.Error, or a character beyond ASCII
+                    raise PtogError(f"{name} must be {_BLOCK.what}: {exc}") from exc
+                return MeasurementSeries(run, state, sensor, rate, samples)  # rejects an empty block
+
+            series = [one_series(e) for e in _checked(doc["series"], _OBJECTS, "series")]
             pairs = _checked(doc.get("extra_vertices", []), _PAIRS, "extra_vertices")
             extra = [vertex(r, s) for r, s in pairs]
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise PtogError(f"malformed graph document: {reason}") from exc
+        except KeyError as exc:  # every value present was checked
+            raise PtogError(f"malformed graph document: missing field {exc}") from exc
         return cls.from_series(series, run_metadata=metadata, empty_vertices=extra)
 
 

@@ -4,6 +4,7 @@ benchmark's `bench/chatstub.py`, so that tests and benchmark share one)."""
 
 from __future__ import annotations
 
+import base64
 import sys
 import threading
 import time
@@ -37,6 +38,16 @@ def fixture_dir(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def milling_ptog(fixture_dir) -> Ptog:
     return ingest_fixture(fixture_dir)
+
+
+def samples_block(values) -> str:
+    """A graph file's samples block, written as the README tells a user to."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def block_values(block: str) -> np.ndarray:
+    """The float64 values of a graph file's samples block, in native byte order."""
+    return np.frombuffer(base64.b64decode(block), "<f8").astype(np.float64)
 
 
 def lowpass(x, spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import re
@@ -14,7 +15,7 @@ import pytest
 
 from gendt.cli import EXIT_CONFIG, EXIT_HALTED, EXIT_INPUT, EXIT_OK, main
 from gendt.config import save_config
-from conftest import make_config
+from conftest import block_values, make_config, samples_block
 
 
 @pytest.fixture(scope="module")
@@ -554,7 +555,7 @@ def _undeclared_state(doc):
 
 
 def _nested_samples(doc):
-    doc["series"][0]["samples"] = [doc["series"][0]["samples"][:2]]
+    doc["series"][0]["samples"] = [[1.5, 2.5]]
     return doc
 
 
@@ -569,6 +570,9 @@ def _set_graph_value(path, value):
 
     return mutate
 
+
+_BLOCK_FIELD = "samples of run 1 P1"
+_BLOCK_KIND = "a base64 string of little-endian float64 bytes"
 
 # values of the wrong JSON type, which the graph loader rejects rather than coerces,
 # each with the error line it gives
@@ -589,14 +593,17 @@ _UNCOERCED_GRAPH_VALUES = {
                               "metadata 'flank_wear_mm' must be a finite number, got '0.1'"),
     "boolean-metadata": (("runs", 0, "metadata", "flank_wear_mm"), True,
                          "metadata 'flank_wear_mm' must be a finite number, got True"),
-    "numeric-text-sample": (("series", 0, "samples", 0), "1.5",
-                            "samples of run 1 P1 must be floats or 64-bit integers, not <U32"),
-    "boolean-samples": (("series", 0, "samples"), [True, False] * 60,
-                        "samples of run 1 P1 must be floats or 64-bit integers, not bool"),
+    # a samples block is one base64 string: a number, text that is not base64,
+    # null, a boolean or a list (the samples of a schema_version 1 file) is not
+    "numeric-text-sample": (("series", 0, "samples"), "15",
+                            f"{_BLOCK_FIELD} must be {_BLOCK_KIND}: Incorrect padding"),
+    "number-samples": (("series", 0, "samples"), 1.5, f"{_BLOCK_FIELD} must be {_BLOCK_KIND}, got 1.5"),
+    "null-samples": (("series", 0, "samples"), None, f"{_BLOCK_FIELD} must be {_BLOCK_KIND}, got None"),
+    "boolean-samples": (("series", 0, "samples"), True, f"{_BLOCK_FIELD} must be {_BLOCK_KIND}, got True"),
     "boolean-among-floats": (("series", 0, "samples"), [1.5, True],
-                             "samples of run 1 P1 must be floats or 64-bit integers, not bool"),
+                             f"{_BLOCK_FIELD} must be {_BLOCK_KIND}, got [1.5, True]"),
     "boolean-among-integers": (("series", 0, "samples"), [1, True],
-                               "samples of run 1 P1 must be floats or 64-bit integers, not bool"),
+                               f"{_BLOCK_FIELD} must be {_BLOCK_KIND}, got [1, True]"),
 }
 
 
@@ -609,7 +616,7 @@ _UNCOERCED_GRAPH_VALUES = {
         pytest.param(_metadata_as_list,
                      "run 1: metadata must be a JSON object, got [['flank_wear_mm', 0.1]]",
                      id="_metadata_as_list"),
-        pytest.param(_nested_samples, "samples of run 1 P1 must be a flat list, got 2 dimensions",
+        pytest.param(_nested_samples, f"{_BLOCK_FIELD} must be {_BLOCK_KIND}, got [[1.5, 2.5]]",
                      id="_nested_samples"),
         pytest.param(_undeclared_state, "run 1: state index 9 is not declared",
                      id="_undeclared_state"),
@@ -645,6 +652,104 @@ def test_replay_malformed_graph_document_exits_input(cli_env, tmp_path, capsys, 
     )
     assert code == EXIT_INPUT
     assert _error_lines(capsys.readouterr().err) == [f"error: {message}"]
+    assert not (tmp_path / "x.json").exists()
+
+
+# text in the samples block of run 1 P1 that is not strict base64 of whole
+# float64 values, and the start of its error line; the decoder's reason that
+# ends the line is worded differently across Python and numpy versions
+_NOT_BASE64_OF_FLOATS = f"{_BLOCK_FIELD} must be {_BLOCK_KIND}: "
+_BAD_BLOCKS = {
+    "outside-alphabet": (lambda block, raw: block[:10] + "!" + block[10:], _NOT_BASE64_OF_FLOATS),
+    "url-safe-alphabet": (lambda block, raw: "-_" + block[2:], _NOT_BASE64_OF_FLOATS),
+    "embedded-newline": (lambda block, raw: block[:76] + "\n" + block[76:], _NOT_BASE64_OF_FLOATS),
+    "embedded-space": (lambda block, raw: block[:8] + " " + block[8:], _NOT_BASE64_OF_FLOATS),
+    "beyond-ascii": (lambda block, raw: "é" + block[1:], _NOT_BASE64_OF_FLOATS),
+    "bad-padding": (lambda block, raw: block[:-1], _NOT_BASE64_OF_FLOATS),
+    "padding-inside": (lambda block, raw: block[:7] + "=" + block[8:], _NOT_BASE64_OF_FLOATS),
+    "length-not-multiple-of-8": (lambda block, raw: base64.b64encode(raw[:-3]).decode(),
+                                 _NOT_BASE64_OF_FLOATS),
+    "one-byte": (lambda block, raw: base64.b64encode(raw[:1]).decode(), _NOT_BASE64_OF_FLOATS),
+    "empty": (lambda block, raw: "", "series for run 1 P1 has no samples"),
+}
+
+
+@pytest.mark.parametrize("mutate, start", _BAD_BLOCKS.values(), ids=_BAD_BLOCKS)
+def test_replay_bad_samples_block_exits_input(cli_env, tmp_path, capsys, mutate, start):
+    """A samples block that is not strict base64 of a positive whole number
+    of float64 values exits 2 with one error line that names the run, the
+    state and the field, and writes no report."""
+    doc = json.loads(cli_env["ptog"].read_text())
+    block = doc["series"][0]["samples"]
+    doc["series"][0]["samples"] = mutate(block, base64.b64decode(block))
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(doc))
+    code = main(["replay", "--ptog", str(graph_path), "--config", str(cli_env["config"]),
+                 "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: {start}"), line
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_replay_non_finite_bit_pattern_exits_input(cli_env, tmp_path_factory):
+    """A NaN (any sign or payload) or an infinity written into any value of any
+    block exits 2 with one error line naming the position, run and state."""
+    hypothesis = pytest.importorskip("hypothesis")
+    import contextlib
+    import io
+
+    from hypothesis import strategies as st
+
+    root = tmp_path_factory.mktemp("non_finite")
+    base = json.loads(cli_env["ptog"].read_text())
+    labels = {s["index"]: s["label"] for s in base["states"]}
+    patterns = st.sampled_from([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                                0x7FFFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000])
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(i=st.integers(0, len(base["series"]) - 1), at=st.integers(0, 10**6),
+                      bits=patterns)
+    def check(i, at, bits):
+        doc = json.loads(json.dumps(base))
+        entry = doc["series"][i]
+        values = block_values(entry["samples"])
+        at %= values.size
+        values.view(np.uint64)[at] = bits
+        entry["samples"] = samples_block(values)
+        graph = root / "g.json"
+        graph.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["replay", "--ptog", str(graph), "--config", str(cli_env["config"]),
+                         "--out", str(root / "x.json")])
+        assert code == EXIT_INPUT
+        assert _error_lines(err.getvalue()) == [
+            f"error: non-finite sample at position {at} in run {entry['run']} {labels[entry['state']]}"
+        ]
+
+    check()
+
+
+_VERSION_1 = ("error: expected schema_version 2, got 1: re-run gendt ingest, "
+              "or rewrite samples as base64 float64 (README)")
+
+
+@pytest.mark.parametrize("command", ["replay", "forecast"])
+def test_schema_version_1_graph_exits_input_with_a_way_out(cli_env, tmp_path, capsys, command):
+    """A graph file of schema_version 1, whose samples are lists of numbers,
+    is refused by `replay` and `forecast` with one line that says how to
+    convert it."""
+    doc = json.loads(cli_env["ptog"].read_text())
+    doc["schema_version"] = 1
+    for entry in doc["series"]:
+        entry["samples"] = block_values(entry["samples"]).tolist()
+    graph_path = tmp_path / "v1.json"
+    graph_path.write_text(json.dumps(doc))
+    rest = ["--out", str(tmp_path / "x.json")] if command == "replay" else ["--run", "7", "--state", "P1"]
+    code = main([command, "--ptog", str(graph_path), "--config", str(cli_env["config"]), *rest])
+    assert code == EXIT_INPUT
+    assert _error_lines(capsys.readouterr().err) == [_VERSION_1]
     assert not (tmp_path / "x.json").exists()
 
 
@@ -1188,6 +1293,9 @@ def test_ingest_contract_under_fixture_meta_mutations(cli_env):
                 continue
             if op == "delete":
                 del parent[path[-1]]
+            elif op == "patch":
+                if isinstance(parent[path[-1]], str):
+                    parent[path[-1]] = _patch_block(parent[path[-1]], *value)
             elif op == "rename" and isinstance(parent, dict):
                 parent[str(value)] = parent.pop(path[-1])
             else:
@@ -1308,7 +1416,7 @@ def test_forecast_contract_under_http_replies(cli_env, tmp_path, capsys, stub_ll
 def _graph_paths(doc: dict) -> list[tuple]:
     """Item paths of a graph file: its fields, and for the first two states,
     runs and series entries each entry and its fields, a state's sensor
-    fields, a run's metadata value and a series' first two samples."""
+    fields and a run's metadata value."""
     paths = [(key,) for key in doc]
     for i in (0, 1):
         paths += [("states", i), ("runs", i), ("series", i)]
@@ -1316,8 +1424,29 @@ def _graph_paths(doc: dict) -> list[tuple]:
         paths += [("states", i, "sensor", key) for key in ("name", "unit")]
         paths += [("runs", i, "index"), ("runs", i, "metadata"), ("runs", i, "metadata", "flank_wear_mm")]
         paths += [("series", i, key) for key in ("run", "state", "sample_rate_hz", "samples")]
-        paths += [("series", i, "samples", j) for j in (0, 1)]
     return paths
+
+
+def _patch_block(block: str, kind: str, at: int, value) -> str:
+    """A samples block after one mutation of the kind named, at value or
+    character `at` (modulo the count): a value's 8 bytes set to the bit
+    pattern `value`, a character inserted, or the text or the bytes cut short.
+    A block that an earlier mutation left undecodable is cut or grown only."""
+    if kind == "insert":
+        i = at % (len(block) + 1)
+        return block[:i] + value + block[i:]
+    if kind == "cut-text":
+        return block[:at % (len(block) + 1)]
+    try:
+        raw = bytearray(base64.b64decode(block, validate=True))
+    except ValueError:
+        return block
+    if kind == "cut-bytes":
+        return base64.b64encode(raw[:at % (len(raw) + 1)]).decode()
+    if len(raw) >= 8:
+        i = 8 * (at % (len(raw) // 8))
+        raw[i:i + 8] = value.to_bytes(8, "little")
+    return base64.b64encode(raw).decode()
 
 
 def test_replay_contract_under_graph_mutations(cli_env):
@@ -1339,8 +1468,20 @@ def test_replay_contract_under_graph_mutations(cli_env):
     values = st.one_of(
         st.sampled_from(edges), st.integers(-3, 20), st.floats(), st.text(max_size=3)
     )
-    mutation = st.tuples(
-        st.sampled_from(_graph_paths(base)), st.sampled_from(["set", "delete", "rename"]), values
+    # bit patterns: NaNs of both signs and a payload, the infinities, the
+    # largest finite value, 1e300 (which the encoder cannot format), -0.0
+    # and the smallest subnormal
+    patterns = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FEFFFFFFFFFFFFF, 0x7E37E43C8800759C, 1 << 63, 1]
+    patches = st.one_of(
+        st.tuples(st.just("bits"), st.integers(0, 10**6), st.sampled_from(patterns)),
+        st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(["!", "\n", "=", " ", "-", "é"])),
+        st.tuples(st.sampled_from(["cut-text", "cut-bytes"]), st.integers(0, 10**6), st.none()),
+    )
+    mutation = st.one_of(
+        st.tuples(st.sampled_from(_graph_paths(base)), st.sampled_from(["set", "delete", "rename"]), values),
+        st.tuples(st.sampled_from([("series", 0, "samples"), ("series", 1, "samples")]), st.just("patch"),
+                  patches),
     )
 
     @hypothesis.settings(max_examples=80, deadline=None, database=None)
@@ -1355,6 +1496,9 @@ def test_replay_contract_under_graph_mutations(cli_env):
                 continue
             if op == "delete":
                 del parent[path[-1]]
+            elif op == "patch":
+                if isinstance(parent[path[-1]], str):
+                    parent[path[-1]] = _patch_block(parent[path[-1]], *value)
             elif op == "rename" and isinstance(parent, dict):
                 parent[str(value)] = parent.pop(path[-1])
             else:
@@ -1378,7 +1522,9 @@ def test_replay_unencodable_sample_fails_only_the_touching_epochs(cli_env, tmp_p
     and a forecast of such an epoch exits 2 naming the failure."""
     doc = json.loads(cli_env["ptog"].read_text())
     (entry,) = [e for e in doc["series"] if (e["run"], e["state"]) == (5, 2)]
-    entry["samples"][len(entry["samples"]) // 2] = 1e300
+    values = block_values(entry["samples"])
+    values[values.size // 2] = 1e300
+    entry["samples"] = samples_block(values)
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps(doc))
     clean, out = tmp_path / "clean.json", tmp_path / "x.json"

@@ -72,7 +72,7 @@ VARIANTS = {
 SPARSE_VERTICES = [[10, 1], [12, 1], [13, 3], [14, 1], [14, 3]]
 
 INGEST_SHA256 = {
-    "ptog.json": "053d789313871f4589e5c069e22ee5fb99811e8a5d13ea39243b0c5c9e2e1906",
+    "ptog.json": "da1877b55e111f94539e37dcbc3b88e03fd18a27a2732d333ad994a81655b332",
     "work/manifest.json": "f3c6f1925af5497ced15ff6f071e9d0b500151b1a6560b75d51459579b4ad644",
     "work/segments/run_1_P2.csv": "5844c52515da5e62fbddf39cf29db38e64eba6b589818d845ea67cceee25d534",
 }

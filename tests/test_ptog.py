@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import make_random_ptog
+from conftest import block_values, make_random_ptog
 from gendt.ptog import (
     DuplicateVertex,
     MeasurementSeries,
@@ -201,12 +203,22 @@ def test_two_saves_byte_identical(milling_ptog, tmp_path):
 
 
 def test_load_rejects_wrong_schema_version(milling_ptog, tmp_path):
+    """Only schema_version 2 is read; a version 1 file, its samples lists of
+    numbers, is refused with one line that says how to convert it."""
     doc = milling_ptog.to_dict()
     doc["schema_version"] = 99
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaVersionMismatch):
         load_ptog(path)
+    doc["schema_version"] = 1
+    for entry in doc["series"]:
+        entry["samples"] = block_values(entry["samples"]).tolist()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaVersionMismatch) as info:
+        load_ptog(path)
+    assert str(info.value) == ("expected schema_version 2, got 1: re-run gendt ingest, "
+                               "or rewrite samples as base64 float64 (README)")
 
 
 def test_load_corrupted_file(tmp_path):
@@ -391,10 +403,47 @@ def test_samples_are_one_read_only_float64_array(milling_ptog, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "samples", [[[1.0, 2.0]], 5.0, [1.0, [2.0]], ["a"], [10**400], [1.0, "1.5"], [True, False]]
+    "samples",
+    [[[1.0, 2.0]], 5.0, [1.0, [2.0]], ["a"], [10**400], [1.0, "1.5"], [True, False], None, True, {}],
 )
 def test_samples_of_the_wrong_shape_rejected_by_graph_file(samples):
+    """A samples block is a string: a list (a schema_version 1 file's
+    samples), a number, null, a boolean or an object is refused by type."""
     doc = Ptog.from_series([series(1)]).to_dict()
     doc["series"][0]["samples"] = samples
-    with pytest.raises(PtogError):
+    with pytest.raises(PtogError, match="^samples of run 1 P1 must be a base64 string of "
+                                        "little-endian float64 bytes, got "):
         Ptog.from_dict(doc)
+
+
+def test_samples_round_trip_bit_for_bit(tmp_path):
+    """`save_ptog` then `load_ptog` keeps each series' bytes, a save of the
+    loaded graph is the same file, and each block is the little-endian
+    float64 bytes of its series, whatever the byte order of the array given."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    edges = [-0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+             sys.float_info.min, 1e300, -1e300, 0.1, 1.0]
+    values = st.one_of(st.sampled_from(edges), st.floats(allow_nan=False, allow_infinity=False))
+    arrays = st.lists(values, min_size=1, max_size=40)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(columns=st.lists(st.tuples(arrays, st.sampled_from(["<f8", ">f8", "=f8"])),
+                                       min_size=1, max_size=4))
+    def check(columns):
+        given = [np.array(x, order) for x, order in columns]
+        graph = Ptog.from_series([MeasurementSeries(RunId(run), S1, SENSOR, 100.0, x)
+                                  for run, x in enumerate(given, start=1)])
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_ptog(graph, first)
+        loaded = load_ptog(first)
+        for run, x in enumerate(given, start=1):
+            samples = loaded.series[(RunId(run), S1)].samples
+            assert samples.tobytes() == x.astype(np.float64).tobytes()
+        save_ptog(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        blocks = [e["samples"] for e in json.loads(first.read_text())["series"]]
+        assert [base64.b64decode(b) for b in blocks] == [x.astype("<f8").tobytes() for x in given]
+
+    check()
