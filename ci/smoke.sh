@@ -5,8 +5,8 @@
 # arguments are the command that runs gendt, and `python` must import the
 # same gendt package:
 #
-#   ci/smoke.sh gendt                                  # the installed package
-#   PYTHONPATH="$PWD/src" ci/smoke.sh python -m gendt.cli   # a checkout, from its root
+#   CHECKOUT/ci/smoke.sh gendt                             # the installed package
+#   PYTHONPATH=CHECKOUT/src CHECKOUT/ci/smoke.sh python -m gendt.cli   # a checkout
 #
 # Only the installed package has the `gendt` console script; with any other
 # command the script says that it skipped that check.
