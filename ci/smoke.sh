@@ -72,6 +72,16 @@ doc["backend"].update(kind="llm_http", endpoint="http://127.0.0.1:9/v1", retry_b
 json.dump(doc, open("backoff.json", "w"))' "$CONFIG"
 GENDT_API_KEY=dummy expect 3 replay --ptog ptog.json --config backoff.json
 grep -q retry_base_delay_s err.txt
+# an encoding scale past 1e100 is a config error: the wire's values times the
+# scale must stay far enough below the float range that no squared error overflows
+python -c 'import json, sys; doc = json.load(open(sys.argv[1]))
+doc["encoding"]["scale"] = 1e101
+json.dump(doc, open("big_scale.json", "w"))' "$CONFIG"
+expect 3 replay --ptog ptog.json --config big_scale.json
+grep -q 'scale must be in' err.txt
+# a state label the graph does not hold
+expect 2 forecast --ptog ptog.json --config "$CONFIG" --run 6 --state P9
+grep -q P9 err.txt
 # a replay report whose epochs[0].median holds a string: the error names the field
 python -c 'import json; doc = json.load(open("report.json"))
 doc["epochs"][0]["median"] = "1.0,2.0"

@@ -34,7 +34,9 @@ DEFAULT_PROMPT_TEMPLATE = (
 
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _RESERVED_SEPARATOR_CHARS = set("0123456789+-.")
-_OVERFLOW_LIMIT = 1e9
+_OVERFLOW_LIMIT = 1e9  # the bound on a wire value's magnitude, encoded or decoded
+# every wire value times scale is then below 1e109, so no squared error overflows a float64
+SCALE_MAX = 1e100
 
 
 class CodecError(GendtError):
@@ -68,8 +70,8 @@ class EncodingSpec:
             raise CodecError("separator must be non-empty")
         if any(ch in _RESERVED_SEPARATOR_CHARS for ch in self.separator):
             raise CodecError(f"separator {self.separator!r} collides with numeric characters")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise CodecError(f"scale must be a positive finite real, got {self.scale}")
+        if not 0 < self.scale <= SCALE_MAX:
+            raise CodecError(f"scale must be in (0, {SCALE_MAX:g}], got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,8 @@ def decode(
     stripped (models sometimes preface output despite instructions); trailing
     junk is trimmed from the final token only. More values than expected are
     truncated; fewer yield DecodeFailure("short", parsed_count); any bad token
-    in between yields DecodeFailure("malformed", token_index).
+    in between, one of magnitude 1e9 or more among them, yields
+    DecodeFailure("malformed", token_index).
     """
     first = _NUMBER_RE.search(text)
     if first is None:
@@ -214,10 +217,10 @@ def decode(
             v = float(token)
         except ValueError:
             return DecodeFailure("malformed", i, f"unparseable token {token!r}")
-        v *= spec.scale
-        if not math.isfinite(v):  # checked after scaling: 1e308 is finite, 4 x 1e308 is not
-            return DecodeFailure("malformed", i, f"token {token!r} x {spec.scale} is not finite")
-        values.append(v)
+        if not abs(v) < _OVERFLOW_LIMIT:  # the encoder's bound; NaN compares false
+            return DecodeFailure("malformed", i,
+                                 f"token {token!r} is not a value of magnitude below {_OVERFLOW_LIMIT:g}")
+        values.append(v * spec.scale)
         if len(values) == expected_len:
             break
     if len(values) < expected_len:

@@ -174,9 +174,9 @@ def run_epoch(
     target: Optional[PreparedVertex],
     seeds: Optional[np.ndarray],
     config: "RunConfig",
-) -> tuple[EpochReport, np.ndarray, Optional[np.ndarray]]:
-    """The forecast stage of one epoch whose inputs `run_replay` planned: its
-    record (flags, history, horizon, timing), attempt matrix and truth.
+) -> tuple[EpochReport, Optional[np.ndarray], Optional[np.ndarray]]:
+    """One epoch whose inputs `run_replay` planned, turned into its record
+    (flags, history, horizon, timing), attempt matrix and truth.
 
     `window` is the epoch's history, oldest first, and `target` its own
     series, None when the graph carries none, each as its prepared vertex;
@@ -187,34 +187,38 @@ def run_epoch(
     consulted only after the forecast is fixed (except for the oracle
     backend, which is defined to receive it), and cut to the horizon; it is
     None without ground truth.
-    Raises AllAttemptsFailed, and a CodecError when a window or target vertex
-    cannot be encoded; the replay records both as a failed epoch.
+    An epoch with a window or target vertex that cannot be encoded, or whose
+    every attempt fails, is recorded as failed: flags "epoch_failed" and the
+    error's class name, no matrix and no truth.
     """
     start = time.perf_counter()
-    flags = ["short_history"] if len(window) < config.history_depth else []
-
     horizon = len(window[-1].values)
-    # the join of per-vertex encodings is the encoding of the concatenation
-    sensor_text = config.encoding.separator.join(v.wire_or_raise().text for v in window)
-    prompt = codec.build_prompt(sensor_text, config.prompt_template)
     oracle = config.backend.kind == "oracle"
-    truth = target.wire_or_raise().decoded if oracle and target is not None else None
-    request = ForecastRequest(
-        prompt=prompt,
-        temperature=config.resolved_temperature(),
-        top_p=config.ensemble.top_p,
-        attempts=config.ensemble.attempts,
-        horizon=horizon,
-        encoding=config.encoding,
-        last_history=window[-1].values,
-        seeds=seeds,
-        truth=truth,
-    )
-    _, rows = forecast_ensemble(config.backend, request)
+    try:
+        # the join of per-vertex encodings is the encoding of the concatenation
+        sensor_text = config.encoding.separator.join(v.wire_or_raise().text for v in window)
+        truth = target.wire_or_raise().decoded if oracle and target is not None else None
+        request = ForecastRequest(
+            prompt=codec.build_prompt(sensor_text, config.prompt_template),
+            temperature=config.resolved_temperature(),
+            top_p=config.ensemble.top_p,
+            attempts=config.ensemble.attempts,
+            horizon=horizon,
+            encoding=config.encoding,
+            last_history=window[-1].values,
+            seeds=seeds,
+            truth=truth,
+        )
+        _, rows = forecast_ensemble(config.backend, request)
+        if target is not None and not oracle:
+            truth = target.wire_or_raise().decoded
+    except (AllAttemptsFailed, codec.CodecError) as exc:
+        flags = ["epoch_failed", type(exc).__name__]
+        return EpochReport(epoch.run.index, epoch.state.label, flags=flags), None, None
+
+    flags = ["short_history"] if len(window) < config.history_depth else []
     if len(rows) < config.ensemble.attempts:
         flags.append("failed_attempts")
-    if target is not None and not oracle:
-        truth = target.wire_or_raise().decoded
     if truth is None:
         flags.append("no_ground_truth")
     elif len(truth) != horizon:
@@ -232,16 +236,6 @@ def run_epoch(
         downsample_factor=config.downsample.factor_for(window[-1].series.sample_rate_hz),
     )
     return report, rows, truth
-
-
-def _forecast(config: "RunConfig", epoch, window, target, seeds) -> tuple:
-    """`run_epoch`'s result, or a failed epoch's record without a matrix."""
-    try:
-        # through the module global, so a wrapper set on it sees every epoch
-        return run_epoch(epoch, window, target, seeds, config)
-    except (AllAttemptsFailed, codec.CodecError) as exc:
-        flags = ["epoch_failed", type(exc).__name__]
-        return EpochReport(epoch.run.index, epoch.state.label, flags=flags), None, None
 
 
 def _score(forecasts: list[tuple]) -> list[EpochReport]:
@@ -297,10 +291,11 @@ def run_replay(
     one batch per sample rate and encoded by one `codec.encode_many` pass,
     and under `mock_noise` every attempt's seed hashed in one pass (an epoch
     without history raises NoHistory here).
-    `run_epoch` forecasts each epoch, `_score` scores them in batches, and
-    the fold takes decisions and health in epoch order. Failed epochs are
-    recorded and the replay goes on; they, and epochs without ground truth,
-    add 0 to the fold. With
+    `run_epoch`, called through the module global so that a wrapper set on
+    it sees every epoch, turns each epoch into its record, failed or not;
+    `_score` scores the forecasts in batches, and the fold takes decisions
+    and health in epoch order. Failed epochs are recorded and the replay
+    goes on; they, and epochs without ground truth, add 0 to the fold. With
     config.halt_on_stop the fold stops at the first Stop decision, emulating
     a live control loop, and epochs are forecast and scored one at a time, so
     that none past the Stop is forecast; otherwise all are scored at once.
@@ -321,7 +316,7 @@ def run_replay(
     # a halting replay forecasts one epoch at a time, so none past the Stop is
     # forecast (or, under llm_http, paid for); any other scores all at once
     size = 1 if config.halt_on_stop else max(len(plan), 1)
-    chunks = (_score([_forecast(config, *p) for p in plan[i:i + size]])
+    chunks = (_score([run_epoch(*p, config) for p in plan[i:i + size]])
               for i in range(0, len(plan), size))
     reports: list[EpochReport] = []
     cumulative = 0.0

@@ -267,12 +267,14 @@ def test_noise_sigma_bound(cli_env, tmp_path, capsys, above):
         assert len(epochs) == 30 and all(e["q_rmse"] > 1e99 for e in epochs)
 
 
-def test_forecast_unknown_vertex(cli_env):
-    code = main(
-        ["forecast", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
-         "--run", "99", "--state", "P1"]
-    )
-    assert code == EXIT_INPUT
+def test_forecast_unknown_vertex(cli_env, capsys):
+    for run, state in (("99", "P1"), ("7", "P9")):
+        code = main(
+            ["forecast", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
+             "--run", run, "--state", state]
+        )
+        assert code == EXIT_INPUT
+        assert len(_error_lines(capsys.readouterr().err)) == 1
 
 
 def test_report_artifacts(cli_env, tmp_path, capsys):
@@ -291,6 +293,44 @@ def test_report_artifacts(cli_env, tmp_path, capsys):
     assert (out_dir / "rmse_boxplot.svg").exists()
     overlays = sorted(out_dir.glob("overlay_run*.svg"))
     assert len(overlays) == 30
+
+
+def _p1_series_less_from_run_5(doc: dict) -> dict:
+    """The graph with the P1 series of runs 5 on turned into series-less vertices."""
+    p1 = next(s["index"] for s in doc["states"] if s["label"] == "P1")
+    late = [e for e in doc["series"] if e["state"] == p1 and e["run"] >= 5]
+    doc["series"] = [e for e in doc["series"] if e not in late]
+    doc["extra_vertices"] += [[e["run"], p1] for e in late]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind, min_history, mutate, overlays, boxplot",
+    [("oracle", 4, _p1_series_less_from_run_5, 20, True),
+     ("persistence", 99, lambda doc: doc, 0, False)],
+    ids=["failed-epochs", "no-epochs"],
+)
+def test_report_draws_only_evaluated_epochs(cli_env, tmp_path, capsys, kind, min_history, mutate,
+                                            overlays, boxplot):
+    """`gendt report` draws an overlay for each epoch with a forecast, and a
+    box plot when any epoch was evaluated: an oracle replay whose P1 targets
+    from run 5 on carry no series fails those 10 epochs and draws the other
+    20; a replay without epochs writes only the run table."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(mutate(json.loads(cli_env["ptog"].read_text()))))
+    config = tmp_path / "cfg.json"
+    save_config(make_config(kind, min_history=min_history), config)
+    report = tmp_path / "report.json"
+    assert main(["replay", "--ptog", str(graph), "--config", str(config), "--out", str(report)]) == EXIT_OK
+    out_dir = tmp_path / "artifacts"
+    assert main(["report", "--report", str(report), "--out-dir", str(out_dir)]) == EXIT_OK
+    written = 1 + overlays + boxplot
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {written} artifacts to {out_dir}"
+    epochs = json.loads(report.read_text())["epochs"]
+    drawn = [f"overlay_run{e['run']:02d}_{e['state']}.svg" for e in epochs if e["median"]]
+    assert len(drawn) == overlays and all("P1" not in name for name in drawn)
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        ["per_run_errors.csv", *drawn] + ["rmse_boxplot.svg"] * boxplot)
 
 
 def test_replay_llm_http_end_to_end(cli_env, tmp_path, stub_llm, api_key_env):
@@ -343,6 +383,29 @@ def test_replay_survives_hostile_replies(cli_env, tmp_path, stub_llm, api_key_en
     epochs = json.loads(out.read_text())["epochs"]
     assert [e["attempts_used"] for e in epochs] == [7] + [10] * 29
     assert len(stub_llm.requests) == 300
+
+
+def test_replay_of_replies_past_the_wire_range_fails_every_epoch(cli_env, tmp_path, capsys, stub_llm,
+                                                                  api_key_env):
+    """Replies of `1e300` tokens, past the range the encoder writes, fail
+    every attempt as malformed: each epoch fails, no squared error overflows,
+    and the replay writes its report and exits 0."""
+    from gendt.config import EnsembleParams
+    from gendt.forecast import BackendConfig
+
+    stub_llm.script = [(200, stub_llm.completion(",".join(["1e300"] * 400)))]
+    backend = BackendConfig(kind="llm_http", endpoint=stub_llm.endpoint, max_retries=0)
+    config_path = tmp_path / "llm.json"
+    save_config(make_config(backend=backend, ensemble=EnsembleParams(attempts=2)), config_path)
+    out = tmp_path / "llm_report.json"
+    code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert _error_lines(capsys.readouterr().err) == []
+    epochs = json.loads(out.read_text())["epochs"]
+    assert len(epochs) == 30
+    assert all(e["flags"] == ["epoch_failed", "AllAttemptsFailed"] for e in epochs)
+    assert len(stub_llm.requests) == 30 * 2
 
 
 def test_reproducible_report_does_not_depend_on_max_in_flight(cli_env, tmp_path, stub_llm,
@@ -626,6 +689,8 @@ _UNCOERCED_GRAPH_VALUES = {
                      "states must be a JSON list, got {'a': 1}", id="_states_as_object"),
         pytest.param(_set_graph_value(("runs", 0), 5), "runs[0] must be a JSON object, got 5",
                      id="_run_as_number"),
+        pytest.param(_set_graph_value(("states", 0, "label"), ""), "state label must be non-empty",
+                     id="_empty_state_label"),
         pytest.param(_set_graph_value(("states", 0, "sensor"), "x"),
                      "state P1: sensor must be a JSON object, got 'x'", id="_sensor_as_text"),
         pytest.param(_set_graph_value(("states", 1, "sensor"), ["a"]),
@@ -1058,6 +1123,11 @@ def test_replay_graph_with_nan_sample_rate_exits_input(cli_env, tmp_path, capsys
         # a non-finite float is written as JSON's `Infinity` or `NaN`
         ("backend", {"kind": "persistence", "retry_base_delay_s": float("inf")}),
         ("thresholds", {"t_low": float("nan"), "t_high": 1.5, "t_health": 15.0}),
+        ("history_depth", 0),
+        ("min_history", 0),
+        ("health_scope", "x"),
+        ("backend", {"kind": "persistence", "max_retries": -1}),
+        ("encoding", {"scale": 1e101}),
     ],
 )
 def test_replay_out_of_range_dsp_config_exits_config(cli_env, tmp_path, capsys, section, params):
@@ -1105,6 +1175,20 @@ def test_replay_cutoff_at_or_above_nyquist_exits_input(cli_env, tmp_path, capsys
     assert code == EXIT_INPUT
     (line,) = _error_lines(capsys.readouterr().err)
     assert "cutoff_hz" in line and "125.0 Hz" in line
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_replay_target_rate_too_low_for_the_graph_exits_input(cli_env, tmp_path, capsys):
+    # 250 Hz over 5e-324 Hz is past the float range: no stride can be resolved
+    doc = make_config("persistence").to_dict()
+    doc["downsample"] = {"target_rate_hz": 5e-324}
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                 "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_INPUT
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "target_rate_hz 5e-324 is too low for a 250.0 Hz series" in line
     assert not (tmp_path / "x.json").exists()
 
 
@@ -1391,6 +1475,8 @@ def test_forecast_contract_under_http_replies(cli_env, tmp_path, capsys, stub_ll
     contents = st.one_of(
         st.lists(tokens, max_size=40).map(",".join),  # too few, too many, or bad tokens
         st.integers(0, 700).map(lambda n: ",".join(["0.50"] * n)),
+        # one token past the wire range, repeated beyond the horizon
+        st.sampled_from(["1e9", "1e154", "1e300", "-1e300"]).map(lambda t: ",".join([t] * 700)),
     )
     shapes = st.sampled_from([{}, [], None, "not json", {"choices": []}, {"choices": [{}]},
                               {"choices": [{"message": {"content": 5}}]}, {"choices": {"0": 1}},

@@ -197,6 +197,7 @@ def test_decode_malformed_position():
     result = decode("1.23,abc,4", SPEC, 3)
     assert isinstance(result, DecodeFailure)
     assert (result.reason, result.position) == ("malformed", 1)
+    assert decode("1,,2", SPEC, 3) == DecodeFailure("malformed", 1, "empty token")
 
 
 def test_decode_truncates_extra_values():
@@ -218,10 +219,24 @@ def test_decode_rejects_nan_token():
     assert result.reason == "malformed"
 
 
-def test_decode_checks_finiteness_after_scaling():
-    # 1e308 parses as a finite float; scaled by 4 it is inf
-    result = decode("1e308,1", EncodingSpec(scale=4.0), 2)
-    assert (result.reason, result.position) == ("malformed", 0)
+@pytest.mark.parametrize(
+    "text, scale, position",
+    [("1,1e9", 1.0, 1), ("-1e300,1", 1.0, 0), ("1e308,1", 4.0, 0)],
+    ids=["1e9", "-1e300", "1e308-scale-4"],
+)
+def test_decode_refuses_a_token_past_the_wire_range(text, scale, position):
+    """A token of magnitude 1e9 or more, which the encoder never writes, is
+    malformed whatever the scale; just below the bound it decodes."""
+    result = decode(text, EncodingSpec(scale=scale), 2)
+    assert (result.reason, result.position) == ("malformed", position)
+    assert decode("999999999.99,1", EncodingSpec(scale=scale), 2) == [999999999.99 * scale, scale]
+
+
+def test_scale_bound():
+    EncodingSpec(scale=codec.SCALE_MAX)
+    for scale in (float(np.nextafter(codec.SCALE_MAX, np.inf)), 0.0, float("inf"), float("nan")):
+        with pytest.raises(CodecError, match="scale must be in"):
+            EncodingSpec(scale=scale)
 
 
 def test_decode_empty_output():

@@ -386,3 +386,80 @@ def test_unencodable_vertex_fails_only_its_epochs_in_one_encode_call(
             vertex.wire_or_raise()
         raised.append(error.value)
     assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
+
+
+def test_replay_equals_the_one_epoch_at_a_time_reference():
+    """On small drawn graphs and configs, `run_replay` and every stage it
+    batches across epochs give the records, summary and halt of the
+    reference replay, which runs each epoch alone: every field but `timing`,
+    and the errors bit for bit."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    from reference import reference_replay
+
+    from gendt.codec import EncodingSpec
+    from gendt.config import EnsembleParams, RunConfig
+    from gendt.dsp import DownsampleSpec, FilterSpec
+    from gendt.forecast import BackendConfig
+
+    states = [StateId(1, "P1"), StateId(2, "P2")]
+
+    @st.composite
+    def graphs(draw):
+        series, empty = [], []
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))  # the samples, drawn fast
+        # few lengths, so that epochs of equal horizon but unequal truth length meet in one replay
+        lengths = st.sampled_from(draw(st.lists(st.integers(1, 40), min_size=1, max_size=3)))
+        for run in map(RunId, range(1, draw(st.integers(3, 8)) + 1)):
+            for state in states[:draw(st.integers(1, 2))]:
+                what = draw(st.sampled_from(["series"] * 4 + ["series-less", "absent"]))
+                if what == "series":
+                    samples = rng.normal(0.0, 10.0, draw(lengths)).round(3)
+                    series.append(MeasurementSeries(run, state, SENSOR, draw(st.sampled_from([50.0, 200.0])),
+                                                    samples))
+                elif what == "series-less":
+                    empty.append((run, state, SENSOR))
+        if series and draw(st.booleans()):  # one sample no wire can carry
+            i = draw(st.integers(0, len(series) - 1))
+            at = draw(st.integers(0, len(series[i].samples) - 1))
+            samples = series[i].samples.copy()
+            samples[at] = 1e300
+            series[i] = replace(series[i], samples=samples)
+        hypothesis.assume(series)
+        return Ptog.from_series(series, empty_vertices=empty)
+
+    @st.composite
+    def configs(draw):
+        t_low = draw(st.sampled_from([0.5, 5.0, 50.0]))
+        return RunConfig(
+            backend=BackendConfig(kind=draw(st.sampled_from(["mock_noise", "persistence", "oracle"])),
+                                  rng_seed=draw(st.integers(0, 2**40)),
+                                  noise_sigma=draw(st.sampled_from([0.0, 0.1, 5.0]))),
+            thresholds=ControlThresholds(t_low, t_low * draw(st.sampled_from([1, 3])),
+                                         draw(st.sampled_from([1.0, 15.0]))),
+            filter=FilterSpec(draw(st.sampled_from([3.0, 8.0])), draw(st.integers(1, 4)), draw(st.booleans())),
+            downsample=draw(st.sampled_from([DownsampleSpec(factor=1), DownsampleSpec(factor=3),
+                                             DownsampleSpec(target_rate_hz=20.0)])),
+            encoding=EncodingSpec(draw(st.integers(0, 3)), draw(st.sampled_from([",", ";"])),
+                                  draw(st.sampled_from([0.01, 1.0, 4.0, 1e100]))),
+            ensemble=EnsembleParams(attempts=draw(st.integers(1, 4))),
+            history_depth=draw(st.integers(1, 3)),
+            min_history=draw(st.integers(1, 2)),
+            halt_on_stop=draw(st.booleans()),
+            health_scope=draw(st.sampled_from(["session", "run"])),
+        )
+
+    def fields_of(report):
+        record = report.to_dict()
+        del record["timing"]
+        return repr(record), None if report.errors is None else report.errors.tobytes()
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(ptog=graphs(), config=configs())
+    def check(ptog, config):
+        result, reference = run_replay(ptog, config), reference_replay(ptog, config)
+        assert list(map(fields_of, result.reports)) == list(map(fields_of, reference.reports))
+        assert repr(result.summary) == repr(reference.summary)
+        assert result.halted == reference.halted
+
+    check()
