@@ -51,10 +51,6 @@ class Overflow(CodecError):
     """Scaled magnitude too large for fixed-point formatting."""
 
 
-class MissingPlaceholder(CodecError):
-    pass
-
-
 @dataclass(frozen=True)
 class EncodingSpec:
     """Fixed-precision wire format: value/scale rendered with `decimals` digits."""
@@ -183,16 +179,22 @@ def _trim_trailing_junk(token: str) -> str:
     return token[: m.end()]
 
 
+def _out_of_range(token: str) -> str:
+    return f"token {token!r} is not a value of magnitude below {_OVERFLOW_LIMIT:g}"
+
+
 def decode(
     text: str, spec: EncodingSpec, expected_len: int
 ) -> Union[list[float], DecodeFailure]:
     """Parse model output into at most `expected_len` values.
 
     Total over arbitrary strings. Leading prose before the first number is
-    stripped (models sometimes preface output despite instructions); trailing
-    junk is trimmed from the final token only. More values than expected are
-    truncated; fewer yield DecodeFailure("short", parsed_count); any bad token
-    in between, one of magnitude 1e9 or more among them, yields
+    stripped (models sometimes preface output despite instructions), unless
+    one of its tokens is a float the number pattern does not match (NaN or an
+    infinity), which is a bad value, not prose; trailing junk is trimmed from
+    the final token only. More values than expected are truncated; fewer
+    yield DecodeFailure("short", parsed_count); any bad token in between, one
+    of magnitude 1e9 or more among them, yields
     DecodeFailure("malformed", token_index).
     """
     first = _NUMBER_RE.search(text)
@@ -201,6 +203,12 @@ def decode(
             return DecodeFailure("short", 0, "empty output")
         return DecodeFailure("malformed", 0, "no numeric tokens")
     if first.start() > 0:
+        for i, token in enumerate(text[: first.start()].split(spec.separator)):
+            try:
+                float(token)
+            except ValueError:
+                continue
+            return DecodeFailure("malformed", i, _out_of_range(token.strip()))
         log.debug("stripped %d chars of leading prose before first number", first.start())
 
     tokens = text[first.start():].split(spec.separator)
@@ -218,8 +226,7 @@ def decode(
         except ValueError:
             return DecodeFailure("malformed", i, f"unparseable token {token!r}")
         if not abs(v) < _OVERFLOW_LIMIT:  # the encoder's bound; NaN compares false
-            return DecodeFailure("malformed", i,
-                                 f"token {token!r} is not a value of magnitude below {_OVERFLOW_LIMIT:g}")
+            return DecodeFailure("malformed", i, _out_of_range(token))
         values.append(v * spec.scale)
         if len(values) == expected_len:
             break
@@ -236,7 +243,7 @@ def build_prompt(
     tpl = DEFAULT_PROMPT_TEMPLATE if template is None else template
     occurrences = tpl.count(PLACEHOLDER)
     if occurrences == 0:
-        raise MissingPlaceholder(f"template does not contain {PLACEHOLDER!r}")
+        raise CodecError(f"template does not contain {PLACEHOLDER!r}")
     if occurrences > 1:
-        raise MissingPlaceholder(f"template must contain {PLACEHOLDER!r} exactly once")
+        raise CodecError(f"template must contain {PLACEHOLDER!r} exactly once")
     return tpl.replace(PLACEHOLDER, text)

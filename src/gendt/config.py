@@ -14,7 +14,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Union, get_args, get_type_hints
 
-from .codec import DEFAULT_PROMPT_TEMPLATE, EncodingSpec, MissingPlaceholder, build_prompt
+from .codec import DEFAULT_PROMPT_TEMPLATE, CodecError, EncodingSpec, build_prompt
 from .controller import ControlThresholds
 from .dsp import DownsampleSpec, FilterSpec
 from .errors import BOOLEAN, INTEGER, NUMBER, OBJECT, STRING, GendtError, checked, optional, read_json, shown
@@ -82,9 +82,10 @@ class RunConfig:
             return DEFAULT_PROMPT_TEMPLATE
         try:
             template = Path(self.prompt_template_path).read_text()
-            build_prompt("", template)  # raises MissingPlaceholder unless it occurs once
-        except (OSError, UnicodeDecodeError, MissingPlaceholder) as exc:
-            raise ConfigError(f"prompt template {self.prompt_template_path}: {exc}") from exc
+            build_prompt("", template)  # raises CodecError unless it occurs once
+        except (OSError, UnicodeDecodeError, CodecError) as exc:
+            reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+            raise ConfigError(f"prompt template {self.prompt_template_path}: {reason}") from exc
         return template
 
     def to_dict(self) -> dict:

@@ -40,10 +40,6 @@ class ControlError(GendtError):
     pass
 
 
-class NonFiniteQ(ControlError):
-    """The quantity of interest is NaN, infinite, or negative."""
-
-
 class ControlDecision(enum.IntEnum):
     """Three-level policy outcome, ordered by severity."""
 
@@ -89,7 +85,7 @@ class HealthVerdict:
 def decide(q: float, th: ControlThresholds) -> ControlDecision:
     """Continue below t_low, Warning inside the closed band, Stop above t_high."""
     if not math.isfinite(q) or q < 0:
-        raise NonFiniteQ(f"quantity of interest must be finite and >= 0, got {q!r}")
+        raise ControlError(f"quantity of interest must be finite and >= 0, got {q!r}")
     if q < th.t_low:
         return ControlDecision.CONTINUE
     if q <= th.t_high:

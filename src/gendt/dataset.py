@@ -13,9 +13,7 @@ external files.
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -36,21 +34,6 @@ class DatasetError(GendtError):
     pass
 
 
-class InsufficientPoints(DatasetError):
-    """Wear interpolation needs at least two known measurements."""
-
-
-@dataclass(frozen=True)
-class WearRecord:
-    run: int
-    flank_wear_mm: float
-    interpolated: bool
-
-    def __post_init__(self) -> None:
-        if not (self.flank_wear_mm >= 0 and math.isfinite(self.flank_wear_mm)):
-            raise DatasetError(f"flank wear must be finite and >= 0, got {self.flank_wear_mm}")
-
-
 def segment(samples: Sequence[float], bounds: Bounds) -> tuple[Sequence[float], ...]:
     """Cut one run's trace at [start, p1_end, p2_end, end] into the three
     process states (entry, stable, exit); none of them can be empty."""
@@ -64,40 +47,38 @@ def segment(samples: Sequence[float], bounds: Bounds) -> tuple[Sequence[float], 
 
 def interpolate_wear(
     known: Sequence[tuple[int, float]], runs: Sequence[int]
-) -> list[WearRecord]:
-    """Linear interpolation of wear between known runs; runs outside the known
-    span take the nearest known value and are flagged as interpolated."""
+) -> dict[int, dict[str, float]]:
+    """Each run's metadata: `flank_wear_mm`, linearly interpolated between
+    the known runs, and `flank_wear_interpolated`, 1.0 unless the run is
+    known. Runs outside the known span take the nearest known value. The
+    values were checked where they entered, in `fixture.json`."""
     if len(known) < 2:
-        raise InsufficientPoints(f"need at least 2 known wear points, got {len(known)}")
+        raise DatasetError(f"need at least 2 known wear points, got {len(known)}")
     points = [(int(r), float(w)) for r, w in known]
     if any(points[i][0] >= points[i + 1][0] for i in range(len(points) - 1)):
         raise DatasetError("known wear runs must be sorted and strictly increasing")
     known_map = dict(points)
-    records = []
+    metadata = {}
     for run in runs:
         if run in known_map:
-            records.append(WearRecord(run, known_map[run], interpolated=False))
-            continue
-        if run < points[0][0]:
-            records.append(WearRecord(run, points[0][1], interpolated=True))
-            continue
-        if run > points[-1][0]:
-            records.append(WearRecord(run, points[-1][1], interpolated=True))
-            continue
-        for (r0, w0), (r1, w1) in zip(points, points[1:]):
-            if r0 < run < r1:
-                w = w0 + (w1 - w0) * (run - r0) / (r1 - r0)
-                records.append(WearRecord(run, w, interpolated=True))
-                break
-    return records
+            w = known_map[run]
+        elif run < points[0][0]:
+            w = points[0][1]
+        elif run > points[-1][0]:
+            w = points[-1][1]
+        else:
+            (r0, w0), (r1, w1) = next(p for p in zip(points, points[1:]) if p[0][0] < run < p[1][0])
+            w = w0 + (w1 - w0) * (run - r0) / (r1 - r0)
+        metadata[run] = {"flank_wear_mm": w, "flank_wear_interpolated": float(run not in known_map)}
+    return metadata
 
 
 _BOUNDARIES = Kind("a non-empty object of run -> bounds", lambda v: OBJECT.test(v) and bool(v))
 _BOUNDS = Kind("4 integers [start, p1_end, p2_end, end]",
                lambda v: type(v) is list and len(v) == 4 and all(map(INTEGER.test, v)))
-_WEAR_POINTS = list_of(Kind("a [run, flank_wear_mm] pair of an integer and a finite number",
+_WEAR_POINTS = list_of(Kind("a [run, flank_wear_mm] pair of an integer and a finite number >= 0",
                             lambda v: type(v) is list and len(v) == 2
-                            and INTEGER.test(v[0]) and NUMBER.test(v[1])))
+                            and INTEGER.test(v[0]) and NUMBER.test(v[1]) and v[1] >= 0))
 
 
 def load_fixture_meta(
@@ -105,8 +86,8 @@ def load_fixture_meta(
 ) -> tuple[float, dict[int, Bounds], list[tuple[int, float]]]:
     """Read and check `fixture.json`: the sample rate, each run's boundaries
     and the known wear points. Values are checked, not coerced, by
-    `errors.checked`: a boundary or a wear run is a JSON integer, and the rate
-    and a wear value are finite numbers."""
+    `errors.checked`: a boundary or a wear run is a JSON integer, the rate is
+    a finite number, and a wear value a finite number >= 0."""
     name = FIXTURE_META_NAME
     meta = checked(DatasetError, read_json(Path(fixture_dir) / name, DatasetError), OBJECT, name)
     rate = float(checked(DatasetError, meta.get("sample_rate_hz"), NUMBER, f"{name}: sample_rate_hz"))
@@ -135,17 +116,19 @@ def ingest_fixture(fixture_dir: Union[str, Path]) -> Ptog:
     fixture_dir = Path(fixture_dir)
     sample_rate_hz, boundaries, wear = load_fixture_meta(fixture_dir)
     runs = sorted(boundaries)
-    metadata = {
-        r.run: {"flank_wear_mm": r.flank_wear_mm, "flank_wear_interpolated": float(r.interpolated)}
-        for r in (interpolate_wear(wear, runs) if len(wear) >= 2 else ())
-    }
+    metadata = interpolate_wear(wear, runs) if len(wear) >= 2 else {}
     states = [StateId(i, label) for i, label in enumerate(STATE_LABELS, start=1)]
     sensor = SensorId(SENSOR_NAME, SENSOR_UNIT)
     series = []
     for run in runs:
-        samples = read_samples_csv(fixture_dir / f"run_{run}.csv")
+        path = fixture_dir / f"run_{run}.csv"
+        samples = read_samples_csv(path)
         samples.flags.writeable = False  # so each series keeps its slice, not a copy
-        for state, values in zip(states, segment(samples, boundaries[run])):
+        try:
+            parts = segment(samples, boundaries[run])
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from exc
+        for state, values in zip(states, parts):
             series.append(MeasurementSeries(RunId(run), state, sensor, sample_rate_hz, values))
     return Ptog.from_series(series, run_metadata=metadata)
 

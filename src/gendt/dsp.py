@@ -20,10 +20,6 @@ class DspError(GendtError):
     pass
 
 
-class InvalidCutoff(DspError):
-    """Cutoff not above zero, or at or above the series' Nyquist frequency."""
-
-
 @dataclass(frozen=True)
 class FilterSpec:
     """Butterworth low-pass; the sample rate is the filtered series' own."""
@@ -35,7 +31,7 @@ class FilterSpec:
     def __post_init__(self) -> None:
         # the cutoff-vs-Nyquist check needs the sample rate; butter_sections makes it
         if not self.cutoff_hz > 0:
-            raise InvalidCutoff(f"filter cutoff_hz must be > 0, got {self.cutoff_hz}")
+            raise DspError(f"filter cutoff_hz must be > 0, got {self.cutoff_hz}")
         if not self.order >= 1:
             raise DspError(f"filter order must be >= 1, got {self.order}")
 
@@ -79,7 +75,7 @@ def butter_sections(
     """
     nyquist = sample_rate_hz / 2
     if not spec.cutoff_hz < nyquist:
-        raise InvalidCutoff(
+        raise DspError(
             f"filter cutoff_hz {spec.cutoff_hz} Hz must lie below the Nyquist frequency "
             f"{nyquist} Hz of a {sample_rate_hz} Hz series"
         )

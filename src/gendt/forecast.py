@@ -119,7 +119,9 @@ class ForecastRequest:
     `last_history` is the most recent prior-run series after preprocessing;
     `truth` is the identically preprocessed target series, provided only to
     the oracle backend. `seeds` is the epoch's (attempts, 4) block of
-    `noise_seeds` words, which only `mock_noise` reads.
+    `noise_seeds` words, which only `mock_noise` reads. The sampling settings
+    come from a checked `EnsembleParams`, and `horizon` is the length of the
+    decimated `last_history`, which is never empty.
     """
 
     prompt: str
@@ -131,11 +133,6 @@ class ForecastRequest:
     last_history: np.ndarray
     seeds: Optional[np.ndarray] = None
     truth: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        # attempts, temperature and top_p come from a validated EnsembleParams
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
 
 @dataclass(frozen=True)

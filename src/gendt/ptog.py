@@ -30,26 +30,6 @@ class PtogError(GendtError):
     """Graph construction or persistence failure."""
 
 
-class DuplicateVertex(PtogError):
-    """Two manifest entries or series target the same (run, state)."""
-
-
-class MissingSeriesFile(PtogError):
-    """A referenced sample file does not exist."""
-
-
-class NonFiniteSample(PtogError):
-    """A sample is NaN, infinite, or unparseable."""
-
-
-class SensorMismatch(PtogError):
-    """One process state was mapped to two different sensors."""
-
-
-class SchemaVersionMismatch(PtogError):
-    """A persisted graph was written with an unsupported schema version."""
-
-
 _checked = partial(checked, PtogError)
 _OBJECTS = list_of(OBJECT)
 _PAIRS = list_of(Kind("a [run, state] pair", lambda v: type(v) is list and len(v) == 2))
@@ -121,7 +101,7 @@ class MeasurementSeries:
             raise PtogError(f"series for {self._where()} has no samples")
         finite = np.isfinite(samples)
         if not finite.all():
-            raise NonFiniteSample(f"non-finite sample at position {finite.argmin()} in {self._where()}")
+            raise PtogError(f"non-finite sample at position {finite.argmin()} in {self._where()}")
 
     def _where(self) -> str:  # for an error line, so a valid series builds no text
         return f"run {self.run.index} {self.state.label}"
@@ -161,28 +141,21 @@ class Ptog:
         process timeline but carry no measurement yet; absence stays explicit
         instead of being modeled as an empty series. Every vertex, with or
         without a series, is checked for duplicates and for its state's sensor.
+        Each state's index and label are paired where they enter (a graph
+        file declares each once; ingest and `build_ptog` number states by
+        label), so a caller gives one `StateId` per label and per index.
         `run_metadata` maps a run index to values its caller already checked.
         """
         series_map: dict[tuple[RunId, StateId], MeasurementSeries] = {}
         vertices: set[tuple[RunId, StateId]] = set()
         sensors: dict[StateId, SensorId] = {}
-        labels: dict[str, StateId] = {}
-        indices: dict[int, StateId] = {}
 
         def add_vertex(run: RunId, state: StateId, sensor: SensorId) -> None:
             if (run, state) in vertices:
-                raise DuplicateVertex(f"duplicate vertex for run {run.index} {state.label}")
-            known = labels.get(state.label)
-            if known is not None and known != state:
-                raise PtogError(f"state label {shown(state.label)} bound to two different indices")
-            known = indices.get(state.index)
-            if known is not None and known != state:
-                raise PtogError(f"state index {state.index} bound to two different labels")
-            labels[state.label] = state
-            indices[state.index] = state
+                raise PtogError(f"duplicate vertex for run {run.index} {state.label}")
             assigned = sensors.setdefault(state, sensor)
             if assigned != sensor:
-                raise SensorMismatch(
+                raise PtogError(
                     f"state {state.label} mapped to sensors {assigned.name!r} and {sensor.name!r}"
                 )
             vertices.add((run, state))
@@ -205,7 +178,7 @@ class Ptog:
 
         return cls(
             runs=tuple(sorted(run_set)),
-            states=tuple(sorted(labels.values(), key=lambda s: s.index)),
+            states=tuple(sorted(sensors, key=lambda s: s.index)),
             sensors=sensors,
             vertices=frozenset(vertices),
             series=series_map,
@@ -282,8 +255,8 @@ class Ptog:
         _checked(doc, OBJECT, "graph document")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
-            raise SchemaVersionMismatch(f"expected schema_version {SCHEMA_VERSION}, got {shown(version)}: "
-                                        "re-run gendt ingest, or rewrite samples as base64 float64 (README)")
+            raise PtogError(f"expected schema_version {SCHEMA_VERSION}, got {shown(version)}: "
+                            "re-run gendt ingest, or rewrite samples as base64 float64 (README)")
         try:
             states = {}
             sensors = {}
@@ -339,10 +312,10 @@ def read_samples_csv(path: Union[str, Path]) -> np.ndarray:
     one number, a non-finite value or no line at all, is read again line by
     line, which skips blank lines and names the first bad one."""
     p = Path(path)
-    if not p.exists():
-        raise MissingSeriesFile(str(p))
-    # an undecodable byte reads as U+FFFD, so its line fails as unparseable below
-    lines = p.read_text(errors="replace").splitlines()
+    try:  # an undecodable byte reads as U+FFFD, so its line fails as unparseable below
+        lines = p.read_text(errors="replace").splitlines()
+    except OSError as exc:  # as `errors.read_json` words it: an OSError's text repeats the path
+        raise PtogError(f"cannot read {p}: {exc.strerror or exc}") from exc
     try:
         values = np.fromiter(map(float, lines), np.float64, len(lines))
     except ValueError:
@@ -364,9 +337,9 @@ def _read_samples_lines(p: Path, lines: list[str]) -> np.ndarray:
         try:
             v = float(line)
         except ValueError as exc:
-            raise NonFiniteSample(f"{p}:{lineno}: unparseable sample {shown(line)}") from exc
+            raise PtogError(f"{p}:{lineno}: unparseable sample {shown(line)}") from exc
         if not math.isfinite(v):
-            raise NonFiniteSample(f"{p}:{lineno}: non-finite sample {shown(line)}")
+            raise PtogError(f"{p}:{lineno}: non-finite sample {shown(line)}")
         values.append(v)
     if not values:
         raise PtogError(f"{p}: series file is empty")

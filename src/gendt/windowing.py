@@ -37,9 +37,8 @@ def enumerate_epochs(ptog: Ptog, min_history: int) -> list[EpochPoint]:
 
     Ordered by (run index, state index); a run's own measurement never counts
     toward its history, so the first run of a state is never an epoch.
+    `min_history` is at least 1, as `RunConfig` checks.
     """
-    if min_history < 1:
-        raise ValueError("min_history must be >= 1")
     return [
         EpochPoint(run, state)
         for run in ptog.runs
@@ -53,12 +52,11 @@ def extract_window(ptog: Ptog, epoch: EpochPoint, depth: int) -> tuple[Measureme
     run that carry it, oldest first; fewer when the timeline is shorter.
 
     The target run's own measurement is never included. Raises NoHistory when
-    zero prior runs carry the state.
+    zero prior runs carry the state. `epoch` is a vertex of `ptog`:
+    `enumerate_epochs` yields only vertices, and `cmd_forecast` checks one.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if (epoch.run, epoch.state) not in ptog.vertices:
-        raise ValueError(f"epoch ({epoch.run.index}, {epoch.state.label}) is not a graph vertex")
     prior = _prior_runs(ptog, epoch.run, epoch.state)
     if not prior:
         raise NoHistory(

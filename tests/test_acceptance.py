@@ -239,9 +239,9 @@ def test_reproducible_replays_byte_identical(tmp_path, milling_ptog):
 
 
 def test_wear_interpolation_published_rows():
-    records = {r.run: r for r in interpolate_wear([(1, 0.0), (4, 0.11)], runs=[2, 3])}
-    assert records[2].flank_wear_mm == pytest.approx(0.0367, abs=0.0001)
-    assert records[3].flank_wear_mm == pytest.approx(0.0734, abs=0.0002)
+    records = interpolate_wear([(1, 0.0), (4, 0.11)], runs=[2, 3])
+    assert records[2]["flank_wear_mm"] == pytest.approx(0.0367, abs=0.0001)
+    assert records[3]["flank_wear_mm"] == pytest.approx(0.0734, abs=0.0002)
     _pass("wear interpolation: run 2 -> 0.0367, run 3 -> 0.0734 from (1, 0) and (4, 0.11)")
 
 

@@ -691,6 +691,10 @@ _UNCOERCED_GRAPH_VALUES = {
                      id="_run_as_number"),
         pytest.param(_set_graph_value(("states", 0, "label"), ""), "state label must be non-empty",
                      id="_empty_state_label"),
+        pytest.param(_set_graph_value(("states", 0, "index"), 0), "state index must be >= 1, got 0",
+                     id="_zero_state_index"),
+        pytest.param(_set_graph_value(("states", 0, "index"), -1), "state index must be >= 1, got -1",
+                     id="_negative_state_index"),
         pytest.param(_set_graph_value(("states", 0, "sensor"), "x"),
                      "state P1: sensor must be a JSON object, got 'x'", id="_sensor_as_text"),
         pytest.param(_set_graph_value(("states", 1, "sensor"), ["a"]),
@@ -937,7 +941,10 @@ def test_bad_prompt_template_exits_config(cli_env, tmp_path, capsys, template, c
     args = ["--run", "7", "--state", "P1"] if command == "forecast" else ["--out", str(tmp_path / "x.json")]
     code = main([command, "--ptog", str(cli_env["ptog"]), "--config", str(config_path), *args])
     assert code == EXIT_CONFIG
-    assert len(_error_lines(capsys.readouterr().err)) == 1
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: prompt template {path}: ") and line.count(str(path)) == 1
+    if template is None:
+        assert line.endswith(": No such file or directory")
 
 
 def test_replay_reads_prompt_template_once(cli_env, tmp_path, monkeypatch):
@@ -980,6 +987,31 @@ def test_ingest_non_numeric_sample_exits_input(cli_env, tmp_path, capsys):
     assert code == EXIT_INPUT
     (line,) = _error_lines(capsys.readouterr().err)
     assert "run_2.csv:10:" in line
+
+
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+def test_ingest_unreadable_run_csv_exits_input(cli_env, tmp_path, capsys, kind, reason):
+    fixture = _broken_fixture(cli_env, tmp_path)
+    csv_path = fixture / "run_3.csv"
+    csv_path.unlink()
+    if kind == "directory":
+        csv_path.mkdir()
+    code = main(["ingest", "--fixture", str(fixture), "--out", str(tmp_path / "g.json")])
+    assert code == EXIT_INPUT
+    assert _error_lines(capsys.readouterr().err) == [f"error: cannot read {csv_path}: {reason}"]
+
+
+def test_ingest_boundaries_past_the_run_exits_input(cli_env, tmp_path, capsys):
+    """The error line names the run CSV whose length the boundaries exceed."""
+    fixture = _broken_fixture(cli_env, tmp_path)
+    csv_path = fixture / "run_3.csv"
+    csv_path.write_text("1.0\n2.0\n")
+    bounds = json.loads((fixture / "fixture.json").read_text())["boundaries"]["3"]
+    code = main(["ingest", "--fixture", str(fixture), "--out", str(tmp_path / "g.json")])
+    assert code == EXIT_INPUT
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: {csv_path}: boundaries {tuple(bounds)} must be strictly increasing within series length 2"]
 
 
 def test_ingest_meta_without_sample_rate_exits_input(cli_env, tmp_path, capsys):

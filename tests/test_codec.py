@@ -16,7 +16,6 @@ from gendt.codec import (
     CodecError,
     DecodeFailure,
     EncodingSpec,
-    MissingPlaceholder,
     NonFiniteValue,
     Overflow,
     SensorString,
@@ -206,6 +205,20 @@ def test_decode_truncates_extra_values():
 
 def test_decode_strips_leading_prose():
     assert decode("The continuation is: 1.00,2.00", SPEC, 2) == [1.0, 2.0]
+    assert decode("Sure, here: 1,2,3", SPEC, 3) == [1.0, 2.0, 3.0]
+    assert decode("abc,1,2,3", SPEC, 3) == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "text, position, token",
+    [("nan,1,2,3", 0, "nan"), ("-inf,1,2,3", 0, "-inf"), ("Infinity,1,2,3", 0, "Infinity"),
+     ("nan 1,2,3", 0, "nan"), ("Sure, NaN ,1,2,3", 1, "NaN")],
+)
+def test_decode_leading_non_finite_token_is_malformed(text, position, token):
+    """A NaN or infinity before the first number is a bad value, not prose
+    to strip: stripping it would shift the forecast by one step."""
+    assert decode(text, SPEC, 3) == DecodeFailure(
+        "malformed", position, f"token {token!r} is not a value of magnitude below 1e+09")
 
 
 def test_decode_trims_trailing_junk_on_final_token():
@@ -281,9 +294,9 @@ def test_build_prompt_default_template():
 
 
 def test_build_prompt_missing_placeholder():
-    with pytest.raises(MissingPlaceholder):
+    with pytest.raises(CodecError, match="^template does not contain "):
         build_prompt(SensorString("1.00", 1), template="continue this")
-    with pytest.raises(MissingPlaceholder):
+    with pytest.raises(CodecError, match="^template must contain .* exactly once$"):
         build_prompt(SensorString("1.00", 1), template=f"{PLACEHOLDER} and {PLACEHOLDER}")
 
 

@@ -12,7 +12,6 @@ from gendt.controller import (
     ControlDecision,
     ControlError,
     ControlThresholds,
-    NonFiniteQ,
     _prepare,
     accumulate_health,
     decide,
@@ -70,7 +69,7 @@ def test_decide_exhaustive_on_random_inputs():
 
 def test_decide_rejects_non_finite():
     for bad in (float("nan"), float("inf"), -0.1):
-        with pytest.raises(NonFiniteQ):
+        with pytest.raises(ControlError, match="^quantity of interest must be finite and >= 0, got "):
             decide(bad, TH)
 
 

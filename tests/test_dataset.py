@@ -12,16 +12,13 @@ from gendt.cli import EXIT_INPUT, main
 from gendt.dataset import (
     STATE_LABELS,
     DatasetError,
-    InsufficientPoints,
-    WearRecord,
     ingest_fixture,
     interpolate_wear,
     segment,
     write_synthetic_fixture,
 )
 from gendt.ptog import (
-    MissingSeriesFile,
-    NonFiniteSample,
+    PtogError,
     RunId,
     SensorId,
     build_ptog,
@@ -74,45 +71,43 @@ def test_segment_requires_three_samples():
 
 
 def test_wear_interpolation_reproduces_published_rows():
-    records = {r.run: r for r in interpolate_wear([(1, 0.0), (4, 0.11)], runs=[1, 2, 3, 4])}
-    assert records[2].flank_wear_mm == pytest.approx(0.0367, abs=0.0001)
-    assert records[3].flank_wear_mm == pytest.approx(0.0734, abs=0.0002)
-    assert records[2].interpolated and records[3].interpolated
-    assert not records[1].interpolated and not records[4].interpolated
+    records = interpolate_wear([(1, 0.0), (4, 0.11)], runs=[1, 2, 3, 4])
+    assert records[2]["flank_wear_mm"] == pytest.approx(0.0367, abs=0.0001)
+    assert records[3]["flank_wear_mm"] == pytest.approx(0.0734, abs=0.0002)
+    assert [records[r]["flank_wear_interpolated"] for r in (1, 2, 3, 4)] == [0.0, 1.0, 1.0, 0.0]
 
 
 def test_wear_linear_midpoint():
-    records = {r.run: r for r in interpolate_wear([(5, 0.155), (8, 0.29)], runs=[5, 6, 7, 8])}
-    assert records[6].flank_wear_mm == pytest.approx(0.2, abs=1e-12)
+    records = interpolate_wear([(5, 0.155), (8, 0.29)], runs=[5, 6, 7, 8])
+    assert records[6]["flank_wear_mm"] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_wear_identity_when_all_known():
     known = [(1, 0.1), (2, 0.2), (3, 0.3)]
-    records = interpolate_wear(known, runs=[1, 2, 3])
-    assert [(r.run, r.flank_wear_mm, r.interpolated) for r in records] == [
-        (1, 0.1, False),
-        (2, 0.2, False),
-        (3, 0.3, False),
-    ]
+    assert interpolate_wear(known, runs=[1, 2, 3]) == {
+        1: {"flank_wear_mm": 0.1, "flank_wear_interpolated": 0.0},
+        2: {"flank_wear_mm": 0.2, "flank_wear_interpolated": 0.0},
+        3: {"flank_wear_mm": 0.3, "flank_wear_interpolated": 0.0},
+    }
 
 
 def test_wear_flat_extrapolation_flagged():
-    records = {r.run: r for r in interpolate_wear([(3, 0.1), (5, 0.2)], runs=[1, 3, 5, 8])}
-    assert records[1].flank_wear_mm == 0.1 and records[1].interpolated
-    assert records[8].flank_wear_mm == 0.2 and records[8].interpolated
+    records = interpolate_wear([(3, 0.1), (5, 0.2)], runs=[1, 3, 5, 8])
+    assert records[1] == {"flank_wear_mm": 0.1, "flank_wear_interpolated": 1.0}
+    assert records[8] == {"flank_wear_mm": 0.2, "flank_wear_interpolated": 1.0}
 
 
 def test_wear_matches_two_point_line_oracle():
     known = [(1, 0.0), (4, 0.11), (8, 0.29), (14, 0.45)]
-    records = {r.run: r for r in interpolate_wear(known, runs=range(1, 15))}
+    records = interpolate_wear(known, runs=range(1, 15))
     for (r0, w0), (r1, w1) in zip(known, known[1:]):
         for run in range(r0 + 1, r1):
             expected = w0 + (w1 - w0) * (run - r0) / (r1 - r0)
-            assert records[run].flank_wear_mm == pytest.approx(expected, abs=1e-9)
+            assert records[run]["flank_wear_mm"] == expected  # bit for bit, not approx
 
 
 def test_wear_requires_two_points():
-    with pytest.raises(InsufficientPoints):
+    with pytest.raises(DatasetError, match="^need at least 2 known wear points, got 1$"):
         interpolate_wear([(5, 0.155)], runs=[5, 6])
 
 
@@ -121,10 +116,19 @@ def test_wear_rejects_unsorted_known():
         interpolate_wear([(4, 0.11), (1, 0.0)], runs=[1, 4])
 
 
-def test_wear_record_validation():
-    for wear in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(DatasetError):
-            WearRecord(1, wear, False)
+@pytest.mark.parametrize("wear", [-0.1, float("nan"), float("inf")])
+def test_fixture_wear_must_be_finite_and_non_negative(fixture_dir, tmp_path, capsys, wear):
+    """The wear rule is checked where the value enters, in `fixture.json`:
+    exit 2 and one line that names the wear point."""
+    broken = _copy_fixture(fixture_dir, tmp_path)
+    meta = json.loads((broken / "fixture.json").read_text())
+    meta["wear_points"][1][1] = wear
+    (broken / "fixture.json").write_text(json.dumps(meta))
+    assert main(["ingest", "--fixture", str(broken), "--out", str(tmp_path / "g.json")]) == EXIT_INPUT
+    run = meta["wear_points"][1][0]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: fixture.json: wear_points[1] must be a [run, flank_wear_mm] pair of an integer "
+        f"and a finite number >= 0, got [{run}, {wear!r}]"]
 
 
 # ---------------------------------------------------------------- ingestion
@@ -170,7 +174,7 @@ def test_ingest_missing_run_csv(fixture_dir, tmp_path):
     broken = tmp_path / "broken"
     shutil.copytree(fixture_dir, broken)
     (broken / "run_7.csv").unlink()
-    with pytest.raises(MissingSeriesFile):
+    with pytest.raises(PtogError, match=r"^cannot read \S*run_7\.csv: No such file or directory$"):
         ingest_fixture(broken)
 
 
@@ -219,7 +223,7 @@ def test_ingest_rejects_non_numeric_sample(fixture_dir, tmp_path):
     lines = (broken / "run_3.csv").read_text().splitlines()
     lines[4] = "1.5e"
     (broken / "run_3.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(NonFiniteSample, match=r"run_3\.csv:5: "):
+    with pytest.raises(PtogError, match=r"run_3\.csv:5: unparseable sample '1\.5e'$"):
         ingest_fixture(broken)
 
 
