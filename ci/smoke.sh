@@ -79,6 +79,16 @@ doc["encoding"]["scale"] = 1e101
 json.dump(doc, open("big_scale.json", "w"))' "$CONFIG"
 expect 3 replay --ptog ptog.json --config big_scale.json
 grep -q 'scale must be in' err.txt
+# run 3's boundaries out of order: the line names fixture.json, where the
+# rule is checked, not the run CSV
+cp -r fixture bad_bounds
+python -c 'import json; path = "bad_bounds/fixture.json"; doc = json.load(open(path))
+bounds = doc["boundaries"]["3"]
+bounds[0], bounds[1] = bounds[1], bounds[0]
+json.dump(doc, open(path, "w"))'
+expect 2 ingest --fixture bad_bounds --out bad_bounds.json
+grep -q 'fixture.json: boundaries of run 3' err.txt
+test ! -e bad_bounds.json
 # a state label the graph does not hold
 expect 2 forecast --ptog ptog.json --config "$CONFIG" --run 6 --state P9
 grep -q P9 err.txt

@@ -23,7 +23,7 @@ from typing import Optional
 from . import __version__, codec, report as report_mod
 from .config import ConfigError, RunConfig, load_config
 from .controller import run_replay
-from .dataset import DatasetError, ingest_fixture
+from .dataset import ingest_fixture
 from .errors import GendtError, read_json
 from .forecast import BACKEND_KINDS, AuthError, ForecastError
 from .ptog import PtogError, load_ptog, save_manifest, save_ptog
@@ -38,10 +38,7 @@ REPORT_SCHEMA_VERSION = 1
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    fixture = Path(args.fixture)
-    if not fixture.is_dir():
-        raise DatasetError(f"fixture directory {fixture} does not exist")
-    ptog = ingest_fixture(fixture)
+    ptog = ingest_fixture(args.fixture)
     counts = f"{ptog.n_vertices} vertices, {ptog.n_series} series"
     if args.dry_run:
         print(f"dry run ok: {counts}")

@@ -3,11 +3,12 @@ process states at explicit boundaries, plus flank-wear metadata, producing the
 observation graph.
 
 `fixture.json` gives each run's `[start, p1_end, p2_end, end]` sample
-indices, and a run is cut there and nowhere else. Data whose states are not
-labeled this way is segmented outside gendt and enters as a graph file or as
-the manifest file `ptog.save_manifest` writes; `Ptog.from_series` validates
-it either way. A synthetic fixture generator ships here so tests never need
-external files.
+indices, and a run is cut there and nowhere else. `load_fixture_meta` checks
+every rule of `fixture.json` but the one that needs a run CSV: `end` lies
+within the run. Data whose states are not labeled this way is segmented
+outside gendt and enters as a graph file or as the manifest file
+`ptog.save_manifest` writes; `Ptog.from_series` validates it either way. A
+synthetic fixture generator ships here so tests never need external files.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ class DatasetError(GendtError):
 
 def segment(samples: Sequence[float], bounds: Bounds) -> tuple[Sequence[float], ...]:
     """Cut one run's trace at [start, p1_end, p2_end, end] into the three
-    process states (entry, stable, exit); none of them can be empty."""
+    process states (entry, stable, exit). `fixture.json` holds the bounds in
+    order, so none of the states is empty; `end` must lie within the run."""
     start, p1_end, p2_end, end = bounds
-    if not (0 <= start < p1_end < p2_end < end <= len(samples)):
-        raise DatasetError(
-            f"boundaries {bounds} must be strictly increasing within series length {len(samples)}"
-        )
+    if end > len(samples):
+        raise DatasetError(f"boundaries {bounds} must end within the run's {len(samples)} samples")
     return samples[start:p1_end], samples[p1_end:p2_end], samples[p2_end:end]
 
 
@@ -50,32 +50,30 @@ def interpolate_wear(
 ) -> dict[int, dict[str, float]]:
     """Each run's metadata: `flank_wear_mm`, linearly interpolated between
     the known runs, and `flank_wear_interpolated`, 1.0 unless the run is
-    known. Runs outside the known span take the nearest known value. The
-    values were checked where they entered, in `fixture.json`."""
-    if len(known) < 2:
-        raise DatasetError(f"need at least 2 known wear points, got {len(known)}")
-    points = [(int(r), float(w)) for r, w in known]
-    if any(points[i][0] >= points[i + 1][0] for i in range(len(points) - 1)):
-        raise DatasetError("known wear runs must be sorted and strictly increasing")
-    known_map = dict(points)
+    known. Runs outside the known span take the nearest known value, so one
+    known run sets every run, and none sets no metadata. The points and the
+    order of their runs were checked where they entered, in `fixture.json`."""
+    known_map = dict(known)
     metadata = {}
-    for run in runs:
+    for run in runs if known else ():
         if run in known_map:
             w = known_map[run]
-        elif run < points[0][0]:
-            w = points[0][1]
-        elif run > points[-1][0]:
-            w = points[-1][1]
+        elif run < known[0][0]:
+            w = known[0][1]
+        elif run > known[-1][0]:
+            w = known[-1][1]
         else:
-            (r0, w0), (r1, w1) = next(p for p in zip(points, points[1:]) if p[0][0] < run < p[1][0])
+            (r0, w0), (r1, w1) = next(p for p in zip(known, known[1:]) if p[0][0] < run < p[1][0])
             w = w0 + (w1 - w0) * (run - r0) / (r1 - r0)
         metadata[run] = {"flank_wear_mm": w, "flank_wear_interpolated": float(run not in known_map)}
     return metadata
 
 
 _BOUNDARIES = Kind("a non-empty object of run -> bounds", lambda v: OBJECT.test(v) and bool(v))
-_BOUNDS = Kind("4 integers [start, p1_end, p2_end, end]",
-               lambda v: type(v) is list and len(v) == 4 and all(map(INTEGER.test, v)))
+_BOUNDS = Kind("4 integers [start, p1_end, p2_end, end] with 0 <= start < p1_end < p2_end < end",
+               lambda v: type(v) is list and len(v) == 4 and all(map(INTEGER.test, v))
+               and 0 <= v[0] < v[1] < v[2] < v[3])
+_RATE = Kind("a finite number > 0", lambda v: NUMBER.test(v) and v > 0)
 _WEAR_POINTS = list_of(Kind("a [run, flank_wear_mm] pair of an integer and a finite number >= 0",
                             lambda v: type(v) is list and len(v) == 2
                             and INTEGER.test(v[0]) and NUMBER.test(v[1]) and v[1] >= 0))
@@ -85,12 +83,12 @@ def load_fixture_meta(
     fixture_dir: Union[str, Path],
 ) -> tuple[float, dict[int, Bounds], list[tuple[int, float]]]:
     """Read and check `fixture.json`: the sample rate, each run's boundaries
-    and the known wear points. Values are checked, not coerced, by
-    `errors.checked`: a boundary or a wear run is a JSON integer, the rate is
-    a finite number, and a wear value a finite number >= 0."""
+    and the known wear points, by `errors.checked`, not coerced: a boundary or
+    a wear run is a JSON integer, and each run's boundaries and the wear runs
+    strictly increase; the rate is a finite number > 0, a wear value >= 0."""
     name = FIXTURE_META_NAME
     meta = checked(DatasetError, read_json(Path(fixture_dir) / name, DatasetError), OBJECT, name)
-    rate = float(checked(DatasetError, meta.get("sample_rate_hz"), NUMBER, f"{name}: sample_rate_hz"))
+    rate = float(checked(DatasetError, meta.get("sample_rate_hz"), _RATE, f"{name}: sample_rate_hz"))
     if "boundaries" not in meta:
         raise DatasetError(f"{name}: missing 'boundaries' (each run's [start, p1_end, p2_end, end]); "
                            "data segmented outside gendt enters as a graph file or a manifest")
@@ -102,6 +100,10 @@ def load_fixture_meta(
         checked(DatasetError, bounds, _BOUNDS, lambda: f"{name}: boundaries of run {key}")
         boundaries[int(key)] = tuple(bounds)
     wear = checked(DatasetError, meta.get("wear_points", []), _WEAR_POINTS, f"{name}: wear_points")
+    for i, (before, point) in enumerate(zip(wear, wear[1:]), start=1):
+        if point[0] <= before[0]:
+            raise DatasetError(f"{name}: wear_points[{i}] must be of a run above {shown(before[0])}, "
+                               f"got {shown(point)}")
     return rate, boundaries, [(run, float(w)) for run, w in wear]
 
 
@@ -109,21 +111,20 @@ def ingest_fixture(fixture_dir: Union[str, Path]) -> Ptog:
     """Cut each run CSV at its boundaries into state series and build the
     observation graph.
 
-    Each run CSV is read once, into a read-only array that its three series
-    slice without a copy, and nothing is written (`ptog.save_manifest` dumps
-    the graph). Ingestion is deterministic: same fixture, same graph.
+    Each run CSV is read once, and each of its three series keeps its own
+    copy of its part; nothing is written (`ptog.save_manifest` dumps the
+    graph). Ingestion is deterministic: same fixture, same graph.
     """
     fixture_dir = Path(fixture_dir)
     sample_rate_hz, boundaries, wear = load_fixture_meta(fixture_dir)
     runs = sorted(boundaries)
-    metadata = interpolate_wear(wear, runs) if len(wear) >= 2 else {}
+    metadata = interpolate_wear(wear, runs)
     states = [StateId(i, label) for i, label in enumerate(STATE_LABELS, start=1)]
     sensor = SensorId(SENSOR_NAME, SENSOR_UNIT)
     series = []
     for run in runs:
         path = fixture_dir / f"run_{run}.csv"
         samples = read_samples_csv(path)
-        samples.flags.writeable = False  # so each series keeps its slice, not a copy
         try:
             parts = segment(samples, boundaries[run])
         except DatasetError as exc:

@@ -3,10 +3,11 @@
 The graph is immutable after construction and safe to share across concurrent
 readers. Vertices are (run, state) pairs; a vertex may exist without a stored
 measurement series (the measurement has not been received), but a stored
-series always implies a vertex. A graph file is one JSON document of
-`schema_version` 2, the only version read: each series' `samples` is one
-base64 string of its little-endian IEEE-754 float64 bytes, so the file
-round-trips bit for bit and loads without parsing float text.
+series, its own read-only float64 copy of its samples, always implies a
+vertex. A graph file is one JSON document of `schema_version` 2, the only
+version read: each series' `samples` is one base64 string of its little-endian
+IEEE-754 float64 bytes, so the file round-trips bit for bit and loads without
+parsing float text.
 """
 
 from __future__ import annotations
@@ -69,10 +70,8 @@ class SensorId:
 @dataclass(frozen=True, eq=False)
 class MeasurementSeries:
     """One sensor trace for a single (run, state) vertex; `samples` is
-    checked once, here, and stored as a read-only 1-D float64 array. A boolean
-    is not a number, alone or among numbers. A read-only float64 view of a
-    read-only array is kept as it is, so the holder of that base array must
-    not make it writeable again; any other array is copied."""
+    checked once, here, and stored as the series' own read-only 1-D float64
+    copy. A boolean is not a number, alone or among numbers."""
 
     run: RunId
     state: StateId
@@ -81,22 +80,19 @@ class MeasurementSeries:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        given = self.samples
-        raw = np.asarray(given)
-        listed = isinstance(given, (list, tuple))  # numpy reads a boolean among numbers as 0 or 1
-        dtype = np.dtype(bool) if listed and bool in set(map(type, given)) else raw.dtype
+        raw = np.asarray(self.samples)
+        listed = isinstance(self.samples, (list, tuple))  # numpy reads a boolean among numbers as 0 or 1
+        dtype = np.dtype(bool) if listed and bool in set(map(type, self.samples)) else raw.dtype
         if dtype.kind not in "iuf":  # booleans, text, nulls, integers beyond 64 bits
             raise PtogError(f"samples of {self._where()} must be floats or 64-bit integers, not {dtype}")
-        base = raw.base  # kept: a read-only view of a read-only array that owns its memory
-        frozen = (isinstance(base, np.ndarray) and base.flags.owndata
-                  and not (raw.flags.writeable or base.flags.writeable))
-        samples = raw.astype(np.float64, copy=raw is given and not frozen)
+        samples = raw.astype(np.float64, copy=not listed)  # a list's array is already its own
         if samples.ndim != 1:
             raise PtogError(f"samples of {self._where()} must be a flat list, got {samples.ndim} dimensions")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
-            raise PtogError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
+            raise PtogError(f"sample_rate_hz of {self._where()} must be finite and > 0, "
+                            f"got {self.sample_rate_hz}")
         if not samples.size:
             raise PtogError(f"series for {self._where()} has no samples")
         finite = np.isfinite(samples)
@@ -273,7 +269,9 @@ class Ptog:
                                         _checked(sensor["unit"], STRING, "sensor unit"))
             metadata = {}
             for r in _checked(doc["runs"], _OBJECTS, "runs"):
-                run = _checked(r["index"], INTEGER, "run index")
+                run = _checked(r["index"], RUN_INDEX, "run index")
+                if run in metadata:
+                    raise PtogError(f"run index {run} declared twice")
                 meta = _checked(r.get("metadata", {}), OBJECT, lambda: f"run {run}: metadata")
                 metadata[run] = {k: float(_checked(v, NUMBER, lambda: f"metadata {shown(k)}"))
                                  for k, v in meta.items()}

@@ -695,6 +695,15 @@ _UNCOERCED_GRAPH_VALUES = {
                      id="_zero_state_index"),
         pytest.param(_set_graph_value(("states", 0, "index"), -1), "state index must be >= 1, got -1",
                      id="_negative_state_index"),
+        pytest.param(_set_graph_value(("runs", 1), {"index": 1, "metadata": {"flank_wear_mm": 9.9}}),
+                     "run index 1 declared twice", id="_repeated_run"),
+        pytest.param(_set_graph_value(("runs", 0), {"index": 0, "metadata": {}}),
+                     "run index must be an integer in [1, 10**18), got 0", id="_zero_run_index"),
+        pytest.param(_set_graph_value(("series", 4, "sample_rate_hz"), 0),
+                     "sample_rate_hz of run 2 P2 must be finite and > 0, got 0.0", id="_zero_sample_rate"),
+        pytest.param(_set_graph_value(("series", 4, "sample_rate_hz"), -250.0),
+                     "sample_rate_hz of run 2 P2 must be finite and > 0, got -250.0",
+                     id="_negative_sample_rate"),
         pytest.param(_set_graph_value(("states", 0, "sensor"), "x"),
                      "state P1: sensor must be a JSON object, got 'x'", id="_sensor_as_text"),
         pytest.param(_set_graph_value(("states", 1, "sensor"), ["a"]),
@@ -1003,7 +1012,8 @@ def test_ingest_unreadable_run_csv_exits_input(cli_env, tmp_path, capsys, kind, 
 
 
 def test_ingest_boundaries_past_the_run_exits_input(cli_env, tmp_path, capsys):
-    """The error line names the run CSV whose length the boundaries exceed."""
+    """The error line names the run CSV whose length the boundaries exceed:
+    the one boundary rule that needs the CSV, not fixture.json alone."""
     fixture = _broken_fixture(cli_env, tmp_path)
     csv_path = fixture / "run_3.csv"
     csv_path.write_text("1.0\n2.0\n")
@@ -1011,7 +1021,7 @@ def test_ingest_boundaries_past_the_run_exits_input(cli_env, tmp_path, capsys):
     code = main(["ingest", "--fixture", str(fixture), "--out", str(tmp_path / "g.json")])
     assert code == EXIT_INPUT
     assert _error_lines(capsys.readouterr().err) == [
-        f"error: {csv_path}: boundaries {tuple(bounds)} must be strictly increasing within series length 2"]
+        f"error: {csv_path}: boundaries {tuple(bounds)} must end within the run's 2 samples"]
 
 
 def test_ingest_meta_without_sample_rate_exits_input(cli_env, tmp_path, capsys):
@@ -1274,7 +1284,8 @@ def test_module_entry_point(tmp_path):
     absent = tmp_path / "absent"
     ingest = _run_module("ingest", "--fixture", str(absent), "--out", str(tmp_path / "g.json"))
     assert ingest.returncode == EXIT_INPUT
-    assert _error_lines(ingest.stderr) == [f"error: fixture directory {absent} does not exist"]
+    assert _error_lines(ingest.stderr) == [
+        f"error: cannot read {absent / 'fixture.json'}: No such file or directory"]
     assert not (tmp_path / "g.json").exists()
 
 
@@ -1394,7 +1405,7 @@ def test_ingest_contract_under_fixture_meta_mutations(cli_env):
         st.sampled_from(edges), st.integers(-5, 700), st.floats(), st.text(max_size=3)
     )
     mutation = st.tuples(
-        st.sampled_from(_meta_paths(base)), st.sampled_from(["set", "delete", "rename"]), values
+        st.sampled_from(_meta_paths(base)), st.sampled_from(["set", "delete", "rename", "swap"]), values
     )
 
     @hypothesis.settings(max_examples=80, deadline=None, database=None)
@@ -1414,6 +1425,10 @@ def test_ingest_contract_under_fixture_meta_mutations(cli_env):
                     parent[path[-1]] = _patch_block(parent[path[-1]], *value)
             elif op == "rename" and isinstance(parent, dict):
                 parent[str(value)] = parent.pop(path[-1])
+            elif op == "swap":  # an item of a list with the one before it: an order violation
+                if isinstance(parent, list):
+                    i = path[-1]
+                    parent[i - 1], parent[i] = parent[i], parent[i - 1]
             else:
                 parent[path[-1]] = value
         (fixture / "fixture.json").write_text(json.dumps(meta))
@@ -1619,6 +1634,10 @@ def test_replay_contract_under_graph_mutations(cli_env):
                     parent[path[-1]] = _patch_block(parent[path[-1]], *value)
             elif op == "rename" and isinstance(parent, dict):
                 parent[str(value)] = parent.pop(path[-1])
+            elif op == "swap":  # an item of a list with the one before it: an order violation
+                if isinstance(parent, list):
+                    i = path[-1]
+                    parent[i - 1], parent[i] = parent[i], parent[i - 1]
             else:
                 parent[path[-1]] = value
         graph = root / "g.json"

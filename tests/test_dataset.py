@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gendt.cli import EXIT_INPUT, main
+from gendt.cli import EXIT_INPUT, EXIT_OK, main
 from gendt.dataset import (
     STATE_LABELS,
     DatasetError,
@@ -56,9 +56,10 @@ def test_explicit_segmentation_per_run_boundaries(fixture_dir, tmp_path):
 
 
 def test_explicit_boundaries_validated():
-    with pytest.raises(DatasetError):
-        segment(list(range(200)), (0, 100, 90, 120))
-    with pytest.raises(DatasetError):
+    """`segment` checks only the rule that needs the run's samples; the
+    order of the boundaries is `fixture.json`'s rule (see below)."""
+    message = r"^boundaries \(0, 10, 20, 500\) must end within the run's 100 samples$"
+    with pytest.raises(DatasetError, match=message):
         segment(list(range(100)), (0, 10, 20, 500))
 
 
@@ -106,14 +107,62 @@ def test_wear_matches_two_point_line_oracle():
             assert records[run]["flank_wear_mm"] == expected  # bit for bit, not approx
 
 
-def test_wear_requires_two_points():
-    with pytest.raises(DatasetError, match="^need at least 2 known wear points, got 1$"):
-        interpolate_wear([(5, 0.155)], runs=[5, 6])
+def test_one_wear_point_sets_every_run(fixture_dir, tmp_path):
+    """One known wear point is valid: every run takes its value, flagged
+    interpolated unless it is the known run; no point gives no metadata."""
+    broken = _copy_fixture(fixture_dir, tmp_path)
+    meta = json.loads((broken / "fixture.json").read_text())
+    for points, expected in (([[4, 0.11]], {"flank_wear_mm": 0.11}), ([], {})):
+        meta["wear_points"] = points
+        (broken / "fixture.json").write_text(json.dumps(meta))
+        graph = tmp_path / "g.json"
+        assert main(["ingest", "--fixture", str(broken), "--out", str(graph)]) == EXIT_OK
+        runs = json.loads(graph.read_text())["runs"]
+        assert [r["index"] for r in runs] == list(range(1, 15))
+        for r in runs:
+            flag = {"flank_wear_interpolated": float(r["index"] != 4)} if expected else {}
+            assert r["metadata"] == {**expected, **flag}
+    assert interpolate_wear([], runs=[1, 2]) == {}
 
 
-def test_wear_rejects_unsorted_known():
-    with pytest.raises(DatasetError):
-        interpolate_wear([(4, 0.11), (1, 0.0)], runs=[1, 4])
+def _swap(meta, field, key, i, j):
+    items = meta[field][key] if key is not None else meta[field]
+    items[i], items[j] = items[j], items[i]
+
+
+# each rule of fixture.json that only its own values can break, the edit
+# that breaks it, and the error line's text after "fixture.json: ";
+# `{bounds}` is run 3's boundaries as the edited file holds them
+_FIXTURE_RULES = {
+    "zero-rate": (lambda m: m.update(sample_rate_hz=0), "sample_rate_hz must be a finite number > 0, got 0"),
+    "negative-rate": (lambda m: m.update(sample_rate_hz=-250),
+                      "sample_rate_hz must be a finite number > 0, got -250"),
+    "boundaries-out-of-order": (lambda m: _swap(m, "boundaries", "3", 0, 1),
+                                "boundaries of run 3 must be 4 integers [start, p1_end, p2_end, end] "
+                                "with 0 <= start < p1_end < p2_end < end, got {bounds}"),
+    "negative-start": (lambda m: m["boundaries"]["3"].__setitem__(0, -1),
+                       "boundaries of run 3 must be 4 integers [start, p1_end, p2_end, end] "
+                       "with 0 <= start < p1_end < p2_end < end, got {bounds}"),
+    "wear-out-of-order": (lambda m: _swap(m, "wear_points", None, 1, 2),
+                          "wear_points[2] must be of a run above 6, got [4, 0.11]"),
+    "repeated-wear-run": (lambda m: m["wear_points"][2].__setitem__(0, 4),
+                          "wear_points[2] must be of a run above 4, got [4, 0.2]"),
+}
+
+
+@pytest.mark.parametrize("edit, message", _FIXTURE_RULES.values(), ids=_FIXTURE_RULES)
+def test_fixture_meta_rule_exits_input(fixture_dir, tmp_path, capsys, edit, message):
+    """Each rule is checked when fixture.json is read: exit 2 and exactly one
+    error line, which names the file and the field."""
+    broken = _copy_fixture(fixture_dir, tmp_path)
+    meta = json.loads((broken / "fixture.json").read_text())
+    edit(meta)
+    (broken / "fixture.json").write_text(json.dumps(meta))
+    graph = tmp_path / "g.json"
+    assert main(["ingest", "--fixture", str(broken), "--out", str(graph)]) == EXIT_INPUT
+    line = "error: fixture.json: " + message.format(bounds=meta["boundaries"]["3"])
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not graph.exists()
 
 
 @pytest.mark.parametrize("wear", [-0.1, float("nan"), float("inf")])
@@ -143,19 +192,6 @@ def test_ingest_writes_42_entries(milling_ptog):
     assert run5["flank_wear_mm"] == pytest.approx(0.155, abs=1e-9)
     assert run5["flank_wear_interpolated"] == 1.0
     assert milling_ptog.run_metadata[RunId(4)]["flank_wear_interpolated"] == 0.0
-
-
-def test_ingested_series_share_their_run_array(milling_ptog, fixture_dir):
-    """Each ingested series is a read-only view of the one array its run CSV
-    was read into, not a copy."""
-    run = RunId(1)
-    parts = [milling_ptog.get_series(run, state).samples for state in milling_ptog.states]
-    whole = parts[0].base
-    assert whole is not None and not whole.flags.writeable
-    np.testing.assert_array_equal(whole, read_samples_csv(fixture_dir / "run_1.csv"))
-    for part in parts:
-        assert part.base is whole and np.shares_memory(part, whole)
-        assert not part.flags.writeable
 
 
 def test_ingest_round_trips_through_manifest(milling_ptog, tmp_path):

@@ -355,6 +355,36 @@ def test_duplicated_state_index_rejected_by_graph_file():
         Ptog.from_dict(doc)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# ways a caller may hold the samples [1.0, 2.0, 3.0] as an array
+_CALLER_ARRAYS = {
+    "writeable": lambda: np.array([1.0, 2.0, 3.0]),
+    "writeable-view": lambda: np.array([0.0, 1.0, 2.0, 3.0])[1:],
+    "read-only-owner": lambda: _read_only(np.array([1.0, 2.0, 3.0])),
+    "read-only-view-of-writeable-owner": lambda: _read_only(np.array([1.0, 2.0, 3.0])[:]),
+    "view-of-read-only-owner": lambda: _read_only(np.array([0.0, 1.0, 2.0, 3.0]))[1:],
+    "bytes-buffer": lambda: np.frombuffer(np.array([1.0, 2.0, 3.0]).tobytes()),
+    "bytearray-buffer": lambda: np.frombuffer(bytearray(np.array([1.0, 2.0, 3.0]).tobytes())),
+    "float32": lambda: np.array([1.0, 2.0, 3.0], np.float32),
+    "int64": lambda: np.array([1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("make", _CALLER_ARRAYS.values(), ids=_CALLER_ARRAYS)
+def test_stored_samples_never_share_the_callers_memory(make):
+    """A series stores its own read-only float64 copy of any array it is
+    given, writeable or read-only, owner or view, so no caller can change it."""
+    given = make()
+    stored = MeasurementSeries(RunId(1), S1, SENSOR, 100.0, given).samples
+    assert not np.shares_memory(stored, given)
+    assert stored.flags.owndata and not stored.flags.writeable and stored.dtype == np.float64
+    assert stored.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_samples_are_one_read_only_float64_array(milling_ptog, tmp_path):
     """Samples are checked once at construction and stored as a read-only 1-D
     float64 array; graphs with equal series still compare and hash equal."""
@@ -366,23 +396,6 @@ def test_samples_are_one_read_only_float64_array(milling_ptog, tmp_path):
             series(1, samples=samples)
     with pytest.raises(ValueError):
         s.samples[0] = 9.0
-
-    def stored(array):  # the samples a series keeps of a caller's array
-        return MeasurementSeries(RunId(1), S1, SENSOR, 100.0, array).samples
-
-    source = np.array([1.0, 2.0])
-    copied = stored(source)
-    source[0] = 9.0  # the series keeps its own copy
-    assert copied.tolist() == [1.0, 2.0]
-    view = source[:]
-    view.flags.writeable = False  # read-only, but writeable through its base
-    assert not np.shares_memory(stored(view), source)
-    source.flags.writeable = False  # its owner could make it writeable again
-    assert not np.shares_memory(stored(source), source)
-    assert np.shares_memory(stored(source[1:]), source)
-    buffer = np.frombuffer(bytearray(16))
-    buffer.flags.writeable = False  # read-only, but the bytearray is not
-    assert not np.shares_memory(stored(buffer[:]), buffer)
 
     assert series(1, samples=[0.0, 2.0]) == series(1, samples=(-0.0, 2.0))
     assert hash(series(1, samples=[0.0, 2.0])) == hash(series(1, samples=(-0.0, 2.0)))
