@@ -1420,9 +1420,6 @@ def test_ingest_contract_under_fixture_meta_mutations(cli_env):
                 continue
             if op == "delete":
                 del parent[path[-1]]
-            elif op == "patch":
-                if isinstance(parent[path[-1]], str):
-                    parent[path[-1]] = _patch_block(parent[path[-1]], *value)
             elif op == "rename" and isinstance(parent, dict):
                 parent[str(value)] = parent.pop(path[-1])
             elif op == "swap":  # an item of a list with the one before it: an order violation
@@ -1634,10 +1631,6 @@ def test_replay_contract_under_graph_mutations(cli_env):
                     parent[path[-1]] = _patch_block(parent[path[-1]], *value)
             elif op == "rename" and isinstance(parent, dict):
                 parent[str(value)] = parent.pop(path[-1])
-            elif op == "swap":  # an item of a list with the one before it: an order violation
-                if isinstance(parent, list):
-                    i = path[-1]
-                    parent[i - 1], parent[i] = parent[i], parent[i - 1]
             else:
                 parent[path[-1]] = value
         graph = root / "g.json"
