@@ -55,14 +55,34 @@ cat forecast.txt
 test "$(wc -l < forecast.txt)" -eq 1
 grep -Eqx -- '-?[0-9]+\.[0-9]{2}(,-?[0-9]+\.[0-9]{2})*' forecast.txt
 # one failing input per exit code: the code, one `error:` line, no traceback
-expect() {
-  code=0
-  gendt "${@:2}" 2> err.txt || code=$?
+one_error() {
   cat err.txt
   test "$code" -eq "$1" && test "$(grep -c '^error:' err.txt)" -eq 1 \
     && ! grep -q Traceback err.txt
 }
+expect() {
+  code=0
+  gendt "${@:2}" 2> err.txt || code=$?
+  one_error "$1"
+}
 expect 2 replay --ptog missing.json --config "$CONFIG"
+# a report path that is the graph file is refused before the replay runs,
+# and the graph is left as it was
+cp ptog.json ptog_before.json
+expect 2 replay --ptog ptog.json --config "$CONFIG" --out ptog.json
+cmp ptog.json ptog_before.json
+# Ctrl-C inside an epoch exits 130 with one line and writes no report
+code=0
+python -c 'import sys
+from gendt import cli, controller
+def interrupt(*args):
+    raise KeyboardInterrupt
+controller.run_epoch = interrupt
+sys.exit(cli.main(["replay", "--ptog", "ptog.json", "--config", sys.argv[1],
+                   "--out", "interrupted.json"]))' "$CONFIG" 2> err.txt || code=$?
+one_error 130
+grep -qx 'error: interrupted' err.txt
+test ! -e interrupted.json
 echo '{' > not_json.json
 expect 3 replay --ptog ptog.json --config not_json.json
 # a retry backoff past time.sleep's range is a config error at load, not an

@@ -1,11 +1,12 @@
 """Command-line surface: ingest, replay, forecast, report.
 
-Exit codes are stable: 0 ok, 2 input error, 3 config error, 4 halted on Stop.
-Each command raises its errors, and `main` alone maps one to a code and one
-`error:` line: a `ConfigError` or `AuthError` (config file, prompt template,
-credential) exits 3; any other `GendtError` (an input that fails its check, a
-failed forecast) and an `OSError` (an output path that cannot be written)
-exit 2.
+Exit codes are stable: 0 ok, 2 input error, 3 config error, 4 halted on Stop,
+130 interrupted. Each command raises its errors, and `main` alone maps one to
+a code and one `error:` line: a `ConfigError` or `AuthError` (config file,
+prompt template, credential) exits 3; any other `GendtError` (an input that
+fails its check, a failed forecast) and an `OSError` (an output path that
+cannot be written) exit 2; a `KeyboardInterrupt` (Ctrl-C, SIGINT) exits 130,
+the shell's code for SIGINT, and writes no report.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .controller import run_replay
 from .dataset import ingest_fixture
 from .errors import GendtError, read_json
 from .forecast import BACKEND_KINDS, AuthError, ForecastError
-from .ptog import PtogError, load_ptog, save_manifest, save_ptog
+from .ptog import PtogError, RunId, load_ptog, save_manifest, save_ptog
 from .windowing import EpochPoint
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_HALTED = 4
+EXIT_INTERRUPTED = 130
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -101,8 +103,10 @@ def _report_text(config: RunConfig, result, reproducible: bool) -> str:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     ptog, config = _load_replay_inputs(args, args.backend)
-    result = run_replay(ptog, config)
     out = Path(args.out)
+    if out.exists() and os.path.samefile(out, args.ptog):
+        raise GendtError(f"--out {out} is the --ptog graph file; write the report elsewhere")
+    result = run_replay(ptog, config)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(_report_text(config, result, args.reproducible))
     session = result.summary["session"]
@@ -121,10 +125,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     state = ptog.state_by_label(args.state)
     if state is None:
         raise PtogError(f"state {args.state!r} not present in the graph")
-    run = next((r for r in ptog.runs if r.index == args.run), None)
-    if run is None or not ptog.has_vertex(run, state):
+    epoch = EpochPoint(RunId(args.run), state)
+    if epoch not in ptog.vertices:
         raise PtogError(f"(run {args.run}, {args.state}) is not a graph vertex")
-    (report,) = run_replay(ptog, config, [EpochPoint(run, state)]).reports
+    (report,) = run_replay(ptog, config, [epoch]).reports
     if "epoch_failed" in report.flags:
         raise ForecastError(f"forecast failed: {report.flags[1]}")
     print(codec.encode(report.median, config.encoding).text)
@@ -194,6 +198,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GendtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, (ConfigError, AuthError)) else EXIT_INPUT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def run() -> None:

@@ -299,7 +299,7 @@ def run_replay(
     if epochs is None:
         epochs = enumerate_epochs(ptog, config.min_history)
     windows = [extract_window(ptog, e, config.history_depth) for e in epochs]
-    targets = [ptog.get_series(e.run, e.state) for e in epochs]
+    targets = [ptog.series.get(e) for e in epochs]
     table = _prepare((s for w, t in zip(windows, targets) for s in (*w, t)), config)
     windows = [tuple(table[s.run, s.state] for s in w) for w in windows]
     targets = [None if t is None else table[t.run, t.state] for t in targets]

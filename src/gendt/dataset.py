@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import INTEGER, NUMBER, OBJECT, GendtError, Kind, checked, list_of, read_json, shown
+from .errors import INTEGER, NUMBER, OBJECT, RATE, GendtError, Kind, checked, list_of, read_json, shown
 from .ptog import MeasurementSeries, Ptog, RunId, SensorId, StateId, read_samples_csv
 
 STATE_LABELS = ("P1", "P2", "P3")
@@ -73,7 +73,6 @@ _BOUNDARIES = Kind("a non-empty object of run -> bounds", lambda v: OBJECT.test(
 _BOUNDS = Kind("4 integers [start, p1_end, p2_end, end] with 0 <= start < p1_end < p2_end < end",
                lambda v: type(v) is list and len(v) == 4 and all(map(INTEGER.test, v))
                and 0 <= v[0] < v[1] < v[2] < v[3])
-_RATE = Kind("a finite number > 0", lambda v: NUMBER.test(v) and v > 0)
 _WEAR_POINTS = list_of(Kind("a [run, flank_wear_mm] pair of an integer and a finite number >= 0",
                             lambda v: type(v) is list and len(v) == 2
                             and INTEGER.test(v[0]) and NUMBER.test(v[1]) and v[1] >= 0))
@@ -88,7 +87,7 @@ def load_fixture_meta(
     strictly increase; the rate is a finite number > 0, a wear value >= 0."""
     name = FIXTURE_META_NAME
     meta = checked(DatasetError, read_json(Path(fixture_dir) / name, DatasetError), OBJECT, name)
-    rate = float(checked(DatasetError, meta.get("sample_rate_hz"), _RATE, f"{name}: sample_rate_hz"))
+    rate = float(checked(DatasetError, meta.get("sample_rate_hz"), RATE, f"{name}: sample_rate_hz"))
     if "boundaries" not in meta:
         raise DatasetError(f"{name}: missing 'boundaries' (each run's [start, p1_end, p2_end, end]); "
                            "data segmented outside gendt enters as a graph file or a manifest")

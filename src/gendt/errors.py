@@ -8,7 +8,8 @@ caller's error class and never a traceback. Each value of a graph, manifest,
 config, report or `fixture.json` document is then checked by `checked`
 against a `Kind`: an integer is a JSON integer (a boolean is not one), a
 number is finite (`abs(v) <= sys.float_info.max`), and a failure reads
-`<field> must be <what>, got <value>`. Range rules stay with each field.
+`<field> must be <what>, got <value>`. Range rules stay with each field, but
+a run, a state and a sample rate, read from many documents, have Kinds here.
 """
 
 import json
@@ -64,6 +65,9 @@ BOOLEAN = Kind("true or false", lambda v: type(v) is bool)
 OBJECT = Kind("a JSON object", lambda v: type(v) is dict)
 # a run index names files (`run_<k>.csv`, `overlay_run<k>_<state>.svg`)
 RUN_INDEX = Kind("an integer in [1, 10**18)", lambda v: INTEGER.test(v) and 1 <= v < 10**18)
+STATE_INDEX = Kind("an integer >= 1", lambda v: INTEGER.test(v) and v >= 1)
+LABEL = Kind("a non-empty string", lambda v: STRING.test(v) and v != "")
+RATE = Kind("a finite number > 0", lambda v: NUMBER.test(v) and v > 0)
 
 
 def optional(kind: Kind) -> Kind:

@@ -8,6 +8,9 @@ vertex. A graph file is one JSON document of `schema_version` 2, the only
 version read: each series' `samples` is one base64 string of its little-endian
 IEEE-754 float64 bytes, so the file round-trips bit for bit and loads without
 parsing float text.
+
+The keys are plain named tuples: each reader checks a run, a state or a
+sample rate where it enters, by `RUN_INDEX`, `STATE_INDEX`, `LABEL` or `RATE`.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import INTEGER, NUMBER, OBJECT, RUN_INDEX, STRING, GendtError, Kind, checked, list_of, read_json, shown
+from .errors import (INTEGER, LABEL, NUMBER, OBJECT, RATE, RUN_INDEX, STATE_INDEX, STRING, GendtError, Kind,
+                     checked, list_of, read_json, shown)
 
 SCHEMA_VERSION = 2
 
@@ -37,32 +41,20 @@ _PAIRS = list_of(Kind("a [run, state] pair", lambda v: type(v) is list and len(v
 _BLOCK = Kind("a base64 string of little-endian float64 bytes", lambda v: type(v) is str)
 
 
-@dataclass(frozen=True, order=True)
-class RunId:
+class RunId(NamedTuple):
     """1-based chronological run index, below 10**18 as it names files."""
 
     index: int
 
-    def __post_init__(self) -> None:
-        _checked(self.index, RUN_INDEX, "run index")
 
-
-@dataclass(frozen=True)
-class StateId:
+class StateId(NamedTuple):
     """Process state within a run, e.g. index 1 with label 'P1'."""
 
     index: int
     label: str
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise PtogError(f"state index must be >= 1, got {self.index}")
-        if not self.label:
-            raise PtogError("state label must be non-empty")
 
-
-@dataclass(frozen=True)
-class SensorId:
+class SensorId(NamedTuple):
     name: str
     unit: str
 
@@ -90,9 +82,6 @@ class MeasurementSeries:
             raise PtogError(f"samples of {self._where()} must be a flat list, got {samples.ndim} dimensions")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
-            raise PtogError(f"sample_rate_hz of {self._where()} must be finite and > 0, "
-                            f"got {self.sample_rate_hz}")
         if not samples.size:
             raise PtogError(f"series for {self._where()} has no samples")
         finite = np.isfinite(samples)
@@ -174,7 +163,7 @@ class Ptog:
 
         return cls(
             runs=tuple(sorted(run_set)),
-            states=tuple(sorted(sensors, key=lambda s: s.index)),
+            states=tuple(sorted(sensors)),
             sensors=sensors,
             vertices=frozenset(vertices),
             series=series_map,
@@ -186,13 +175,6 @@ class Ptog:
             if s.label == label:
                 return s
         return None
-
-    def get_series(self, run: RunId, state: StateId) -> Optional[MeasurementSeries]:
-        """Stored series for a vertex, or None. Absence is a value, not an error."""
-        return self.series.get((run, state))
-
-    def has_vertex(self, run: RunId, state: StateId) -> bool:
-        return (run, state) in self.vertices
 
     @cached_property
     def runs_by_state(self) -> Mapping[StateId, tuple[RunId, ...]]:
@@ -229,7 +211,7 @@ class Ptog:
                 "sample_rate_hz": s.sample_rate_hz,
                 "samples": base64.b64encode(s.samples.astype("<f8", copy=False).tobytes()).decode(),
             }
-            for key, s in sorted(self.series.items(), key=lambda kv: (kv[0][0], kv[0][1].index))
+            for key, s in sorted(self.series.items())  # keys are unique: no series is compared
         ]
         extra = sorted(
             [r.index, s.index] for (r, s) in self.vertices if (r, s) not in self.series
@@ -245,9 +227,10 @@ class Ptog:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Ptog":
         """A graph document, its values checked, not coerced, by `errors.checked`:
-        an index is a JSON integer, a label, sensor name or unit a string, a
-        sample rate or metadata value a finite number, and a samples block a
-        base64 string. `MeasurementSeries` checks the values it decodes to."""
+        a run index is `RUN_INDEX`, a state's index and label `STATE_INDEX` and
+        `LABEL`, a sensor name or unit a string, a sample rate `RATE`, a
+        metadata value a finite number, and a samples block a base64 string.
+        `MeasurementSeries` checks the values it decodes to."""
         _checked(doc, OBJECT, "graph document")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
@@ -257,8 +240,8 @@ class Ptog:
             states = {}
             sensors = {}
             for s in _checked(doc["states"], _OBJECTS, "states"):
-                sid = StateId(_checked(s["index"], INTEGER, "state index"),
-                              _checked(s["label"], STRING, "state label"))
+                sid = StateId(_checked(s["index"], STATE_INDEX, "state index"),
+                              _checked(s["label"], LABEL, "state label"))
                 if sid.index in states:
                     raise PtogError(f"state index {sid.index} declared twice")
                 if any(known.label == sid.label for known in states.values()):
@@ -278,20 +261,21 @@ class Ptog:
 
             def vertex(run, state) -> tuple[RunId, StateId, SensorId]:
                 index = _checked(state, INTEGER, "state index")
-                run = RunId(_checked(run, INTEGER, "run index"))
+                run = RunId(_checked(run, RUN_INDEX, "run index"))
                 if index not in states:
                     raise PtogError(f"run {run.index}: state index {index} is not declared")
                 return run, states[index], sensors[states[index]]
 
             def one_series(e) -> MeasurementSeries:
                 run, state, sensor = vertex(e["run"], e["state"])
-                rate = float(_checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz"))
-                name = f"samples of run {run.index} {state.label}"
+                rate = float(_checked(e["sample_rate_hz"], RATE,
+                                      lambda: f"sample_rate_hz of run {run.index} {state.label}"))
+                samples_of = lambda: f"samples of run {run.index} {state.label}"  # for an error line
                 try:  # strict base64: the alphabet and padding only, no line break
-                    raw = base64.b64decode(_checked(e["samples"], _BLOCK, name), validate=True)
+                    raw = base64.b64decode(_checked(e["samples"], _BLOCK, samples_of), validate=True)
                     samples = np.frombuffer(raw, "<f8")  # a whole number of values, or ValueError
                 except ValueError as exc:  # also binascii.Error, or a character beyond ASCII
-                    raise PtogError(f"{name} must be {_BLOCK.what}: {exc}") from exc
+                    raise PtogError(f"{samples_of()} must be {_BLOCK.what}: {exc}") from exc
                 return MeasurementSeries(run, state, sensor, rate, samples)  # rejects an empty block
 
             series = [one_series(e) for e in _checked(doc["series"], _OBJECTS, "series")]
@@ -350,8 +334,9 @@ def build_ptog(path: Union[str, Path]) -> Ptog:
 
     Each entry's values are checked, not coerced, as `Ptog.from_dict` checks a
     graph document's. A relative `csv_path` resolves against the manifest's
-    directory, and a null one declares a vertex without a series. State
-    indices are assigned by first appearance, runs sorted chronologically.
+    directory, and a null one declares a vertex without a series. A run's
+    entries may give its metadata in parts, but not two values for one key.
+    State indices are assigned by first appearance, runs sorted chronologically.
     """
     doc = _checked(read_json(path, PtogError), OBJECT, "manifest")
     base = Path(path).parent
@@ -361,13 +346,17 @@ def build_ptog(path: Union[str, Path]) -> Ptog:
     metadata: dict[int, dict[str, float]] = {}
     try:
         for e in _checked(doc["entries"], _OBJECTS, "entries"):
-            run = _checked(e["run"], INTEGER, "run")
-            label = _checked(e["state_label"], STRING, "state_label")
+            run = _checked(e["run"], RUN_INDEX, "run")
+            label = _checked(e["state_label"], LABEL, "state_label")
             sensor = SensorId(_checked(e["sensor"], STRING, "sensor"), _checked(e["unit"], STRING, "unit"))
-            rate = float(_checked(e["sample_rate_hz"], NUMBER, "sample_rate_hz"))
+            rate = float(_checked(e["sample_rate_hz"], RATE, lambda: f"sample_rate_hz of run {run} {label}"))
             csv_path = e.get("csv_path")
-            meta = {k: float(_checked(v, NUMBER, lambda: f"metadata {shown(k)}"))
-                    for k, v in _checked(e.get("metadata", {}), OBJECT, "manifest entry metadata").items()}
+            run_meta = metadata.setdefault(run, {})
+            for k, v in _checked(e.get("metadata", {}), OBJECT, "manifest entry metadata").items():
+                v = float(_checked(v, NUMBER, lambda: f"metadata {shown(k)}"))
+                if run_meta.setdefault(k, v) != v:
+                    raise PtogError(f"run {run}: manifest entries give metadata {shown(k)} "
+                                    f"as {shown(run_meta[k])} and {shown(v)}")
             if label not in state_ids:
                 state_ids[label] = StateId(len(state_ids) + 1, label)
             vertex = (RunId(run), state_ids[label], sensor)
@@ -377,8 +366,6 @@ def build_ptog(path: Union[str, Path]) -> Ptog:
                 # an absolute csv_path replaces the base
                 samples = read_samples_csv(base / _checked(csv_path, STRING, "csv_path"))
                 series.append(MeasurementSeries(*vertex, rate, samples))
-            if meta:
-                metadata.setdefault(run, {}).update(meta)
     except KeyError as exc:
         raise PtogError(f"malformed manifest: missing field {exc}") from exc
     return Ptog.from_series(series, run_metadata=metadata, empty_vertices=empty_vertices)
@@ -393,7 +380,7 @@ def save_manifest(ptog: Ptog, out_dir: Union[str, Path]) -> Path:
     out_dir = Path(out_dir)
     (out_dir / "segments").mkdir(parents=True, exist_ok=True)
     entries = []
-    for (run, state), s in sorted(ptog.series.items(), key=lambda kv: (kv[0][0], kv[0][1].index)):
+    for (run, state), s in sorted(ptog.series.items()):
         csv_path = f"segments/run_{run.index}_{state.label}.csv"
         (out_dir / csv_path).write_text("\n".join(map(repr, s.samples.tolist())) + "\n")
         entries.append({"run": run.index, "state_label": state.label, "sensor": s.sensor.name,

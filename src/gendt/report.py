@@ -8,10 +8,10 @@ enough that no plotting dependency is warranted.
 from __future__ import annotations
 
 import csv
+import html
 import math
 from pathlib import Path
 from typing import Union
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def _polygon(xs, ys, fill: str, opacity: float) -> str:
 
 
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "start") -> str:
-    return f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" font-family="sans-serif" text-anchor="{anchor}">{escape(s)}</text>'
+    return f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" font-family="sans-serif" text-anchor="{anchor}">{html.escape(s, quote=False)}</text>'
 
 
 def _svg(body: list[str]) -> str:

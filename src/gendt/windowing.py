@@ -8,7 +8,7 @@ over an immutable graph; safe for concurrent extraction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GendtError
 from .ptog import MeasurementSeries, Ptog, RunId, StateId
@@ -18,9 +18,9 @@ class NoHistory(GendtError):
     """No prior run carries a measurement for the requested state."""
 
 
-@dataclass(frozen=True)
-class EpochPoint:
-    """A (run, state) vertex at which a forecast is triggered."""
+class EpochPoint(NamedTuple):
+    """A (run, state) vertex at which a forecast is triggered; it is the
+    vertex's key, so `epoch in ptog.vertices` and `ptog.series.get(epoch)`."""
 
     run: RunId
     state: StateId

@@ -20,7 +20,7 @@ def reference_epoch(ptog, epoch, config) -> EpochReport:
     spec, kind, attempts = config.encoding, config.backend.kind, config.ensemble.attempts
     window = extract_window(ptog, epoch, config.history_depth)
     values = [dsp.preprocess(s, config.filter, config.downsample) for s in window]
-    target = ptog.get_series(epoch.run, epoch.state)
+    target = ptog.series.get(epoch)
     seeds = None
     if kind == "mock_noise":
         key = (epoch.run.index, epoch.state.index)

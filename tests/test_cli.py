@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gendt.cli import EXIT_CONFIG, EXIT_HALTED, EXIT_INPUT, EXIT_OK, main
+from gendt.cli import EXIT_CONFIG, EXIT_HALTED, EXIT_INPUT, EXIT_INTERRUPTED, EXIT_OK, main
 from gendt.config import save_config
 from conftest import block_values, make_config, samples_block
 
@@ -183,6 +183,48 @@ def test_replay_missing_ptog(cli_env):
         ["replay", "--ptog", "nowhere.json", "--config", str(cli_env["config"]), "--out", "x.json"]
     )
     assert code == EXIT_INPUT
+
+
+def test_interrupted_replay_exits_130_and_keeps_the_earlier_report(cli_env, tmp_path, capsys,
+                                                                   monkeypatch):
+    """Ctrl-C inside an epoch exits 130 with one line and no traceback, and
+    the report that an earlier replay wrote at `--out` stays byte-identical."""
+    from gendt import controller
+
+    out = tmp_path / "report.json"
+    argv = ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    before = out.read_bytes()
+    capsys.readouterr()
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(controller, "run_epoch", interrupt)
+    assert main(argv) == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("alias", ["same-path", "dot-slash", "symlink"])
+def test_replay_refuses_out_over_its_graph(cli_env, tmp_path, capsys, monkeypatch, alias):
+    """`replay --out` naming the `--ptog` file, by any path, exits 2 with one
+    line before any epoch runs, and leaves the graph as it was."""
+    from gendt import controller
+
+    graph = tmp_path / "g.json"
+    graph.write_bytes(cli_env["ptog"].read_bytes())
+    out = {"same-path": str(graph), "dot-slash": "./g.json", "symlink": "link.json"}[alias]
+    if alias == "symlink":
+        (tmp_path / out).symlink_to(graph)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(controller, "run_epoch", None)  # a replay that ran would fail on it
+    code = main(["replay", "--ptog", str(graph), "--config", str(cli_env["config"]), "--out", out])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: --out {Path(out)} is the --ptog graph file; write the report elsewhere\n")
+    assert graph.read_bytes() == cli_env["ptog"].read_bytes()
 
 
 def test_replay_bad_config(cli_env, tmp_path):
@@ -641,15 +683,15 @@ _BLOCK_KIND = "a base64 string of little-endian float64 bytes"
 # each with the error line it gives
 _UNCOERCED_GRAPH_VALUES = {
     "boolean-sample-rate": (("series", 0, "sample_rate_hz"), True,
-                            "sample_rate_hz must be a finite number, got True"),
+                            "sample_rate_hz of run 1 P1 must be a finite number > 0, got True"),
     "numeric-text-sample-rate": (("series", 0, "sample_rate_hz"), "250",
-                                 "sample_rate_hz must be a finite number, got '250'"),
+                                 "sample_rate_hz of run 1 P1 must be a finite number > 0, got '250'"),
     "fractional-run-index": (("series", -1, "run"), 14.5,
-                             "run index must be a JSON integer, got 14.5"),
+                             "run index must be an integer in [1, 10**18), got 14.5"),
     "boolean-state-index": (("states", 0, "index"), True,
-                            "state index must be a JSON integer, got True"),
+                            "state index must be an integer >= 1, got True"),
     "numeric-state-label": (("states", 0, "label"), 5,
-                            "state label must be a JSON string, got 5"),
+                            "state label must be a non-empty string, got 5"),
     "numeric-sensor-unit": (("states", 0, "sensor", "unit"), 1,
                             "sensor unit must be a JSON string, got 1"),
     "numeric-text-metadata": (("runs", 0, "metadata", "flank_wear_mm"), "0.1",
@@ -689,20 +731,20 @@ _UNCOERCED_GRAPH_VALUES = {
                      "states must be a JSON list, got {'a': 1}", id="_states_as_object"),
         pytest.param(_set_graph_value(("runs", 0), 5), "runs[0] must be a JSON object, got 5",
                      id="_run_as_number"),
-        pytest.param(_set_graph_value(("states", 0, "label"), ""), "state label must be non-empty",
-                     id="_empty_state_label"),
-        pytest.param(_set_graph_value(("states", 0, "index"), 0), "state index must be >= 1, got 0",
-                     id="_zero_state_index"),
-        pytest.param(_set_graph_value(("states", 0, "index"), -1), "state index must be >= 1, got -1",
-                     id="_negative_state_index"),
+        pytest.param(_set_graph_value(("states", 0, "label"), ""),
+                     "state label must be a non-empty string, got ''", id="_empty_state_label"),
+        pytest.param(_set_graph_value(("states", 0, "index"), 0),
+                     "state index must be an integer >= 1, got 0", id="_zero_state_index"),
+        pytest.param(_set_graph_value(("states", 0, "index"), -1),
+                     "state index must be an integer >= 1, got -1", id="_negative_state_index"),
         pytest.param(_set_graph_value(("runs", 1), {"index": 1, "metadata": {"flank_wear_mm": 9.9}}),
                      "run index 1 declared twice", id="_repeated_run"),
         pytest.param(_set_graph_value(("runs", 0), {"index": 0, "metadata": {}}),
                      "run index must be an integer in [1, 10**18), got 0", id="_zero_run_index"),
         pytest.param(_set_graph_value(("series", 4, "sample_rate_hz"), 0),
-                     "sample_rate_hz of run 2 P2 must be finite and > 0, got 0.0", id="_zero_sample_rate"),
+                     "sample_rate_hz of run 2 P2 must be a finite number > 0, got 0", id="_zero_sample_rate"),
         pytest.param(_set_graph_value(("series", 4, "sample_rate_hz"), -250.0),
-                     "sample_rate_hz of run 2 P2 must be finite and > 0, got -250.0",
+                     "sample_rate_hz of run 2 P2 must be a finite number > 0, got -250.0",
                      id="_negative_sample_rate"),
         pytest.param(_set_graph_value(("states", 0, "sensor"), "x"),
                      "state P1: sensor must be a JSON object, got 'x'", id="_sensor_as_text"),
@@ -1297,6 +1339,15 @@ def test_local_replay_imports_no_third_party_http_client(cli_env, tmp_path):
     script = (f"import sys\nfrom gendt.cli import main\nassert main({argv!r}) == 0\n"
               "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
     done = _run_python("-c", script)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_report_module_imports_no_http_or_xml_stack():
+    """`gendt.report` escapes SVG text with `html.escape`, so importing it
+    loads neither `xml.sax` nor, through it, `urllib.request`."""
+    done = _run_python("-c", "import sys, gendt.report\n"
+                             "print(sorted({'xml.sax', 'urllib.request'} & set(sys.modules)))")
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
 

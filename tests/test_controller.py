@@ -321,7 +321,7 @@ def test_truth_equals_quantized_target(milling_ptog, persistence_config, spec):
     from gendt import codec
 
     config = replace(persistence_config, encoding=codec.EncodingSpec(**spec))
-    series = milling_ptog.get_series(RunId(7), milling_ptog.state_by_label("P2"))
+    series = milling_ptog.series[RunId(7), milling_ptog.state_by_label("P2")]
     (vertex,) = _prepare([series], config).values()
     truth = vertex.wire_or_raise().decoded
     assert truth.tolist() == codec.quantize(vertex.values, config.encoding)
@@ -338,7 +338,7 @@ def test_truth_from_the_one_pass_is_the_parsed_wire_text(milling_ptog, persisten
     table = _prepare(milling_ptog.series.values(), config)
     sep, scale = config.encoding.separator, config.encoding.scale
     for (run, state), vertex in table.items():
-        assert vertex.series is milling_ptog.get_series(run, state)
+        assert vertex.series is milling_ptog.series[run, state]
         text = codec.encode(vertex.values, config.encoding).text
         assert vertex.result.text == text
         parsed = np.array([float(token) * scale for token in text.split(sep)])
@@ -355,7 +355,7 @@ def test_unencodable_vertex_fails_only_its_epochs_in_one_encode_call(
     from gendt import codec
 
     p2 = milling_ptog.state_by_label("P2")
-    bad = milling_ptog.get_series(RunId(5), p2)
+    bad = milling_ptog.series[RunId(5), p2]
     samples = bad.samples.copy()
     samples[len(samples) // 2] = 1e300
     graph = Ptog.from_series(
@@ -378,7 +378,7 @@ def test_unencodable_vertex_fails_only_its_epochs_in_one_encode_call(
         else:
             assert report.median == was.median and report.truth == was.truth
             assert report.q_rmse == was.q_rmse and report.flags == was.flags
-    (vertex,) = _prepare([graph.get_series(RunId(5), p2)], persistence_config).values()
+    (vertex,) = _prepare([graph.series[RunId(5), p2]], persistence_config).values()
     raised = []
     for _ in range(2):
         with pytest.raises(codec.Overflow) as error:

@@ -49,7 +49,7 @@ def test_explicit_segmentation_per_run_boundaries(fixture_dir, tmp_path):
     (fixture / "fixture.json").write_text(json.dumps(meta))
     ptog = ingest_fixture(fixture)
     samples = read_samples_csv(fixture / "run_3.csv")
-    cut = [ptog.get_series(RunId(3), ptog.state_by_label(label)).samples.tolist()
+    cut = [ptog.series[RunId(3), ptog.state_by_label(label)].samples.tolist()
            for label in STATE_LABELS]
     assert cut == [list(samples[0:2]), list(samples[2:4]), list(samples[4:6])]
     assert RunId(9) not in ptog.runs and len(ptog.runs) == 13
@@ -243,7 +243,7 @@ def test_synthetic_plateau_drifts_upward(milling_ptog):
     """The wear signature: stable-cut level rises run over run."""
     state = milling_ptog.state_by_label("P2")
     levels = [
-        float(np.mean(milling_ptog.get_series(RunId(r), state).samples)) for r in (1, 7, 14)
+        float(np.mean(milling_ptog.series[RunId(r), state].samples)) for r in (1, 7, 14)
     ]
     assert levels[0] < levels[1] < levels[2]
 

@@ -62,7 +62,7 @@ def test_milling_manifest_builds_42_vertices(milling_ptog):
 def test_empty_manifest_is_valid(tmp_path):
     ptog = build_ptog(manifest(tmp_path))
     assert ptog.n_vertices == 0
-    assert ptog.get_series(RunId(1), S1) is None
+    assert ptog.series.get((RunId(1), S1)) is None
 
 
 def test_duplicate_vertex_rejected(tmp_path):
@@ -140,9 +140,9 @@ def test_direct_sensor_mismatch():
 
 def test_get_series_present_and_absent(milling_ptog):
     p1 = milling_ptog.state_by_label("P1")
-    assert milling_ptog.get_series(RunId(7), p1) is not None
-    assert milling_ptog.get_series(RunId(99), p1) is None
-    assert milling_ptog.get_series(RunId(7), StateId(9, "P9")) is None
+    assert milling_ptog.series.get((RunId(7), p1)) is not None
+    assert milling_ptog.series.get((RunId(99), p1)) is None
+    assert milling_ptog.series.get((RunId(7), StateId(9, "P9"))) is None
 
 
 def test_vertex_without_series(tmp_path):
@@ -151,8 +151,8 @@ def test_vertex_without_series(tmp_path):
     ptog = build_ptog(manifest(tmp_path, *entries))
     assert ptog.n_vertices == 2
     assert ptog.n_series == 1
-    assert ptog.has_vertex(RunId(2), S1)
-    assert ptog.get_series(RunId(2), S1) is None
+    assert (RunId(2), S1) in ptog.vertices
+    assert ptog.series.get((RunId(2), S1)) is None
 
 
 def test_manifest_dump_rejects_series_less_vertex(tmp_path):
@@ -225,14 +225,17 @@ def test_load_corrupted_file(tmp_path):
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
 def test_sample_rate_must_be_finite_and_positive(rate, tmp_path):
-    with pytest.raises(PtogError, match="sample_rate_hz"):
-        MeasurementSeries(RunId(1), S1, SENSOR, rate, (1.0, 2.0))
+    """Each reader of a rate applies `errors.RATE`, and the line names the
+    series' run and state, in a graph file or a manifest."""
     doc = Ptog.from_series([series(1)]).to_dict()
     doc["series"][0]["sample_rate_hz"] = rate
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(PtogError, match="sample_rate_hz"):
+    with pytest.raises(PtogError, match="^sample_rate_hz of run 1 P1 must be a finite number > 0, got "):
         load_ptog(path)
+    (tmp_path / "s.csv").write_text("1.0\n")
+    with pytest.raises(PtogError, match="^sample_rate_hz of run 1 P1 must be a finite number > 0, got "):
+        build_ptog(manifest(tmp_path, dict(entry(1), sample_rate_hz=rate)))
 
 
 def test_series_length_invariant():
@@ -246,8 +249,40 @@ def test_empty_series_rejected():
 
 
 def test_manifest_entry_validation(tmp_path):
-    with pytest.raises(PtogError, match="^run must be a JSON integer, got 'x'$"):
+    with pytest.raises(PtogError, match=r"^run must be an integer in \[1, 10\*\*18\), got 'x'$"):
         build_ptog(manifest(tmp_path, {"run": "x"}))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("run", 0, r"^run must be an integer in \[1, 10\*\*18\), got 0$"),
+        ("run", 10**18, r"^run must be an integer in \[1, 10\*\*18\), got 1000000000000000000$"),
+        ("run", True, r"^run must be an integer in \[1, 10\*\*18\), got True$"),
+        ("state_label", "", "^state_label must be a non-empty string, got ''$"),
+    ],
+)
+def test_manifest_key_rules(tmp_path, field, value, message):
+    """`build_ptog` checks a run by `errors.RUN_INDEX` and a state label by
+    `errors.LABEL`, as a graph file's reader does."""
+    (tmp_path / "s.csv").write_text("1.0\n")
+    with pytest.raises(PtogError, match=message):
+        build_ptog(manifest(tmp_path, dict(entry(3), **{field: value})))
+
+
+def test_manifest_metadata_of_one_run_must_agree(tmp_path):
+    """Entries of one run may each give part of its metadata, or repeat a
+    value, but two values for one key are refused, naming the run and key."""
+    (tmp_path / "s.csv").write_text("1.0\n")
+    entries = [entry(2, "P1", metadata={"flank_wear_mm": 0.1}),
+               entry(2, "P2", metadata={"flank_wear_mm": 0.1, "feed": 3}),
+               entry(2, "P3")]
+    ptog = build_ptog(manifest(tmp_path, *entries))
+    assert ptog.run_metadata == {RunId(2): {"flank_wear_mm": 0.1, "feed": 3.0}}
+    entries[2] = entry(2, "P3", metadata={"flank_wear_mm": 0.2})
+    with pytest.raises(PtogError, match="^run 2: manifest entries give metadata 'flank_wear_mm' "
+                                        "as 0.1 and 0.2$"):
+        build_ptog(manifest(tmp_path, *entries))
 
 
 @pytest.mark.parametrize(
