@@ -202,7 +202,11 @@ def test_interrupted_replay_exits_130_and_keeps_the_earlier_report(cli_env, tmp_
         raise KeyboardInterrupt
 
     monkeypatch.setattr(controller, "run_epoch", interrupt)
-    assert main(argv) == EXIT_INTERRUPTED
+    try:
+        code = main(argv)
+    except KeyboardInterrupt:  # would otherwise stop the whole test session
+        pytest.fail("main let KeyboardInterrupt through")
+    assert code == EXIT_INTERRUPTED
     assert capsys.readouterr().err == "error: interrupted\n"
     assert out.read_bytes() == before
 

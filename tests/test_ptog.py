@@ -261,6 +261,7 @@ def test_manifest_entry_validation(tmp_path):
         ("run", True, r"^run must be an integer in \[1, 10\*\*18\), got True$"),
         ("state_label", "", "^state_label must be a non-empty string, got ''$"),
     ],
+    ids=["zero-run", "run-past-the-bound", "boolean-run", "empty-state-label"],
 )
 def test_manifest_key_rules(tmp_path, field, value, message):
     """`build_ptog` checks a run by `errors.RUN_INDEX` and a state label by
