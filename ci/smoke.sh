@@ -40,11 +40,12 @@ for out in report.json again.json; do
     --reproducible --out "$out"
 done
 cmp report.json again.json
-# the command line and a local replay import no third-party HTTP client
+# the command line and a local replay import no third-party HTTP client, and
+# not the standard library's HTTP stack either: only llm_http loads it
 python -c 'import sys
 from gendt.cli import main
 assert main(["replay", "--ptog", "ptog.json", "--config", sys.argv[1], "--out", "third.json"]) == 0
-leaked = {"requests", "urllib3"} & set(sys.modules)
+leaked = {"requests", "urllib3", "urllib.request", "http.client", "ssl", "email"} & set(sys.modules)
 assert not leaked, leaked' "$CONFIG"
 gendt report --report report.json --out-dir report_artifacts
 # one epoch through the vectorised encoder: one line of comma-separated
@@ -71,6 +72,11 @@ expect 2 replay --ptog missing.json --config "$CONFIG"
 cp ptog.json ptog_before.json
 expect 2 replay --ptog ptog.json --config "$CONFIG" --out ptog.json
 cmp ptog.json ptog_before.json
+# and so is one that is the config file
+cp "$CONFIG" config_copy.json
+cp config_copy.json config_before.json
+expect 2 replay --ptog ptog.json --config config_copy.json --out config_copy.json
+cmp config_copy.json config_before.json
 # Ctrl-C inside an epoch exits 130 with one line and writes no report
 code=0
 python -c 'import sys

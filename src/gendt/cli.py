@@ -18,13 +18,14 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__, codec, report as report_mod
 from .config import ConfigError, RunConfig, load_config
 from .controller import run_replay
-from .dataset import ingest_fixture
+from .dataset import FIXTURE_META_NAME, ingest_fixture
 from .errors import GendtError, read_json
 from .forecast import BACKEND_KINDS, AuthError, ForecastError
 from .ptog import PtogError, RunId, load_ptog, save_manifest, save_ptog
@@ -39,15 +40,35 @@ EXIT_INTERRUPTED = 130
 REPORT_SCHEMA_VERSION = 1
 
 
+def _refuse_out_over_inputs(out: Path, inputs: Iterable[tuple[Path, str]], writes: str) -> None:
+    """Raise a GendtError when `out` is an existing file that is one of the
+    command's `inputs`, (path, name) pairs, by whatever path, a symlink or a
+    hard link among them: no output may replace an input of the command that
+    writes it. `inputs` is read only when `out` exists."""
+    try:
+        written = os.stat(out)
+    except OSError:  # nothing there to replace; the write reports any other fault
+        return
+    for path, name in inputs:
+        try:
+            read = os.stat(path)
+        except OSError:
+            continue
+        if os.path.samestat(written, read):
+            raise GendtError(f"--out {out} is the {name}; write the {writes} elsewhere")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
-    ptog = ingest_fixture(args.fixture)
+    fixture, out = Path(args.fixture), Path(args.out)
+    inputs = chain([fixture / FIXTURE_META_NAME], fixture.glob("run_*.csv"))
+    _refuse_out_over_inputs(out, ((p, f"--fixture file {p.name}") for p in inputs), "graph")
+    ptog = ingest_fixture(fixture)
     counts = f"{ptog.n_vertices} vertices, {ptog.n_series} series"
     if args.dry_run:
         print(f"dry run ok: {counts}")
         return EXIT_OK
     if args.workdir:
         counts += f", manifest {save_manifest(ptog, args.workdir)}"
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_ptog(ptog, out)
     print(f"wrote {out}: {counts}")
@@ -104,8 +125,10 @@ def _report_text(config: RunConfig, result, reproducible: bool) -> str:
 def cmd_replay(args: argparse.Namespace) -> int:
     ptog, config = _load_replay_inputs(args, args.backend)
     out = Path(args.out)
-    if out.exists() and os.path.samefile(out, args.ptog):
-        raise GendtError(f"--out {out} is the --ptog graph file; write the report elsewhere")
+    inputs = [(args.ptog, "--ptog graph file"), (args.config, "--config file")]
+    if config.prompt_template_path is not None:
+        inputs.append((config.prompt_template_path, "config's prompt template"))
+    _refuse_out_over_inputs(out, inputs, "report")
     result = run_replay(ptog, config)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(_report_text(config, result, args.reproducible))

@@ -3,10 +3,13 @@
 A replay plans every epoch's inputs, forecasts each epoch (`run_epoch`),
 scores the forecasts in batches of alike epochs, then folds them in epoch
 order. The plan holds each series it reads as a `PreparedVertex`, filtered,
-decimated and encoded once, and each epoch reads its vertices from it. Only
-the fold depends on earlier epochs: per-epoch control is a three-level
-policy on the forecast error, and production health folds epoch errors into
-a cumulative total checked against a budget.
+decimated and encoded once, and each epoch reads its vertices from it. Each
+epoch's forecast request is made one epoch ahead, so that one `llm_http`
+attempt pool, kept for the whole replay, has the next epoch's attempts
+queued before the current epoch's finish. Only the fold depends on earlier
+epochs: per-epoch control is a three-level policy on the forecast error, and
+production health folds epoch errors into a cumulative total checked against
+a budget.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, starmap
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -25,6 +28,7 @@ from .ensemble import aggregate, error_stats, rmse
 from .errors import GendtError
 from .forecast import (
     AllAttemptsFailed,
+    AttemptPool,
     ForecastRequest,
     forecast_ensemble,
     noise_seeds,
@@ -164,54 +168,69 @@ def _prepare(series: Iterable[Optional[MeasurementSeries]], config: "RunConfig")
     return {key: PreparedVertex(s, v, w) for (key, s), v, w in zip(todo.items(), values, wires)}
 
 
-def run_epoch(
-    epoch: EpochPoint,
+def _request(
     window: tuple[PreparedVertex, ...],
     target: Optional[PreparedVertex],
     seeds: Optional[np.ndarray],
     config: "RunConfig",
-) -> tuple[EpochReport, Optional[np.ndarray], Optional[np.ndarray]]:
-    """One epoch whose inputs `run_replay` planned, turned into its record
-    (flags, history, horizon, timing), attempt matrix and truth.
-
-    `window` is the epoch's history, oldest first, and `target` its own
-    series, None when the graph carries none, each as its prepared vertex;
-    `seeds` is the epoch's `mock_noise` seed rows (None under the other
-    backends). Join the history's wire text, run the forecast ensemble, then
-    read the identically prepared ground truth, the target's decoded wire
-    text, so that truth and forecast compare like with like; the target is
-    consulted only after the forecast is fixed (except for the oracle
-    backend, which is defined to receive it), and cut to the horizon; it is
-    None without ground truth.
-    An epoch with a window or target vertex that cannot be encoded, or whose
-    every attempt fails, is recorded as failed: flags "epoch_failed" and the
-    error's class name, no matrix and no truth.
-    """
-    start = time.perf_counter()
-    horizon = len(window[-1].values)
-    oracle = config.backend.kind == "oracle"
+) -> Union[ForecastRequest, codec.CodecError]:
+    """The forecast request of an epoch whose inputs `run_replay` planned:
+    its history's joined wire text in the prompt, and the target's decoded
+    wire text for the oracle backend alone, which is defined to receive it.
+    A window or oracle target vertex that cannot be encoded gives its
+    CodecError in place of a request."""
     try:
         # the join of per-vertex encodings is the encoding of the concatenation
         sensor_text = config.encoding.separator.join(v.wire_or_raise().text for v in window)
-        truth = target.wire_or_raise().decoded if oracle and target is not None else None
-        request = ForecastRequest(
+        oracle = config.backend.kind == "oracle" and target is not None
+        return ForecastRequest(
             prompt=codec.build_prompt(sensor_text, config.prompt_template),
             temperature=config.resolved_temperature(),
             top_p=config.ensemble.top_p,
             attempts=config.ensemble.attempts,
-            horizon=horizon,
+            horizon=len(window[-1].values),
             encoding=config.encoding,
             last_history=window[-1].values,
             seeds=seeds,
-            truth=truth,
+            truth=target.wire_or_raise().decoded if oracle else None,
         )
-        _, rows = forecast_ensemble(config.backend, request)
-        if target is not None and not oracle:
-            truth = target.wire_or_raise().decoded
+    except codec.CodecError as exc:
+        return exc
+
+
+def run_epoch(
+    epoch: EpochPoint,
+    window: tuple[PreparedVertex, ...],
+    target: Optional[PreparedVertex],
+    request: Union[ForecastRequest, codec.CodecError],
+    config: "RunConfig",
+    pool: AttemptPool,
+) -> tuple[EpochReport, Optional[np.ndarray], Optional[np.ndarray]]:
+    """One planned epoch and its `_request`, turned into its record (flags,
+    history, horizon, timing), attempt matrix and truth.
+
+    `window` is the epoch's history, oldest first, and `target` its own
+    series, None when the graph carries none, each as its prepared vertex.
+    Run the forecast ensemble (`llm_http` attempts on the replay's `pool`),
+    then read the identically prepared ground truth, the target's decoded
+    wire text, so that truth and forecast compare like with like; the target
+    is consulted only after the forecast is fixed, and cut to the horizon; it
+    is None without ground truth.
+    An epoch with no request (its CodecError instead), a target vertex that
+    cannot be encoded, or no successful attempt is recorded as failed: flags
+    "epoch_failed" and the error's class name, no matrix and no truth.
+    """
+    start = time.perf_counter()
+    try:
+        if isinstance(request, codec.CodecError):
+            raise request  # nothing was queued or is sent for it
+        _, rows = forecast_ensemble(config.backend, request, pool)
+        truth = None if target is None else target.wire_or_raise().decoded
     except (AllAttemptsFailed, codec.CodecError) as exc:
         flags = ["epoch_failed", type(exc).__name__]
         return EpochReport(epoch.run.index, epoch.state.label, flags=flags), None, None
 
+    horizon = request.horizon
     flags = ["short_history"] if len(window) < config.history_depth else []
     if len(rows) < config.ensemble.attempts:
         flags.append("failed_attempts")
@@ -232,6 +251,28 @@ def run_epoch(
         downsample_factor=config.downsample.factor_for(window[-1].series.sample_rate_hz),
     )
     return report, rows, truth
+
+
+def _forecast(plan: Sequence[tuple], config: "RunConfig", pool: AttemptPool) -> list[tuple]:
+    """`run_epoch` of each planned epoch, in order. Each epoch's request is
+    made while the epoch before it runs, and under `llm_http` its attempts
+    are queued on `pool` then, so that the workers never drain at an epoch
+    boundary; nothing is queued more than one epoch ahead."""
+    remote = config.backend.kind == "llm_http"
+
+    def requested(epoch, window, target, seeds):
+        request = _request(window, target, seeds, config)
+        if remote and isinstance(request, ForecastRequest):
+            pool.queue(request)
+        return epoch, window, target, request
+
+    ahead = starmap(requested, plan)
+    forecasts = []
+    upcoming = next(ahead, None)
+    while upcoming is not None:
+        current, upcoming = upcoming, next(ahead, None)
+        forecasts.append(run_epoch(*current, config, pool))
+    return forecasts
 
 
 def _score(forecasts: list[tuple]) -> list[EpochReport]:
@@ -293,8 +334,10 @@ def run_replay(
     and health in epoch order. Failed epochs are recorded and the replay
     goes on; they, and epochs without ground truth, add 0 to the fold. With
     config.halt_on_stop the fold stops at the first Stop decision, emulating
-    a live control loop, and epochs are forecast and scored one at a time, so
-    that none past the Stop is forecast; otherwise all are scored at once.
+    a live control loop. A Stop depends only on its own epoch, so a replay
+    forecasts and scores the whole plan at once, except a halting `llm_http`
+    one, which goes one epoch at a time, so that no request is sent past the
+    Stop. One `AttemptPool` serves every `llm_http` attempt of the replay.
     """
     if epochs is None:
         epochs = enumerate_epochs(ptog, config.min_history)
@@ -309,16 +352,21 @@ def run_replay(
     else:
         seeds = [None] * len(epochs)
     plan = list(zip(epochs, windows, targets, seeds))
-    # a halting replay forecasts one epoch at a time, so none past the Stop is
-    # forecast (or, under llm_http, paid for); any other scores all at once
-    size = 1 if config.halt_on_stop else max(len(plan), 1)
-    chunks = (_score([run_epoch(*p, config) for p in plan[i:i + size]])
-              for i in range(0, len(plan), size))
+    step = 1 if config.halt_on_stop and config.backend.kind == "llm_http" else max(len(plan), 1)
+    with AttemptPool(config.backend) as pool:
+        chunks = (_score(_forecast(plan[i:i + step], config, pool)) for i in range(0, len(plan), step))
+        reports, halted = _fold(chain.from_iterable(chunks), config)
+    return ReplayResult(reports, _build_summary(ptog, reports, halted), halted)
+
+
+def _fold(scored: Iterable[EpochReport], config: "RunConfig") -> tuple[list[EpochReport], bool]:
+    """Decide and fold the scored records in epoch order; under
+    halt_on_stop, stop after the first Stop. Returns the folded records and
+    whether they halted."""
     reports: list[EpochReport] = []
     cumulative = 0.0
     current_run = None
-    halted = False
-    for report in chain.from_iterable(chunks):
+    for report in scored:
         if config.health_scope == "run" and report.run != current_run:
             cumulative = 0.0
             current_run = report.run
@@ -329,9 +377,8 @@ def run_replay(
         report.health = verdict.value
         reports.append(report)
         if config.halt_on_stop and report.decision == ControlDecision.STOP.label:
-            halted = True
-            break
-    return ReplayResult(reports, _build_summary(ptog, reports, halted), halted)
+            return reports, True
+    return reports, False
 
 
 def _build_summary(ptog: Ptog, reports: list[EpochReport], halted: bool) -> dict:

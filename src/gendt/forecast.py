@@ -4,26 +4,27 @@ Backends: a remote chat-completion HTTP endpoint, plus deterministic local
 baselines (oracle, persistence, seeded noisy mock) that anchor tests and CI
 without network access. Failed attempts are carried as values, never dropped;
 an epoch fails only when every attempt fails.
+
+`llm_http` attempts run on an `AttemptPool`, which a replay keeps from its
+first epoch to its last so that it can queue the next epoch's attempts while
+the current one's are in flight. Each try is one POST on a fresh
+`http.client` connection; `http.client` and `ssl` are imported by the
+transport itself, so a process that never sends a request never loads them.
 """
 
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import logging
 import math
 import os
 import random
-import ssl
-import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -31,6 +32,10 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .codec import DecodeFailure, EncodingSpec, decode
 from .errors import STRING, GendtError, checked, read_json, shown
+
+if TYPE_CHECKING:
+    import http.client
+    import ssl
 
 log = logging.getLogger(__name__)
 
@@ -158,30 +163,81 @@ def _is_http_url(url: str) -> bool:
 def _tls_context() -> ssl.SSLContext:
     """One context for every HTTPS connection, made at the first one: loading
     the system CA store (or `SSL_CERT_FILE`) takes tens of milliseconds."""
+    import ssl
+
     return ssl.create_default_context()
 
 
-class _HTTPSHandler(urllib.request.HTTPSHandler):
-    def https_open(self, req):
-        return self.do_open(http.client.HTTPSConnection, req, context=_tls_context())
+def _connection(tls: bool, host: str, timeout_s: float) -> http.client.HTTPConnection:
+    import http.client
+
+    if tls:
+        return http.client.HTTPSConnection(host, timeout=timeout_s, context=_tls_context())
+    return http.client.HTTPConnection(host, timeout=timeout_s)
 
 
-@functools.lru_cache(maxsize=8)
-def _opener(proxies: tuple[tuple[str, str], ...]) -> urllib.request.OpenerDirector:
-    """An opener through `proxies` with no redirect handler and no error
-    processor, so every status, a 3xx among them, comes back as a response."""
-    opener = urllib.request.OpenerDirector()
-    for handler in (urllib.request.ProxyHandler(dict(proxies)), urllib.request.HTTPHandler(),
-                    _HTTPSHandler(), urllib.request.UnknownHandler()):
-        opener.add_handler(handler)
-    return opener
+def _proxy_variable(name: str) -> Optional[str]:
+    """`<name>_proxy` as `urllib.request` reads it from the environment, but
+    without walking `os.environ`: the lowercase name wins over its uppercase
+    form, and empty is unset. `HTTP_PROXY` is ignored when `REQUEST_METHOD` is set, because a
+    CGI server sets it from a client's `Proxy:` header."""
+    value = os.environ.get(f"{name}_proxy")
+    if value is None and not (name == "http" and "REQUEST_METHOD" in os.environ):
+        value = os.environ.get(f"{name.upper()}_PROXY")
+    return value or None
+
+
+def _proxy(scheme: str, host: str) -> Optional[tuple[bool, str, dict[str, str]]]:
+    """The proxy the environment names for a request to `host` by `scheme`
+    at this moment, as (TLS to the proxy, its host:port, the headers for it),
+    or None to go direct. `no_proxy` is matched and the proxy URL parsed by
+    `urllib.request`'s own functions, loaded only here; `all_proxy` is not
+    read, as urllib's opener never used it for http or https."""
+    url = _proxy_variable(scheme)
+    if url is None:
+        return None
+    from urllib.request import _parse_proxy, proxy_bypass_environment
+
+    no_proxy = _proxy_variable("no")
+    if proxy_bypass_environment(host, {"no": no_proxy} if no_proxy else {}):
+        return None
+    proxy_scheme, user, password, hostport = _parse_proxy(url)
+    headers = {}
+    if user and password:
+        import base64
+
+        pair = f"{urllib.parse.unquote(user)}:{urllib.parse.unquote(password)}"
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(pair.encode()).decode("ascii")
+    return proxy_scheme == "https", urllib.parse.unquote(hostport), headers
 
 
 def _post(config: BackendConfig, data: bytes, headers: dict[str, str]) -> http.client.HTTPResponse:
-    """One POST on a fresh connection, through the proxy the environment
-    names at this moment (`no_proxy` is read per request too)."""
-    request = urllib.request.Request(config.endpoint, data, headers, method="POST")
-    return _opener(tuple(sorted(urllib.request.getproxies().items()))).open(request, timeout=config.timeout_s)
+    """One POST on a fresh connection (`Connection: close`), through the
+    proxy the environment names at this moment. An `http://` request goes to
+    an HTTP proxy in absolute form; an `https://` one through a CONNECT
+    tunnel, which alone carries the proxy's credentials."""
+    parts = urllib.parse.urlsplit(config.endpoint)
+    host = urllib.parse.unquote(parts.netloc)
+    target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+    headers = {**headers, "Host": host, "Connection": "close"}
+    tls = parts.scheme == "https"
+    proxy = _proxy(parts.scheme, host)
+    if proxy is None:
+        conn = _connection(tls, host, config.timeout_s)
+    else:
+        proxy_tls, proxy_host, proxy_headers = proxy
+        conn = _connection(tls or proxy_tls, proxy_host, config.timeout_s)
+        if tls:  # TLS runs to the endpoint itself, inside the tunnel
+            conn.set_tunnel(host, headers=proxy_headers)
+        else:
+            headers.update(proxy_headers)
+            target = parts._replace(fragment="").geturl()
+    try:
+        conn.request("POST", target, data, headers)
+        return conn.getresponse()
+    finally:
+        if conn.sock is not None:  # the response reads on through its own file object
+            conn.sock.close()
 
 
 def llm_http_call(
@@ -195,6 +251,8 @@ def llm_http_call(
     retried or followed. The credential is read from the environment at call
     time and never stored or logged; it is sent only as the `Bearer` header.
     """
+    import http.client
+
     key = os.environ.get(config.api_key_env)
     if not key:
         raise AuthError(f"environment variable {config.api_key_env} is not set")
@@ -223,9 +281,7 @@ def llm_http_call(
                     raise BackendUnreachable(f"unexpected HTTP {status} from {config.endpoint}")
                 return _extract_content(_read_capped(resp))
         except (OSError, http.client.HTTPException) as exc:  # a body cut short among them
-            # a URLError wraps the socket error of a failed connect or send
-            cause = exc.reason if isinstance(exc, urllib.error.URLError) else None
-            last_error = f"transport error: {type(cause if isinstance(cause, OSError) else exc).__name__}"
+            last_error = f"transport error: {type(exc).__name__}"
             log.debug("llm_http transport error (try %d): %s", attempt + 1, last_error)
     raise BackendUnreachable(
         f"gave up after {config.max_retries + 1} calls to {config.endpoint}: {last_error}"
@@ -235,6 +291,8 @@ def llm_http_call(
 def _read_capped(resp: http.client.HTTPResponse) -> bytes:
     """The body, read until it ends or exceeds MAX_REPLY_BYTES; one that ends
     short of its Content-Length raises IncompleteRead."""
+    import http.client
+
     body = bytearray()
     while chunk := resp.read(16 * 1024):
         body += chunk
@@ -367,33 +425,49 @@ def _local_matrix(config: BackendConfig, request: ForecastRequest) -> np.ndarray
     return rows
 
 
-def forecast_ensemble(
-    config: BackendConfig, request: ForecastRequest
-) -> tuple[list[ForecastAttempt], np.ndarray]:
-    """Run exactly `request.attempts` independent attempts.
+class AttemptPool:
+    """The `llm_http` workers of one replay, or of one standalone ensemble:
+    at most `max_in_flight` threads, started as attempts arrive and joined
+    when the pool closes, which cancels every attempt still queued.
 
-    Returns the outcome of each `llm_http` attempt in index order (none for a
-    local baseline) and the successful attempts' values as one (successes,
-    horizon) matrix in that order; `llm_http` runs one pool of
-    `min(max_in_flight, attempts)` workers and decodes each reply into its row.
-    Raises AllAttemptsFailed when no attempt succeeded, and AuthError on a
-    rejected or missing credential, after which no attempt is sent.
+    `queue` hands an epoch's attempts to the workers in index order, behind
+    every attempt queued before them; `forecast_ensemble` awaits them, and
+    queues them itself if no one has. Once the endpoint rejects the
+    credential, no attempt not yet sent is sent, whichever epoch it is of,
+    and an epoch that lost an attempt to the rejection raises it.
     """
-    if config.kind != "llm_http":
-        return [], _local_matrix(config, request)
-    rows = np.empty((request.attempts, request.horizon))
-    rejected = threading.Event()
 
-    def attempt(index: int) -> Optional[ForecastAttempt]:
-        if rejected.is_set():
-            return None  # the rejection itself is raised below
+    def __init__(self, config: BackendConfig) -> None:
+        self._config = config
+        self._executor = ThreadPoolExecutor(config.max_in_flight)
+        # id(request) -> its matrix and futures; the entry keeps the request, so its id is not reused
+        self._queued: dict[int, tuple[ForecastRequest, np.ndarray, list[Future]]] = {}
+        self._rejection: Optional[AuthError] = None
+
+    def __enter__(self) -> "AttemptPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._executor.shutdown(cancel_futures=True)
+
+    def queue(self, request: ForecastRequest) -> None:
+        rows = np.empty((request.attempts, request.horizon))
+        futures = [self._executor.submit(self._attempt, request, rows, index)
+                   for index in range(1, request.attempts + 1)]
+        self._queued[id(request)] = (request, rows, futures)
+
+    def _attempt(self, request: ForecastRequest, rows: np.ndarray, index: int) -> Optional[ForecastAttempt]:
+        """One attempt, its decoded reply written into its row of `rows`;
+        None when it was rejected or, after a rejection, not sent."""
+        if self._rejection is not None:
+            return None
         start = time.perf_counter()
         try:
-            text = llm_http_call(config, request.prompt, request.temperature, request.top_p)
+            text = llm_http_call(self._config, request.prompt, request.temperature, request.top_p)
             decoded = decode(text, request.encoding, request.horizon)
-        except AuthError:
-            rejected.set()
-            raise
+        except AuthError as exc:
+            self._rejection = exc
+            return None
         except (BackendUnreachable, MalformedResponse) as exc:
             text, decoded = "", DecodeFailure("backend", index, str(exc))
         failure = decoded if isinstance(decoded, DecodeFailure) else None
@@ -401,10 +475,36 @@ def forecast_ensemble(
             rows[index - 1] = decoded
         return ForecastAttempt(index, failure, text, (time.perf_counter() - start) * 1000.0)
 
-    with ThreadPoolExecutor(max_workers=min(config.max_in_flight, request.attempts)) as pool:
-        attempts = list(pool.map(attempt, range(1, request.attempts + 1)))
-    ok = [a.failure is None for a in attempts]
-    if not any(ok):
-        first = attempts[0].failure
-        raise AllAttemptsFailed(f"all {request.attempts} attempts failed ({first.reason}: {first.message})")
-    return attempts, rows[ok]
+    def collect(self, request: ForecastRequest) -> tuple[list[ForecastAttempt], np.ndarray]:
+        if id(request) not in self._queued:
+            self.queue(request)
+        _, rows, futures = self._queued.pop(id(request))
+        attempts = [future.result() for future in futures]
+        if None in attempts:
+            raise self._rejection
+        ok = [a.failure is None for a in attempts]
+        if not any(ok):
+            first = attempts[0].failure
+            raise AllAttemptsFailed(f"all {request.attempts} attempts failed ({first.reason}: {first.message})")
+        return attempts, rows[ok]
+
+
+def forecast_ensemble(
+    config: BackendConfig, request: ForecastRequest, pool: Optional[AttemptPool] = None
+) -> tuple[list[ForecastAttempt], np.ndarray]:
+    """Run exactly `request.attempts` independent attempts.
+
+    Returns the outcome of each `llm_http` attempt in index order (none for a
+    local baseline) and the successful attempts' values as one (successes,
+    horizon) matrix in that order. `llm_http` attempts run on `pool`, a
+    replay's, or else on a pool of their own, and each reply is decoded into
+    its row. Raises AllAttemptsFailed when no attempt succeeded, and
+    AuthError on a rejected or missing credential, after which no attempt is
+    sent.
+    """
+    if config.kind != "llm_http":
+        return [], _local_matrix(config, request)
+    if pool is not None:
+        return pool.collect(request)
+    with AttemptPool(config) as own:
+        return own.collect(request)

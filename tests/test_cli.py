@@ -231,6 +231,45 @@ def test_replay_refuses_out_over_its_graph(cli_env, tmp_path, capsys, monkeypatc
     assert graph.read_bytes() == cli_env["ptog"].read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["config", "template", "fixture-meta", "run-csv", "run-csv-hard-link"])
+def test_out_over_an_input_of_its_command_is_refused(cli_env, tmp_path, capsys, monkeypatch, kind):
+    """`replay --out` naming its `--config` file or the config's prompt
+    template, and `ingest --out` naming the fixture's `fixture.json` or a run
+    CSV, by any path, exit 2 with one line before any work and leave the
+    input as it was."""
+    import shutil
+
+    from gendt import controller, dataset
+    from gendt.codec import DEFAULT_PROMPT_TEMPLATE
+
+    fixture = shutil.copytree(cli_env["fixture"], tmp_path / "fixture")
+    template = tmp_path / "template.txt"
+    template.write_text(DEFAULT_PROMPT_TEMPLATE)
+    config = tmp_path / "cfg.json"
+    save_config(make_config("persistence", prompt_template_path=str(template)), config)
+    replay = ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config), "--out"]
+    ingest = ["ingest", "--fixture", str(fixture), "--out"]
+    argv, victim, line = {
+        "config": (replay, config, "is the --config file; write the report elsewhere"),
+        "template": (replay, template, "is the config's prompt template; write the report elsewhere"),
+        "fixture-meta": (ingest, fixture / "fixture.json",
+                         "is the --fixture file fixture.json; write the graph elsewhere"),
+        "run-csv": (ingest, fixture / "run_3.csv", "is the --fixture file run_3.csv; write the graph elsewhere"),
+        "run-csv-hard-link": (ingest, fixture / "run_3.csv",
+                              "is the --fixture file run_3.csv; write the graph elsewhere"),
+    }[kind]
+    out = victim
+    if kind == "run-csv-hard-link":
+        out = tmp_path / "graph.json"
+        os.link(victim, out)
+    before = victim.read_bytes()
+    monkeypatch.setattr(controller, "run_epoch", None)  # a replay that ran would fail on it
+    monkeypatch.setattr(dataset, "read_samples_csv", None)  # and so would an ingest
+    assert main([*argv, str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: --out {out} {line}\n"
+    assert victim.read_bytes() == before
+
+
 def test_replay_bad_config(cli_env, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -478,6 +517,61 @@ def test_reproducible_report_does_not_depend_on_max_in_flight(cli_env, tmp_path,
         texts.append(text)
     assert texts[0] == texts[1] == texts[2]
     assert len(stub_llm.requests) == 3 * 30 * 5
+
+
+def test_remote_replay_runs_on_one_pool(cli_env, tmp_path, stub_llm, api_key_env, monkeypatch):
+    """A replay that does not halt sends exactly epochs x attempts requests,
+    from at most `max_in_flight` worker threads for the whole replay, none
+    of them left running when it ends."""
+    import threading
+
+    from gendt import forecast
+    from gendt.config import EnsembleParams
+    from gendt.forecast import BackendConfig
+
+    threads = set()
+    call = forecast.llm_http_call
+
+    def recorded(*args):
+        threads.add(threading.current_thread())
+        return call(*args)
+
+    monkeypatch.setattr(forecast, "llm_http_call", recorded)
+    stub_llm.script = [(200, stub_llm.completion(",".join(["1.00"] * 600)))]
+    backend = BackendConfig(kind="llm_http", endpoint=stub_llm.endpoint, max_retries=0, max_in_flight=3)
+    config_path = tmp_path / "llm.json"
+    save_config(make_config(backend=backend, ensemble=EnsembleParams(attempts=4)), config_path)
+    code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                 "--out", str(tmp_path / "report.json")])
+    assert code == EXIT_OK
+    assert len(stub_llm.requests) == 30 * 4
+    assert 1 <= len(threads) <= 3
+    assert not any(t.is_alive() for t in threads)
+
+
+@pytest.mark.parametrize("first_rejected, max_in_flight", [(1, 1), (7, 2), (12, 3), (41, 4)])
+def test_rejected_credential_ends_the_replay_within_the_budget(cli_env, tmp_path, capsys, stub_llm,
+                                                               api_key_env, first_rejected,
+                                                               max_in_flight):
+    """A stub that rejects the credential from request k on ends the replay
+    with exit 3 and the rejection's line, after at most k + max_in_flight - 1
+    requests: neither the current epoch's unsent attempts nor the next
+    epoch's queued ones are sent."""
+    from gendt.config import EnsembleParams
+    from gendt.forecast import BackendConfig
+
+    ok = (200, stub_llm.completion(",".join(["1.00"] * 600)))
+    stub_llm.script = [ok] * (first_rejected - 1) + [(401, {"error": "revoked"})]
+    backend = BackendConfig(kind="llm_http", endpoint=stub_llm.endpoint, max_retries=0,
+                            max_in_flight=max_in_flight)
+    config_path = tmp_path / "llm.json"
+    save_config(make_config(backend=backend, ensemble=EnsembleParams(attempts=5)), config_path)
+    code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                 "--out", str(tmp_path / "report.json")])
+    assert code == EXIT_CONFIG
+    assert _error_lines(capsys.readouterr().err) == ["error: endpoint rejected credential (HTTP 401)"]
+    assert first_rejected <= len(stub_llm.requests) <= first_rejected + max_in_flight - 1
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["replay", "report"])
@@ -1337,11 +1431,14 @@ def test_module_entry_point(tmp_path):
 
 def test_local_replay_imports_no_third_party_http_client(cli_env, tmp_path):
     """The command line and a local replay leave `requests` and `urllib3`
-    unimported: `llm_http` speaks HTTP through the standard library."""
+    unimported, `llm_http` speaking HTTP through the standard library, and
+    the standard library's HTTP stack too: `urllib.request`, `http.client`,
+    `ssl` and `email` load only on the `llm_http` path."""
     argv = ["replay", "--ptog", str(cli_env["ptog"]), "--config", str(cli_env["config"]),
             "--out", str(tmp_path / "report.json")]
     script = (f"import sys\nfrom gendt.cli import main\nassert main({argv!r}) == 0\n"
-              "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+              "print(sorted({'requests', 'urllib3', 'urllib.request', 'http.client', 'ssl', 'email'}"
+              " & set(sys.modules)))")
     done = _run_python("-c", script)
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"

@@ -3,10 +3,14 @@ ensemble failure policy."""
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import random
+import select
 import shutil
+import socket
+import socketserver
 import ssl
 import subprocess
 import threading
@@ -405,6 +409,123 @@ def test_http_proxy_from_the_environment(stub_llm, api_key_env, monkeypatch):
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         assert llm_http_call(http_config(stub_llm), "p", 0.7, 1.0) == "0.00"
         assert (len(proxy.requests), len(stub_llm.requests)) == (1, 1)
+
+
+@pytest.mark.parametrize("env", [
+    {"http_proxy": "http://low:1", "HTTP_PROXY": "http://up:2", "HTTPS_PROXY": "http://up:3"},
+    {"HTTP_PROXY": "http://up:2", "https_proxy": "http://low:3", "NO_PROXY": "example.com"},
+    {"http_proxy": "", "HTTP_PROXY": "http://up:2", "no_proxy": "", "NO_PROXY": "x"},
+    {"HTTP_PROXY": "http://up:2", "HTTPS_PROXY": "http://up:3", "REQUEST_METHOD": "GET"},
+    {"http_proxy": "http://low:1", "REQUEST_METHOD": "GET", "no_proxy": "*"},
+    {"all_proxy": "http://all:4", "ALL_PROXY": "http://all:5"},
+])
+def test_proxy_variables_are_read_as_urllib_reads_them(monkeypatch, env):
+    """Each scheme's proxy and `no_proxy` read as `urllib.request.getproxies`
+    reads them: the lowercase name wins, empty is unset, and `HTTP_PROXY` is
+    ignored under `REQUEST_METHOD`."""
+    import urllib.request
+
+    _clear_proxy_env(monkeypatch)
+    monkeypatch.delenv("REQUEST_METHOD", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    expected = urllib.request.getproxies_environment()
+    for scheme in ("http", "https", "no"):
+        assert forecast._proxy_variable(scheme) == expected.get(scheme)
+
+
+def test_all_proxy_alone_sends_the_request_direct(stub_llm, api_key_env, monkeypatch):
+    """`all_proxy`, pointing at a port where nothing listens, is not read:
+    the request reaches the endpoint directly."""
+    _clear_proxy_env(monkeypatch)
+    monkeypatch.setenv("all_proxy", "http://127.0.0.1:1")
+    monkeypatch.setenv("ALL_PROXY", "http://127.0.0.1:1")
+    assert llm_http_call(http_config(stub_llm, max_retries=0), "p", 0.7, 1.0) == "0.00"
+    assert len(stub_llm.requests) == 1
+
+
+@contextlib.contextmanager
+def _connect_proxy():
+    """A proxy on 127.0.0.1 that serves CONNECT alone, relaying each tunnel
+    to its target; yields its address and the head of each CONNECT request
+    it received, then stops and joins its thread."""
+    heads = []
+
+    class Relay(socketserver.BaseRequestHandler):
+        def handle(self):
+            head = b""
+            while b"\r\n\r\n" not in head:
+                chunk = self.request.recv(4096)
+                if not chunk:
+                    return
+                head += chunk
+            heads.append(head.decode("latin-1"))
+            host, port = head.split(b" ", 2)[1].decode().rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as upstream:
+                self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                ends = {self.request: upstream, upstream: self.request}
+                while True:
+                    ready, _, _ = select.select(list(ends), [], [], 5)
+                    if not ready:
+                        return
+                    for sock in ready:
+                        data = sock.recv(65536)
+                        if not data:
+                            return
+                        ends[sock].sendall(data)
+
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Relay)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield "127.0.0.1:%d" % server.server_address[1], heads
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_https_endpoint_through_a_connect_proxy(api_key_env, tmp_path, monkeypatch):
+    """`https_proxy` reaches an `https://` endpoint through a CONNECT tunnel:
+    the proxy receives the user info of its URL as `Proxy-Authorization:
+    Basic`, and the endpoint, behind the tunnel's TLS, does not."""
+    if shutil.which("openssl") is None:
+        pytest.skip("needs the openssl command to make a certificate")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+                    "-nodes", "-days", "1", "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+                    "-keyout", str(key), "-out", str(cert)], check=True, capture_output=True, timeout=60)
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(cert, key)
+    seen = []
+
+    def reply(handler):
+        handler.rfile.read(int(handler.headers["Content-Length"]))
+        seen.append(dict(handler.headers))
+        data = json.dumps(StubLlm.completion("6.00")).encode()
+        handler.send_response(200)
+        handler.send_header("Content-Length", str(len(data)))
+        handler.end_headers()
+        handler.wfile.write(data)
+
+    _clear_proxy_env(monkeypatch)
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    forecast._tls_context.cache_clear()
+    try:
+        with _serving(reply, tls) as endpoint, _connect_proxy() as (proxy, heads):
+            monkeypatch.setenv("https_proxy", f"http://someone:p%40ss@{proxy}")
+            cfg = BackendConfig(kind="llm_http", endpoint=endpoint, max_retries=0)
+            assert llm_http_call(cfg, "p", 0.7, 1.0) == "6.00"
+    finally:
+        forecast._tls_context.cache_clear()
+    (head,) = heads
+    host = endpoint.split("/")[2]
+    assert head.startswith(f"CONNECT {host} HTTP/")
+    assert "Proxy-Authorization: Basic " + base64.b64encode(b"someone:p@ss").decode() in head
+    (headers,) = seen
+    assert headers["Host"] == host and headers["Authorization"] == f"Bearer {api_key_env}"
+    assert "Proxy-Authorization" not in headers
 
 
 def test_http_unreachable_endpoint(api_key_env):
