@@ -183,22 +183,24 @@ def test_replay_health_scope_run(milling_ptog, persistence_config):
 
 
 def test_replay_halt_on_stop(milling_ptog, persistence_config):
-    """The replay stops at the first Stop, and the records up to it are those
-    of the replay that does not halt, but for their timing: a local backend
-    forecasts the whole plan, and a Stop depends only on its own epoch. (That no `llm_http`
-    request is sent past the Stop is tested through the command line.)"""
+    """The replay stops at the first Stop, and its records, timing aside, are
+    those of the replay that does not halt, up to that Stop: a Stop depends
+    only on its own epoch, so a local backend may forecast the whole plan.
+    (That no `llm_http` request is sent past the Stop is tested through the
+    command line.)"""
     eager = replace(
         persistence_config,
         thresholds=ControlThresholds(t_low=0.1, t_high=0.4, t_health=15.0),
     )
     full = run_replay(milling_ptog, eager).reports
     result = run_replay(milling_ptog, replace(eager, halt_on_stop=True))
-    assert result.halted
     stop = [r.decision for r in full].index("Stop")
     assert {"Continue", "Warning"} <= {r.decision for r in full[:stop]} and stop < 29
+
     def records(reports):
         return [{k: v for k, v in r.to_dict().items() if k != "timing"} for r in reports]
 
+    assert result.halted
     assert records(result.reports) == records(full[:stop + 1])
     assert result.summary["session"]["epochs"] == stop + 1
 
