@@ -334,10 +334,9 @@ def run_replay(
     and health in epoch order. Failed epochs are recorded and the replay
     goes on; they, and epochs without ground truth, add 0 to the fold. With
     config.halt_on_stop the fold stops at the first Stop decision, emulating
-    a live control loop. A Stop depends only on its own epoch, so a replay
-    forecasts and scores the whole plan at once, except a halting `llm_http`
-    one, which goes one epoch at a time, so that no request is sent past the
-    Stop. One `AttemptPool` serves every `llm_http` attempt of the replay.
+    a live control loop, and epochs are forecast and scored one at a time, so
+    that none past the Stop is forecast; otherwise all are scored at once.
+    One `AttemptPool` serves every `llm_http` attempt of the replay.
     """
     if epochs is None:
         epochs = enumerate_epochs(ptog, config.min_history)
@@ -352,9 +351,11 @@ def run_replay(
     else:
         seeds = [None] * len(epochs)
     plan = list(zip(epochs, windows, targets, seeds))
-    step = 1 if config.halt_on_stop and config.backend.kind == "llm_http" else max(len(plan), 1)
+    # a halting replay forecasts one epoch at a time, so none past the Stop is
+    # forecast (or, under llm_http, paid for); any other scores all at once
+    size = 1 if config.halt_on_stop else max(len(plan), 1)
     with AttemptPool(config.backend) as pool:
-        chunks = (_score(_forecast(plan[i:i + step], config, pool)) for i in range(0, len(plan), step))
+        chunks = (_score(_forecast(plan[i:i + size], config, pool)) for i in range(0, len(plan), size))
         reports, halted = _fold(chain.from_iterable(chunks), config)
     return ReplayResult(reports, _build_summary(ptog, reports, halted), halted)
 

@@ -8,8 +8,9 @@ an epoch fails only when every attempt fails.
 `llm_http` attempts run on an `AttemptPool`, which a replay keeps from its
 first epoch to its last so that it can queue the next epoch's attempts while
 the current one's are in flight. Each try is one POST on a fresh
-`http.client` connection; `http.client` and `ssl` are imported by the
-transport itself, so a process that never sends a request never loads them.
+connection through `urllib.request`, which the transport imports itself
+with `http.client` and `ssl`, so a process that never sends a request never
+loads them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import STRING, GendtError, checked, read_json, shown
 if TYPE_CHECKING:
     import http.client
     import ssl
+    import urllib.request
 
 log = logging.getLogger(__name__)
 
@@ -168,76 +170,45 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context()
 
 
-def _connection(tls: bool, host: str, timeout_s: float) -> http.client.HTTPConnection:
-    import http.client
-
-    if tls:
-        return http.client.HTTPSConnection(host, timeout=timeout_s, context=_tls_context())
-    return http.client.HTTPConnection(host, timeout=timeout_s)
-
-
 def _proxy_variable(name: str) -> Optional[str]:
     """`<name>_proxy` as `urllib.request` reads it from the environment, but
     without walking `os.environ`: the lowercase name wins over its uppercase
     form, and empty is unset. `HTTP_PROXY` is ignored when `REQUEST_METHOD` is set, because a
-    CGI server sets it from a client's `Proxy:` header."""
+    CGI server sets it from a client's `Proxy:` header. A mixed-case name
+    (`Http_Proxy`), which urllib also reads, is not read."""
     value = os.environ.get(f"{name}_proxy")
     if value is None and not (name == "http" and "REQUEST_METHOD" in os.environ):
         value = os.environ.get(f"{name.upper()}_PROXY")
     return value or None
 
 
-def _proxy(scheme: str, host: str) -> Optional[tuple[bool, str, dict[str, str]]]:
-    """The proxy the environment names for a request to `host` by `scheme`
-    at this moment, as (TLS to the proxy, its host:port, the headers for it),
-    or None to go direct. `no_proxy` is matched and the proxy URL parsed by
-    `urllib.request`'s own functions, loaded only here; `all_proxy` is not
-    read, as urllib's opener never used it for http or https."""
-    url = _proxy_variable(scheme)
-    if url is None:
-        return None
-    from urllib.request import _parse_proxy, proxy_bypass_environment
+@functools.lru_cache(maxsize=8)
+def _opener(proxies: tuple[tuple[str, str], ...]) -> urllib.request.OpenerDirector:
+    """An opener through `proxies` with no redirect handler and no error
+    processor, so every status, a 3xx among them, comes back as a response."""
+    import http.client
+    import urllib.request
 
-    no_proxy = _proxy_variable("no")
-    if proxy_bypass_environment(host, {"no": no_proxy} if no_proxy else {}):
-        return None
-    proxy_scheme, user, password, hostport = _parse_proxy(url)
-    headers = {}
-    if user and password:
-        import base64
+    class HTTPSHandler(urllib.request.HTTPSHandler):
+        def https_open(self, req):
+            return self.do_open(http.client.HTTPSConnection, req, context=_tls_context())
 
-        pair = f"{urllib.parse.unquote(user)}:{urllib.parse.unquote(password)}"
-        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(pair.encode()).decode("ascii")
-    return proxy_scheme == "https", urllib.parse.unquote(hostport), headers
+    opener = urllib.request.OpenerDirector()
+    for handler in (urllib.request.ProxyHandler(dict(proxies)), urllib.request.HTTPHandler(),
+                    HTTPSHandler(), urllib.request.UnknownHandler()):
+        opener.add_handler(handler)
+    return opener
 
 
 def _post(config: BackendConfig, data: bytes, headers: dict[str, str]) -> http.client.HTTPResponse:
-    """One POST on a fresh connection (`Connection: close`), through the
-    proxy the environment names at this moment. An `http://` request goes to
-    an HTTP proxy in absolute form; an `https://` one through a CONNECT
-    tunnel, which alone carries the proxy's credentials."""
-    parts = urllib.parse.urlsplit(config.endpoint)
-    host = urllib.parse.unquote(parts.netloc)
-    target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-    headers = {**headers, "Host": host, "Connection": "close"}
-    tls = parts.scheme == "https"
-    proxy = _proxy(parts.scheme, host)
-    if proxy is None:
-        conn = _connection(tls, host, config.timeout_s)
-    else:
-        proxy_tls, proxy_host, proxy_headers = proxy
-        conn = _connection(tls or proxy_tls, proxy_host, config.timeout_s)
-        if tls:  # TLS runs to the endpoint itself, inside the tunnel
-            conn.set_tunnel(host, headers=proxy_headers)
-        else:
-            headers.update(proxy_headers)
-            target = parts._replace(fragment="").geturl()
-    try:
-        conn.request("POST", target, data, headers)
-        return conn.getresponse()
-    finally:
-        if conn.sock is not None:  # the response reads on through its own file object
-            conn.sock.close()
+    """One POST on a fresh connection, through the proxy the environment
+    names at this moment (`no_proxy` is read per request too, by urllib,
+    when a proxy applies)."""
+    import urllib.request
+
+    proxies = tuple((scheme, url) for scheme in ("http", "https") if (url := _proxy_variable(scheme)))
+    request = urllib.request.Request(config.endpoint, data, headers, method="POST")
+    return _opener(proxies).open(request, timeout=config.timeout_s)
 
 
 def llm_http_call(
@@ -252,6 +223,7 @@ def llm_http_call(
     time and never stored or logged; it is sent only as the `Bearer` header.
     """
     import http.client
+    import urllib.error
 
     key = os.environ.get(config.api_key_env)
     if not key:
@@ -281,7 +253,9 @@ def llm_http_call(
                     raise BackendUnreachable(f"unexpected HTTP {status} from {config.endpoint}")
                 return _extract_content(_read_capped(resp))
         except (OSError, http.client.HTTPException) as exc:  # a body cut short among them
-            last_error = f"transport error: {type(exc).__name__}"
+            # a URLError wraps the socket error of a failed connect or send
+            cause = exc.reason if isinstance(exc, urllib.error.URLError) else None
+            last_error = f"transport error: {type(cause if isinstance(cause, OSError) else exc).__name__}"
             log.debug("llm_http transport error (try %d): %s", attempt + 1, last_error)
     raise BackendUnreachable(
         f"gave up after {config.max_retries + 1} calls to {config.endpoint}: {last_error}"

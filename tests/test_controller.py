@@ -182,27 +182,24 @@ def test_replay_health_scope_run(milling_ptog, persistence_config):
     assert per_run.reports[-1].cumulative_rmse < result.reports[-1].cumulative_rmse
 
 
-def test_replay_halt_on_stop(milling_ptog, persistence_config):
-    """The replay stops at the first Stop, and its records, timing aside, are
-    those of the replay that does not halt, up to that Stop: a Stop depends
-    only on its own epoch, so a local backend may forecast the whole plan.
-    (That no `llm_http` request is sent past the Stop is tested through the
-    command line.)"""
+def test_replay_halt_on_stop(milling_ptog, persistence_config, monkeypatch):
+    """The replay stops at the first Stop and forecasts no epoch past it."""
+    import gendt.controller as controller_mod
+
+    forecast = []
+    run_epoch = controller_mod.run_epoch
+    monkeypatch.setattr(controller_mod, "run_epoch",
+                        lambda epoch, *a: forecast.append(epoch) or run_epoch(epoch, *a))
     eager = replace(
         persistence_config,
-        thresholds=ControlThresholds(t_low=0.1, t_high=0.4, t_health=15.0),
+        thresholds=ControlThresholds(t_low=0.001, t_high=0.002, t_health=15.0),
+        halt_on_stop=True,
     )
-    full = run_replay(milling_ptog, eager).reports
-    result = run_replay(milling_ptog, replace(eager, halt_on_stop=True))
-    stop = [r.decision for r in full].index("Stop")
-    assert {"Continue", "Warning"} <= {r.decision for r in full[:stop]} and stop < 29
-
-    def records(reports):
-        return [{k: v for k, v in r.to_dict().items() if k != "timing"} for r in reports]
-
+    result = run_replay(milling_ptog, eager)
     assert result.halted
-    assert records(result.reports) == records(full[:stop + 1])
-    assert result.summary["session"]["epochs"] == stop + 1
+    assert len(result.reports) < 30
+    assert result.reports[-1].decision == "Stop"
+    assert len(forecast) == len(result.reports)
 
 
 def test_replay_summary_table(milling_ptog, persistence_config):
