@@ -1,15 +1,15 @@
 """Feedback decisions and the replay pipeline: plan, forecast, score, fold.
 
-A replay plans every epoch's inputs, forecasts each epoch (`run_epoch`),
-scores the forecasts in batches of alike epochs, then folds them in epoch
-order. The plan holds each series it reads as a `PreparedVertex`, filtered,
-decimated and encoded once, and each epoch reads its vertices from it. Each
-epoch's forecast request is made one epoch ahead, so that one `llm_http`
-attempt pool, kept for the whole replay, has the next epoch's attempts
-queued before the current epoch's finish. Only the fold depends on earlier
-epochs: per-epoch control is a three-level policy on the forecast error, and
-production health folds epoch errors into a cumulative total checked against
-a budget.
+A replay plans every epoch's inputs and forecast request, forecasts each
+epoch (`run_epoch`), scores the forecasts in batches of alike epochs, then
+folds them in epoch order. The plan holds each series it reads as a
+`PreparedVertex`, filtered, decimated and encoded once. Epochs are forecast
+in chunks, the one lookahead rule: under `llm_http` a chunk's attempts are
+all queued on the replay's one attempt pool before its first epoch runs, so
+the workers do not drain at an epoch boundary inside it. Only the fold
+depends on earlier epochs: per-epoch control is a three-level policy on the
+forecast error, and production health folds epoch errors into a cumulative
+total checked against a budget.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field, fields
-from itertools import chain, starmap
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -174,7 +174,7 @@ def _request(
     seeds: Optional[np.ndarray],
     config: "RunConfig",
 ) -> Union[ForecastRequest, codec.CodecError]:
-    """The forecast request of an epoch whose inputs `run_replay` planned:
+    """The forecast request of an epoch, made in `run_replay`'s plan:
     its history's joined wire text in the prompt, and the target's decoded
     wire text for the oracle backend alone, which is defined to receive it.
     A window or oracle target vertex that cannot be encoded gives its
@@ -253,26 +253,14 @@ def run_epoch(
     return report, rows, truth
 
 
-def _forecast(plan: Sequence[tuple], config: "RunConfig", pool: AttemptPool) -> list[tuple]:
-    """`run_epoch` of each planned epoch, in order. Each epoch's request is
-    made while the epoch before it runs, and under `llm_http` its attempts
-    are queued on `pool` then, so that the workers never drain at an epoch
-    boundary; nothing is queued more than one epoch ahead."""
-    remote = config.backend.kind == "llm_http"
-
-    def requested(epoch, window, target, seeds):
-        request = _request(window, target, seeds, config)
-        if remote and isinstance(request, ForecastRequest):
-            pool.queue(request)
-        return epoch, window, target, request
-
-    ahead = starmap(requested, plan)
-    forecasts = []
-    upcoming = next(ahead, None)
-    while upcoming is not None:
-        current, upcoming = upcoming, next(ahead, None)
-        forecasts.append(run_epoch(*current, config, pool))
-    return forecasts
+def _forecast(chunk: Sequence[tuple], config: "RunConfig", pool: AttemptPool) -> list[tuple]:
+    """`run_epoch` of each planned epoch of `chunk`, in order, with every
+    `llm_http` request of the chunk queued on `pool` before the first."""
+    if config.backend.kind == "llm_http":
+        for *_, request in chunk:
+            if isinstance(request, ForecastRequest):
+                pool.queue(request)
+    return [run_epoch(*planned, config, pool) for planned in chunk]
 
 
 def _score(forecasts: list[tuple]) -> list[EpochReport]:
@@ -326,17 +314,19 @@ def run_replay(
     The plan, made before any forecast, holds each epoch's window and target
     as prepared vertices, every series they read filtered and decimated in
     one batch per sample rate and encoded by one `codec.encode_many` pass,
-    and under `mock_noise` every attempt's seed hashed in one pass (an epoch
-    without history raises NoHistory here).
-    `run_epoch`, called through the module global so that a wrapper set on
-    it sees every epoch, turns each epoch into its record, failed or not;
-    `_score` scores the forecasts in batches, and the fold takes decisions
-    and health in epoch order. Failed epochs are recorded and the replay
-    goes on; they, and epochs without ground truth, add 0 to the fold. With
-    config.halt_on_stop the fold stops at the first Stop decision, emulating
-    a live control loop, and epochs are forecast and scored one at a time, so
-    that none past the Stop is forecast; otherwise all are scored at once.
-    One `AttemptPool` serves every `llm_http` attempt of the replay.
+    under `mock_noise` every attempt's seed hashed in one pass, and each
+    epoch's `_request` (an epoch without history raises NoHistory here).
+    Epochs are forecast and scored in chunks: one `AttemptPool` serves every
+    `llm_http` attempt of the replay, and a chunk's attempts are all queued
+    on it before the chunk's first epoch runs. `run_epoch`, called through
+    the module global so that a wrapper set on it sees every epoch, turns
+    each epoch into its record, failed or not; `_score` scores each chunk in
+    batches, and the fold takes decisions and health in epoch order. Failed
+    epochs are recorded and the replay goes on; they, and epochs without
+    ground truth, add 0 to the fold. With config.halt_on_stop the fold stops
+    at the first Stop decision, emulating a live control loop, and each
+    chunk is one epoch, so that none past the Stop is forecast or paid for;
+    otherwise the one chunk is the whole plan.
     """
     if epochs is None:
         epochs = enumerate_epochs(ptog, config.min_history)
@@ -350,7 +340,7 @@ def run_replay(
         seeds = noise_seeds(config.backend.rng_seed, keys, config.ensemble.attempts)
     else:
         seeds = [None] * len(epochs)
-    plan = list(zip(epochs, windows, targets, seeds))
+    plan = [(e, w, t, _request(w, t, s, config)) for e, w, t, s in zip(epochs, windows, targets, seeds)]
     # a halting replay forecasts one epoch at a time, so none past the Stop is
     # forecast (or, under llm_http, paid for); any other scores all at once
     size = 1 if config.halt_on_stop else max(len(plan), 1)

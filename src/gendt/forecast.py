@@ -6,8 +6,9 @@ without network access. Failed attempts are carried as values, never dropped;
 an epoch fails only when every attempt fails.
 
 `llm_http` attempts run on an `AttemptPool`, which a replay keeps from its
-first epoch to its last so that it can queue the next epoch's attempts while
-the current one's are in flight. Each try is one POST on a fresh
+first epoch to its last, and on which it queues a chunk's attempts before
+the chunk's first epoch, so that the workers go on to the next epoch's
+attempts while the current one's are in flight. Each try is one POST on a fresh
 connection through `urllib.request`, which the transport imports itself
 with `http.client` and `ssl`, so a process that never sends a request never
 loads them.
@@ -118,7 +119,7 @@ class BackendConfig:
             raise ValueError("max_in_flight must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastRequest:
     """One epoch's forecast: the prompt and sampling settings `llm_http`
     sends, and the preprocessed window material the local baselines consume.
@@ -128,7 +129,8 @@ class ForecastRequest:
     the oracle backend. `seeds` is the epoch's (attempts, 4) block of
     `noise_seeds` words, which only `mock_noise` reads. The sampling settings
     come from a checked `EnsembleParams`, and `horizon` is the length of the
-    decimated `last_history`, which is never empty.
+    decimated `last_history`, which is never empty. A request equals and
+    hashes as itself alone, so an `AttemptPool` keys its attempts by it.
     """
 
     prompt: str
@@ -405,8 +407,7 @@ class AttemptPool:
     when the pool closes, which cancels every attempt still queued.
 
     `queue` hands an epoch's attempts to the workers in index order, behind
-    every attempt queued before them; `forecast_ensemble` awaits them, and
-    queues them itself if no one has. Once the endpoint rejects the
+    every attempt queued before them, and `collect` awaits them. Once the endpoint rejects the
     credential, no attempt not yet sent is sent, whichever epoch it is of,
     and an epoch that lost an attempt to the rejection raises it.
     """
@@ -414,8 +415,7 @@ class AttemptPool:
     def __init__(self, config: BackendConfig) -> None:
         self._config = config
         self._executor = ThreadPoolExecutor(config.max_in_flight)
-        # id(request) -> its matrix and futures; the entry keeps the request, so its id is not reused
-        self._queued: dict[int, tuple[ForecastRequest, np.ndarray, list[Future]]] = {}
+        self._queued: dict[ForecastRequest, tuple[np.ndarray, list[Future]]] = {}
         self._rejection: Optional[AuthError] = None
 
     def __enter__(self) -> "AttemptPool":
@@ -428,7 +428,7 @@ class AttemptPool:
         rows = np.empty((request.attempts, request.horizon))
         futures = [self._executor.submit(self._attempt, request, rows, index)
                    for index in range(1, request.attempts + 1)]
-        self._queued[id(request)] = (request, rows, futures)
+        self._queued[request] = (rows, futures)
 
     def _attempt(self, request: ForecastRequest, rows: np.ndarray, index: int) -> Optional[ForecastAttempt]:
         """One attempt, its decoded reply written into its row of `rows`;
@@ -450,9 +450,7 @@ class AttemptPool:
         return ForecastAttempt(index, failure, text, (time.perf_counter() - start) * 1000.0)
 
     def collect(self, request: ForecastRequest) -> tuple[list[ForecastAttempt], np.ndarray]:
-        if id(request) not in self._queued:
-            self.queue(request)
-        _, rows, futures = self._queued.pop(id(request))
+        rows, futures = self._queued.pop(request)
         attempts = [future.result() for future in futures]
         if None in attempts:
             raise self._rejection
@@ -471,14 +469,15 @@ def forecast_ensemble(
     Returns the outcome of each `llm_http` attempt in index order (none for a
     local baseline) and the successful attempts' values as one (successes,
     horizon) matrix in that order. `llm_http` attempts run on `pool`, a
-    replay's, or else on a pool of their own, and each reply is decoded into
-    its row. Raises AllAttemptsFailed when no attempt succeeded, and
-    AuthError on a rejected or missing credential, after which no attempt is
-    sent.
+    replay's, which has them queued, or else on a pool of their own, and each
+    reply is decoded into its row. Raises AllAttemptsFailed when no attempt
+    succeeded, and AuthError on a rejected or missing credential, after which
+    no attempt is sent.
     """
     if config.kind != "llm_http":
         return [], _local_matrix(config, request)
     if pool is not None:
         return pool.collect(request)
     with AttemptPool(config) as own:
+        own.queue(request)
         return own.collect(request)
