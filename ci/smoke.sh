@@ -91,13 +91,23 @@ grep -qx 'error: interrupted' err.txt
 test ! -e interrupted.json
 echo '{' > not_json.json
 expect 3 replay --ptog ptog.json --config not_json.json
+# an llm_http config against a port where nothing listens
+python -c 'import json, sys; doc = json.load(open(sys.argv[1]))
+doc["backend"].update(kind="llm_http", endpoint="http://127.0.0.1:9/v1")
+json.dump(doc, open("llm.json", "w"))' "$CONFIG"
 # a retry backoff past time.sleep's range is a config error at load, not an
 # OverflowError at the first retry against an endpoint that refuses
-python -c 'import json, sys; doc = json.load(open(sys.argv[1]))
-doc["backend"].update(kind="llm_http", endpoint="http://127.0.0.1:9/v1", retry_base_delay_s=1e10)
-json.dump(doc, open("backoff.json", "w"))' "$CONFIG"
+python -c 'import json; doc = json.load(open("llm.json"))
+doc["backend"]["retry_base_delay_s"] = 1e10
+json.dump(doc, open("backoff.json", "w"))'
 GENDT_API_KEY=dummy expect 3 replay --ptog ptog.json --config backoff.json
 grep -q retry_base_delay_s err.txt
+# a proxy variable that urllib cannot parse ends the replay with one line
+# that names it, and no report
+http_proxy=http:/x GENDT_API_KEY=dummy expect 3 replay --ptog ptog.json --config llm.json \
+  --out proxy_report.json
+grep -q 'environment variable http_proxy' err.txt
+test ! -e proxy_report.json
 # an encoding scale past 1e100 is a config error: the wire's values times the
 # scale must stay far enough below the float range that no squared error overflows
 python -c 'import json, sys; doc = json.load(open(sys.argv[1]))

@@ -2,11 +2,12 @@
 
 Exit codes are stable: 0 ok, 2 input error, 3 config error, 4 halted on Stop,
 130 interrupted. Each command raises its errors, and `main` alone maps one to
-a code and one `error:` line: a `ConfigError` or `AuthError` (config file,
-prompt template, credential) exits 3; any other `GendtError` (an input that
-fails its check, a failed forecast) and an `OSError` (an output path that
-cannot be written) exit 2; a `KeyboardInterrupt` (Ctrl-C, SIGINT) exits 130,
-the shell's code for SIGINT, and writes no report.
+a code and one `error:` line: a `ConfigError`, `AuthError` or `ProxyError`
+(config file, prompt template, credential, proxy variable) exits 3; any
+other `GendtError` (an input that fails its check, a failed forecast) and an
+`OSError` (an output path that cannot be written) exit 2; a
+`KeyboardInterrupt` (Ctrl-C, SIGINT) exits 130, the shell's code for SIGINT,
+and writes no report.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .config import ConfigError, RunConfig, load_config
 from .controller import run_replay
 from .dataset import FIXTURE_META_NAME, ingest_fixture
 from .errors import GendtError, read_json
-from .forecast import BACKEND_KINDS, AuthError, ForecastError
+from .forecast import BACKEND_KINDS, AuthError, ForecastError, ProxyError
 from .ptog import PtogError, RunId, load_ptog, save_manifest, save_ptog
 from .windowing import EpochPoint
 
@@ -220,7 +221,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (GendtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, (ConfigError, AuthError)) else EXIT_INPUT
+        return EXIT_CONFIG if isinstance(exc, (ConfigError, AuthError, ProxyError)) else EXIT_INPUT
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

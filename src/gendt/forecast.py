@@ -22,6 +22,7 @@ import logging
 import math
 import os
 import random
+import threading
 import time
 import urllib.parse
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -70,6 +71,10 @@ class BackendUnreachable(ForecastError):
 
 class AuthError(ForecastError):
     """Credential missing or rejected (HTTP 401/403); never retried."""
+
+
+class ProxyError(ForecastError):
+    """A proxy variable that urllib cannot parse; never retried."""
 
 
 class MalformedResponse(ForecastError):
@@ -195,8 +200,16 @@ def _opener(proxies: tuple[tuple[str, str], ...]) -> urllib.request.OpenerDirect
         def https_open(self, req):
             return self.do_open(http.client.HTTPSConnection, req, context=_tls_context())
 
+    class ProxyHandler(urllib.request.ProxyHandler):
+        def proxy_open(self, req, proxy, type):
+            try:
+                return super().proxy_open(req, proxy, type)
+            except ValueError:  # urllib's verdict on the proxy URL, as _proxy_variable read it
+                name = f"{type}_proxy" if os.environ.get(f"{type}_proxy") else f"{type.upper()}_PROXY"
+                raise ProxyError(f"environment variable {name} is not a proxy URL urllib can parse") from None
+
     opener = urllib.request.OpenerDirector()
-    for handler in (urllib.request.ProxyHandler(dict(proxies)), urllib.request.HTTPHandler(),
+    for handler in (ProxyHandler(dict(proxies)), urllib.request.HTTPHandler(),
                     HTTPSHandler(), urllib.request.UnknownHandler()):
         opener.add_handler(handler)
     return opener
@@ -214,15 +227,19 @@ def _post(config: BackendConfig, data: bytes, headers: dict[str, str]) -> http.c
 
 
 def llm_http_call(
-    config: BackendConfig, prompt: str, temperature: float, top_p: float
+    config: BackendConfig, prompt: str, temperature: float, top_p: float,
+    stop: Optional[threading.Event] = None,
 ) -> str:
     """POST one chat-completion request and return the first choice's content.
 
     Retries transport errors, HTTP 429, and HTTP 5xx with exponential backoff
     (base delay doubling plus jitter) up to max_retries. 401/403 raise
-    AuthError immediately; other statuses, redirects included, are not
-    retried or followed. The credential is read from the environment at call
-    time and never stored or logged; it is sent only as the `Bearer` header.
+    AuthError immediately, and a proxy variable urllib cannot parse
+    ProxyError; other statuses, redirects included, are not retried or
+    followed. Once `stop` is set, a backoff sleep ends at once and raises
+    BackendUnreachable in place of the next try. The credential is read from
+    the environment at call time and never stored or logged; it is sent only
+    as the `Bearer` header.
     """
     import http.client
     import urllib.error
@@ -241,7 +258,11 @@ def llm_http_call(
     for attempt in range(config.max_retries + 1):
         if attempt:
             delay = math.ldexp(config.retry_base_delay_s, attempt - 1)  # no overflow: checked at load
-            time.sleep(delay * (1.0 + _JITTER_SPREAD * random.random()))
+            pause = delay * (1.0 + _JITTER_SPREAD * random.random())
+            if stop is None:
+                time.sleep(pause)
+            elif stop.wait(pause):
+                raise BackendUnreachable(f"stopped after {attempt} calls to {config.endpoint}")
         try:
             with _post(config, data, headers) as resp:
                 status = resp.status
@@ -407,21 +428,26 @@ class AttemptPool:
     when the pool closes, which cancels every attempt still queued.
 
     `queue` hands an epoch's attempts to the workers in index order, behind
-    every attempt queued before them, and `collect` awaits them. Once the endpoint rejects the
-    credential, no attempt not yet sent is sent, whichever epoch it is of,
-    and an epoch that lost an attempt to the rejection raises it.
+    every attempt queued before them, and `collect` awaits them. Once the
+    endpoint rejects the credential or a proxy variable cannot be parsed, the
+    pool stops: no try starts, whichever epoch it is of, and an epoch that
+    lost an attempt to the stop raises that error. Closing the pool stops it
+    too, and ends every backoff sleep, so it waits only for the tries in
+    flight.
     """
 
     def __init__(self, config: BackendConfig) -> None:
         self._config = config
         self._executor = ThreadPoolExecutor(config.max_in_flight)
         self._queued: dict[ForecastRequest, tuple[np.ndarray, list[Future]]] = {}
-        self._rejection: Optional[AuthError] = None
+        self._stop = threading.Event()
+        self._fatal: Optional[ForecastError] = None  # what set _stop, unless the pool closed
 
     def __enter__(self) -> "AttemptPool":
         return self
 
     def __exit__(self, *exc) -> None:
+        self._stop.set()
         self._executor.shutdown(cancel_futures=True)
 
     def queue(self, request: ForecastRequest) -> None:
@@ -432,15 +458,16 @@ class AttemptPool:
 
     def _attempt(self, request: ForecastRequest, rows: np.ndarray, index: int) -> Optional[ForecastAttempt]:
         """One attempt, its decoded reply written into its row of `rows`;
-        None when it was rejected or, after a rejection, not sent."""
-        if self._rejection is not None:
+        None when it stopped the pool or, after a stop, did not start."""
+        if self._stop.is_set():
             return None
         start = time.perf_counter()
         try:
-            text = llm_http_call(self._config, request.prompt, request.temperature, request.top_p)
+            text = llm_http_call(self._config, request.prompt, request.temperature, request.top_p, self._stop)
             decoded = decode(text, request.encoding, request.horizon)
-        except AuthError as exc:
-            self._rejection = exc
+        except (AuthError, ProxyError) as exc:
+            self._fatal = exc
+            self._stop.set()
             return None
         except (BackendUnreachable, MalformedResponse) as exc:
             text, decoded = "", DecodeFailure("backend", index, str(exc))
@@ -453,7 +480,7 @@ class AttemptPool:
         rows, futures = self._queued.pop(request)
         attempts = [future.result() for future in futures]
         if None in attempts:
-            raise self._rejection
+            raise self._fatal
         ok = [a.failure is None for a in attempts]
         if not any(ok):
             first = attempts[0].failure
@@ -471,8 +498,9 @@ def forecast_ensemble(
     horizon) matrix in that order. `llm_http` attempts run on `pool`, a
     replay's, which has them queued, or else on a pool of their own, and each
     reply is decoded into its row. Raises AllAttemptsFailed when no attempt
-    succeeded, and AuthError on a rejected or missing credential, after which
-    no attempt is sent.
+    succeeded, and AuthError on a rejected or missing credential or
+    ProxyError on a proxy variable urllib cannot parse, after which no
+    attempt is sent.
     """
     if config.kind != "llm_http":
         return [], _local_matrix(config, request)

@@ -574,6 +574,126 @@ def test_rejected_credential_ends_the_replay_within_the_budget(cli_env, tmp_path
     assert not (tmp_path / "report.json").exists()
 
 
+def test_remote_replay_requests_arrive_in_plan_order(cli_env, tmp_path, api_key_env):
+    """A replay that does not halt sends its requests in plan order: against
+    a stub with a 20 ms latency, each request reaches it within
+    max_in_flight - 1 places of its place in the plan, so at each epoch
+    boundary at most max_in_flight - 1 requests of the next epoch overtake
+    the last of the epoch before."""
+    from chatstub import ChatStub, completion
+
+    from gendt import codec, dsp
+    from gendt.config import EnsembleParams, load_config
+    from gendt.forecast import BackendConfig
+    from gendt.ptog import load_ptog
+    from gendt.windowing import enumerate_epochs, extract_window
+
+    arrived = []
+
+    def respond(request):
+        arrived.append(request.prompt)
+        return 200, completion(",".join(["1.00"] * 600))
+
+    attempts, max_in_flight = 4, 3
+    with ChatStub(respond, latency_s=0.02) as stub:
+        backend = BackendConfig(kind="llm_http", endpoint=stub.endpoint, max_retries=0,
+                                max_in_flight=max_in_flight)
+        config_path = tmp_path / "llm.json"
+        save_config(make_config(backend=backend, ensemble=EnsembleParams(attempts=attempts)), config_path)
+        code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                     "--out", str(tmp_path / "report.json")])
+    assert code == EXIT_OK
+    ptog, config = load_ptog(cli_env["ptog"]), load_config(config_path)
+    plan = []  # each epoch's prompt, built from the public layers
+    for epoch in enumerate_epochs(ptog, config.min_history):
+        window = extract_window(ptog, epoch, config.history_depth)
+        values = [dsp.preprocess(s, config.filter, config.downsample) for s in window]
+        text = config.encoding.separator.join(codec.encode(v, config.encoding).text for v in values)
+        plan.append(codec.build_prompt(text, config.prompt_template))
+    assert len(set(plan)) == len(plan) == 30
+    order = [plan.index(prompt) for prompt in arrived]
+    assert sorted(order) == [e for e in range(30) for _ in range(attempts)]
+    for place, epoch in enumerate(order):
+        low, high = max(place - max_in_flight + 1, 0), place + max_in_flight - 1
+        assert low // attempts <= epoch <= high // attempts, (place, order)
+
+
+@pytest.mark.parametrize("variable", ["http_proxy", "HTTP_PROXY"])
+def test_unparsable_proxy_variable_ends_the_replay_with_one_line(cli_env, tmp_path, capsys, stub_llm,
+                                                                 api_key_env, monkeypatch, variable):
+    """A proxy variable that urllib cannot parse exits 3 with one line that
+    names it and no report: the first try that reads it stops the pool, and
+    it is not retried."""
+    from gendt import forecast
+    from gendt.forecast import BackendConfig
+
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv(variable, "http:/x")
+    posts = []
+    post = forecast._post
+
+    def counted(*args):
+        posts.append(args)
+        return post(*args)
+
+    monkeypatch.setattr(forecast, "_post", counted)
+    backend = BackendConfig(kind="llm_http", endpoint=stub_llm.endpoint, max_retries=3, max_in_flight=2)
+    config_path = tmp_path / "llm.json"
+    save_config(make_config(backend=backend), config_path)
+    out = tmp_path / "report.json"
+    code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert _error_lines(err) == [f"error: environment variable {variable} is not a proxy URL urllib can parse"]
+    assert "Traceback" not in err
+    assert 1 <= len(posts) <= 2 and stub_llm.requests == []
+    assert not out.exists()
+
+
+def test_interrupted_remote_replay_stops_within_one_try(cli_env, tmp_path, capsys, stub_llm, api_key_env):
+    """Ctrl-C 0.2 s into a replay whose attempts back off for 3 s from a
+    stub that answers 503 exits 130 with one line within about 1 s: closing
+    the pool ends every backoff sleep, and no try starts after it."""
+    import signal
+    import threading
+    import time
+
+    from gendt.forecast import BackendConfig
+
+    stub_llm.script = [(503, {"error": "busy"})]
+    backend = BackendConfig(kind="llm_http", endpoint=stub_llm.endpoint, max_retries=2,
+                            retry_base_delay_s=3.0, max_in_flight=2)
+    config_path = tmp_path / "llm.json"
+    save_config(make_config(backend=backend), config_path)
+    out = tmp_path / "report.json"
+    sent = []
+    main_thread = threading.get_ident()
+
+    def interrupt():
+        sent.append(time.monotonic())
+        signal.pthread_kill(main_thread, signal.SIGINT)
+
+    timer = threading.Timer(0.2, interrupt)
+    timer.start()
+    try:
+        code = main(["replay", "--ptog", str(cli_env["ptog"]), "--config", str(config_path),
+                     "--out", str(out)])
+    except KeyboardInterrupt:  # would otherwise stop the whole test session
+        pytest.fail("main let KeyboardInterrupt through")
+    finally:
+        timer.join(5.0)
+    returned = time.monotonic()
+    requests = len(stub_llm.requests)
+    assert code == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert returned - sent[0] < 1.0
+    assert 1 <= requests <= 2 and not out.exists()
+    time.sleep(0.2)
+    assert len(stub_llm.requests) == requests  # no try started after the return
+
+
 @pytest.mark.parametrize("command", ["replay", "report"])
 def test_unwritable_output_path_exits_input(cli_env, tmp_path, capsys, command):
     """An output path that runs through a file exits 2 with one `error:` line."""
