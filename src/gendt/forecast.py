@@ -6,12 +6,12 @@ without network access. Failed attempts are carried as values, never dropped;
 an epoch fails only when every attempt fails.
 
 `llm_http` attempts run on an `AttemptPool`, which a replay keeps from its
-first epoch to its last, and on which it queues a chunk's attempts before
-the chunk's first epoch, so that the workers go on to the next epoch's
-attempts while the current one's are in flight. Each try is one POST on a fresh
-connection through `urllib.request`, which the transport imports itself
-with `http.client` and `ssl`, so a process that never sends a request never
-loads them.
+first epoch to its last and on which it queues all of a chunk's attempts
+before the chunk's first epoch, so that the workers go on to the next
+epoch's attempts while the current one's are in flight. Each try is one
+POST on a fresh connection through `urllib.request`, which the transport
+imports itself with `http.client` and `ssl`, so a process that never sends a
+request never loads them.
 """
 
 from __future__ import annotations

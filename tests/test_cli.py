@@ -683,6 +683,7 @@ def test_interrupted_remote_replay_stops_within_one_try(cli_env, tmp_path, capsy
     except KeyboardInterrupt:  # would otherwise stop the whole test session
         pytest.fail("main let KeyboardInterrupt through")
     finally:
+        timer.cancel()  # a replay that ended before 0.2 s is not interrupted later
         timer.join(5.0)
     returned = time.monotonic()
     requests = len(stub_llm.requests)
